@@ -2,91 +2,7 @@
 hidden by a stopped vehicle, with and without V2V relay of the
 pedestrian's state."""
 
-from .braking import BrakePolicy, brake_pressure, deceleration_for, threshold_from_speed
-from .geometry import ActorState, RelativeState, Vec2, relative_state
-from .harness import (
-    NO_TTC_SENTINEL_S,
-    SimResult,
-    StepRecord,
-    SweepSpec,
-    run_scenario,
-    serialize_ttc,
-    sweep,
-    sweep_with_traces,
-    write_results_csv,
-    write_trace_csv,
-)
-from .scenario import (
-    CalibrationError,
-    ConfigError,
-    ScenarioConfig,
-    build_world,
-    calibrate_entry,
-    load_config,
-    serialize_config,
-)
-from .ttc import QuadraticDiag, TtcOutcome, classify_ttc, quadratic_coeffs, ttc
-from .units import from_si, mph_to_mps, mps_to_mph, to_si
-from .world import (
-    ChannelModel,
-    PedestrianEstimate,
-    SensorModel,
-    V2VMessage,
-    VehicleBody,
-    WorldState,
-    channel_step,
-    compute_control,
-    los_occluded,
-    sense,
-    step,
-)
+from .harness import SweepSpec, run_scenario, sweep, sweep_with_traces, write_results_csv
+from .scenario import ScenarioConfig
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActorState",
-    "BrakePolicy",
-    "CalibrationError",
-    "ChannelModel",
-    "ConfigError",
-    "NO_TTC_SENTINEL_S",
-    "PedestrianEstimate",
-    "QuadraticDiag",
-    "RelativeState",
-    "ScenarioConfig",
-    "SensorModel",
-    "SimResult",
-    "StepRecord",
-    "SweepSpec",
-    "TtcOutcome",
-    "V2VMessage",
-    "Vec2",
-    "VehicleBody",
-    "WorldState",
-    "brake_pressure",
-    "build_world",
-    "calibrate_entry",
-    "channel_step",
-    "classify_ttc",
-    "compute_control",
-    "deceleration_for",
-    "from_si",
-    "load_config",
-    "los_occluded",
-    "mph_to_mps",
-    "mps_to_mph",
-    "quadratic_coeffs",
-    "relative_state",
-    "run_scenario",
-    "sense",
-    "serialize_config",
-    "serialize_ttc",
-    "step",
-    "sweep",
-    "sweep_with_traces",
-    "threshold_from_speed",
-    "to_si",
-    "ttc",
-    "write_results_csv",
-    "write_trace_csv",
-]

@@ -9,7 +9,6 @@ full pressure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .ttc import TtcOutcome
@@ -27,12 +26,6 @@ class BrakePolicy:
     ttc_threshold_s: float = 10.0
     max_pressure_bar: float = 200.0
     max_decel_mps2: float = 8.0
-
-    def __post_init__(self) -> None:
-        for name in ("ttc_threshold_s", "max_pressure_bar", "max_decel_mps2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def brake_pressure(t: TtcOutcome, policy: BrakePolicy) -> float:
@@ -55,16 +48,3 @@ def deceleration_for(pressure_bar: float, policy: BrakePolicy) -> float:
         )
     return pressure_bar / policy.max_pressure_bar * policy.max_decel_mps2
 
-
-def threshold_from_speed(free_flow_speed_mps: float, comfort_decel_mps2: float) -> float:
-    """TTC threshold implied by stopping from a design speed at a comfortable
-    deceleration (speed / deceleration, in seconds).
-
-    Provided for documentation and validation; the default policy pins the
-    threshold to 10 s rather than deriving it.
-    """
-    if not (math.isfinite(free_flow_speed_mps) and free_flow_speed_mps > 0.0):
-        raise ValueError(f"free_flow_speed_mps must be positive, got {free_flow_speed_mps}")
-    if not (math.isfinite(comfort_decel_mps2) and comfort_decel_mps2 > 0.0):
-        raise ValueError(f"comfort_decel_mps2 must be positive, got {comfort_decel_mps2}")
-    return free_flow_speed_mps / comfort_decel_mps2

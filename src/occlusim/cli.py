@@ -90,7 +90,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_base_config(args.config)
     speeds = DEFAULT_SWEEP_SPEEDS_MPH if args.speeds is None else _parse_speeds(args.speeds)
-    results = sweep(SweepSpec(speeds_mph=speeds, base=base))
+    try:
+        spec = SweepSpec(speeds_mph=speeds, base=base)
+    except ConfigError as exc:
+        raise ConfigError(f"--speeds: {exc}") from None
+    results = sweep(spec)
     save_text(args.out, write_results_csv(results))
     collisions = sum(1 for r in results if r.collision)
     print(f"{len(results)} runs -> {args.out} ({collisions} collisions)")

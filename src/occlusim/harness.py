@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import world as world_mod
-from .scenario import ScenarioConfig, SimResult, build_world, config_for
+from .scenario import ConfigError, ScenarioConfig, SimResult, build_world, config_for
 from .ttc import TtcOutcome
 from .world import los_occluded
 
@@ -57,10 +57,10 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if not self.speeds_mph:
-            raise ValueError("speeds_mph must not be empty")
+            raise ConfigError("speeds_mph must not be empty")
         for s in self.speeds_mph:
             if s <= 0.0:
-                raise ValueError(f"sweep speeds must be positive, got {s}")
+                raise ConfigError(f"sweep speeds must be positive, got {s}")
 
 
 def serialize_ttc(outcome: TtcOutcome) -> float:

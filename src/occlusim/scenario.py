@@ -75,6 +75,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Every simulation parameter is validated here and nowhere else.
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name}: must be finite, got {value}")
         positive = (
             "av_speed_mph", "lane_width_ft", "ped_speed_ftps", "approach_time_s",
             "reveal_margin_s", "reveal_margin_slow_s", "tau_max_s", "p_max_bar",
@@ -83,8 +87,8 @@ class ScenarioConfig:
         )
         for name in positive:
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name}: must be positive and finite, got {value}")
+            if not value > 0.0:
+                raise ConfigError(f"{name}: must be positive, got {value}")
         if self.num_lanes < 1:
             raise ConfigError(f"num_lanes: must be at least 1, got {self.num_lanes}")
         for name in ("av_lane_index", "transmitter_lane_index"):
@@ -176,7 +180,6 @@ class ScenarioConfig:
             drop_prob=self.drop_prob,
             range_m=self.v2v_range_m,
             period_s=self.bsm_period_s,
-            seed=self.seed,
         )
 
 

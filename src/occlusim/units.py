@@ -35,21 +35,5 @@ def to_si(value: float, unit: str) -> float:
         ) from None
 
 
-def from_si(value: float, unit: str) -> float:
-    """Inverse of :func:`to_si` (SI value to the named unit)."""
-    if not math.isfinite(value):
-        raise ValueError(f"value must be finite, got {value}")
-    try:
-        return value / _SI_FACTOR[unit]
-    except KeyError:
-        raise ValueError(
-            f"unknown unit {unit!r}; expected one of {sorted(_SI_FACTOR)}"
-        ) from None
-
-
 def mph_to_mps(mph: float) -> float:
     return to_si(mph, "mph")
-
-
-def mps_to_mph(mps: float) -> float:
-    return from_si(mps, "mph")

@@ -5,6 +5,9 @@ One :class:`WorldState` is owned by exactly one run and stepped
 sequentially; distinct runs share nothing mutable. All randomness comes
 from the seeded generator held by the world (used only for message
 drops), so runs with identical inputs are bit-identical.
+
+The parameter records here are built from a :class:`ScenarioConfig`,
+which validates every value once; they do not check their fields again.
 """
 
 from __future__ import annotations
@@ -30,12 +33,6 @@ class VehicleBody:
     length_m: float = 4.45008
     width_m: float = 1.8
 
-    def __post_init__(self) -> None:
-        if self.length_m <= 0.0 or self.width_m <= 0.0:
-            raise ValueError(
-                f"body dimensions must be positive, got {self.length_m} x {self.width_m}"
-            )
-
 
 @dataclass(frozen=True, slots=True)
 class SensorModel:
@@ -48,39 +45,20 @@ class SensorModel:
     to).
     """
 
-    range_m: float = 150.0
-    fov_half_angle_rad: float = math.pi / 4
-    roadway_only: bool = False
-
-    def __post_init__(self) -> None:
-        if self.range_m <= 0.0:
-            raise ValueError(f"sensor range must be positive, got {self.range_m}")
-        if not (0.0 < self.fov_half_angle_rad <= math.pi):
-            raise ValueError(
-                f"fov half-angle must lie in (0, pi], got {self.fov_half_angle_rad}"
-            )
+    range_m: float
+    fov_half_angle_rad: float
+    roadway_only: bool
 
 
 @dataclass(frozen=True, slots=True)
 class ChannelModel:
-    """V2V channel knobs. The defaults model an ideal link: zero latency,
-    no drops, one message per simulation step."""
+    """V2V channel knobs: delivery delay, drop probability, radio range,
+    and broadcast period."""
 
-    latency_s: float = 0.0
-    drop_prob: float = 0.0
-    range_m: float = 300.0
-    period_s: float = 0.02
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.latency_s < 0.0:
-            raise ValueError(f"latency must be nonnegative, got {self.latency_s}")
-        if not (0.0 <= self.drop_prob <= 1.0):
-            raise ValueError(f"drop_prob must lie in [0, 1], got {self.drop_prob}")
-        if self.range_m <= 0.0:
-            raise ValueError(f"channel range must be positive, got {self.range_m}")
-        if self.period_s <= 0.0:
-            raise ValueError(f"broadcast period must be positive, got {self.period_s}")
+    latency_s: float
+    drop_prob: float
+    range_m: float
+    period_s: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,10 +68,6 @@ class V2VMessage:
     sent_at_s: float
     ped_pos: Vec2
     ped_vel: Vec2
-
-    def __post_init__(self) -> None:
-        if self.sent_at_s < 0.0:
-            raise ValueError(f"sent_at_s must be nonnegative, got {self.sent_at_s}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,9 +264,6 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelMode
     pressure command (used to verify that the calibrated scenario collides
     without mitigation).
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-
     if not world.collided:
         gap = (world.pedestrian.pos - world.av.pos).norm()
         if gap <= world.pedestrian.radius + world.av.radius:

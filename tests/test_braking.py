@@ -2,12 +2,7 @@ import random
 
 import pytest
 
-from occlusim.braking import (
-    BrakePolicy,
-    brake_pressure,
-    deceleration_for,
-    threshold_from_speed,
-)
+from occlusim.braking import BrakePolicy, brake_pressure, deceleration_for
 
 
 @pytest.fixture
@@ -75,35 +70,8 @@ class TestDeceleration:
             assert later <= earlier + 1e-12
 
 
-class TestThresholdDerivation:
-    def test_design_speed_over_comfort_decel(self):
-        # 75 mph free-flow over the comfortable deceleration: just under
-        # the 10 s the default policy pins.
-        assert threshold_from_speed(33.528, 3.41376) == pytest.approx(9.8214285714, abs=1e-9)
-
-    def test_ratio_identity(self):
-        assert threshold_from_speed(3.5, 3.5) == 1.0
-
-    def test_plain_arithmetic(self):
-        assert threshold_from_speed(20.0, 2.0) == 10.0
-
-    def test_nonpositive_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_from_speed(0.0, 1.0)
-        with pytest.raises(ValueError):
-            threshold_from_speed(1.0, -2.0)
-
-
 class TestPolicyValidation:
     def test_defaults(self, policy):
         assert policy.ttc_threshold_s == 10.0
         assert policy.max_pressure_bar == 200.0
         assert policy.max_decel_mps2 == 8.0
-
-    def test_invalid_fields_rejected(self):
-        with pytest.raises(ValueError):
-            BrakePolicy(ttc_threshold_s=0.0)
-        with pytest.raises(ValueError):
-            BrakePolicy(max_pressure_bar=-5.0)
-        with pytest.raises(ValueError):
-            BrakePolicy(max_decel_mps2=0.0)

@@ -63,6 +63,22 @@ def test_infeasible_calibration_is_runtime_error(tmp_path, capsys):
     assert "calibration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("ped_cross_x_m", "nan"), ("tx_stop_gap_m", "inf"), ("latency_s", "inf"),
+])
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+@pytest.mark.parametrize("speeds", ["0,10", ","])
+def test_bad_sweep_speeds_are_config_error(tmp_path, capsys, speeds):
+    assert main(["sweep", "--speeds", speeds, "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --speeds: ")
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == EXIT_CONFIG
 

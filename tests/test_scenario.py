@@ -1,7 +1,9 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occlusim.scenario import (
     CalibrationError,
@@ -14,6 +16,52 @@ from occlusim.scenario import (
     serialize_config,
 )
 from occlusim.harness import run_scenario
+
+FLOAT_KEYS = [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)]
+
+# Bounds that only ScenarioConfig enforces (the policy, sensor and channel
+# records built from it do not check), plus every float key at each
+# non-finite value.
+OUT_OF_BOUNDS = [
+    ("tau_max_s", 0.0), ("p_max_bar", -5.0), ("d_max_mps2", 0.0),
+    ("av_sensor_range_m", 0.0),
+    ("av_sensor_fov_half_rad", 0.0), ("av_sensor_fov_half_rad", 3.5),
+    ("latency_s", -0.1), ("drop_prob", 1.5), ("bsm_period_s", 0.0),
+    ("dt_s", 0.0), ("dt_s", -0.02),
+] + [(key, value) for key in FLOAT_KEYS for value in (math.nan, math.inf, -math.inf)]
+
+# Keys that may take any finite value; the rest are bounded below by zero.
+SIGNED_KEYS = {"ped_start_offset_m", "ped_cross_x_m", "tx_stop_gap_m"}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BOUNDED = {
+    "av_sensor_fov_half_rad": st.floats(0.0, math.pi, exclude_min=True),
+    "drop_prob": st.floats(0.0, 1.0),
+    "latency_s": st.floats(0.0, allow_infinity=False),
+}
+
+
+@st.composite
+def valid_configs(draw) -> ScenarioConfig:
+    kwargs = {}
+    for f in fields(ScenarioConfig):
+        if f.name in BOUNDED:
+            kwargs[f.name] = draw(BOUNDED[f.name])
+        elif f.name in SIGNED_KEYS:
+            kwargs[f.name] = draw(FINITE)
+        elif isinstance(f.default, float):
+            kwargs[f.name] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    knees = draw(st.lists(FINITE, min_size=2, max_size=2, unique=True))
+    kwargs["reveal_knee_lo_mph"], kwargs["reveal_knee_hi_mph"] = sorted(knees)
+    num_lanes = draw(st.integers(2, 64))
+    tx_lane = draw(st.integers(0, num_lanes - 2))
+    return ScenarioConfig(
+        **kwargs,
+        v2v=draw(st.booleans()),
+        num_lanes=num_lanes,
+        transmitter_lane_index=tx_lane,
+        av_lane_index=draw(st.integers(tx_lane + 1, num_lanes - 1)),
+        seed=draw(st.integers()),
+    )
 
 
 class TestLoadConfig:
@@ -69,6 +117,11 @@ class TestLoadConfig:
         cfg = ScenarioConfig()
         assert load_config(serialize_config(cfg)) == cfg
 
+    @settings(derandomize=True, database=None)
+    @given(valid_configs())
+    def test_round_trip_of_any_valid_config(self, cfg):
+        assert load_config(serialize_config(cfg)) == cfg
+
 
 class TestValidation:
     def test_lane_indices_must_differ(self):
@@ -90,6 +143,11 @@ class TestValidation:
     def test_positive_speed(self):
         with pytest.raises(ConfigError, match="av_speed_mph"):
             ScenarioConfig(av_speed_mph=0.0)
+
+    @pytest.mark.parametrize(("key", "value"), OUT_OF_BOUNDS)
+    def test_out_of_bounds_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            ScenarioConfig(**{key: value})
 
     def test_derived_geometry(self):
         cfg = ScenarioConfig()

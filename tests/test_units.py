@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from occlusim.units import from_si, mph_to_mps, mps_to_mph, to_si
+from occlusim.units import mph_to_mps, to_si
 
 
 def test_exact_conversion_factors():
@@ -17,15 +17,13 @@ def test_exact_conversion_factors():
 def test_unknown_unit_rejected():
     with pytest.raises(ValueError, match="unknown unit"):
         to_si(1.0, "furlongs")
-    with pytest.raises(ValueError, match="unknown unit"):
-        from_si(1.0, "kmh")
 
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         to_si(math.inf, "mph")
     with pytest.raises(ValueError):
-        from_si(math.nan, "ft")
+        to_si(math.nan, "ft")
 
 
 def test_linearity():
@@ -35,13 +33,5 @@ def test_linearity():
         )
 
 
-def test_round_trip_within_1e12():
-    values = [0.001, 0.5, 1.0, 4.0, 11.2, 45.0, 70.0, 123.456]
-    for unit in ("mph", "ft", "ft_per_s", "ft_per_s2"):
-        for v in values:
-            assert from_si(to_si(v, unit), unit) == pytest.approx(v, rel=1e-12)
-
-
 def test_mph_helpers_match_to_si():
     assert mph_to_mps(45.0) == to_si(45.0, "mph")
-    assert mps_to_mph(20.1168) == from_si(20.1168, "mph")
