@@ -1,8 +1,9 @@
 """Run single scenarios, run speed sweeps, and serialize results.
 
-A run steps the world from t=0 until a collision, until the pedestrian has
-cleared the AV's lane plus a 5-second tail, or until the configured time
-limit. The per-step trace is recorded at every timestep so the TTC and
+A run steps the world from t=0 until a collision, or until the pedestrian
+has cleared the AV's lane plus a 5-second tail. The configured time limit
+is only a backstop: calibration rejects one that could end a run earlier.
+The per-step trace is recorded at every timestep so the TTC and
 pressure histories can be plotted by any external tool.
 
 Serialized TTC uses 10000 seconds as the no-valid-TTC sentinel; inside the
@@ -14,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import world as world_mod
-from .scenario import ConfigError, ScenarioConfig, SimResult, build_world, config_for
+from .scenario import (CLEARANCE_TAIL_S, ConfigError, ScenarioConfig, SimResult, build_world,
+                       config_for)
 from .ttc import TtcOutcome
 from .world import los_occluded
 
 NO_TTC_SENTINEL_S = 10000.0
-
-CLEARANCE_TAIL_S = 5.0
 
 DEFAULT_SWEEP_SPEEDS_MPH: tuple[float, ...] = tuple(float(s) for s in range(10, 75, 5))
 
@@ -58,9 +58,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.speeds_mph:
             raise ConfigError("speeds_mph must not be empty")
+        # Check every speed at the config boundary before any run starts.
         for s in self.speeds_mph:
-            if s <= 0.0:
-                raise ConfigError(f"sweep speeds must be positive, got {s}")
+            config_for(self.base, s, True)
 
 
 def serialize_ttc(outcome: TtcOutcome) -> float:
@@ -118,7 +118,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
         av_speed_mph=cfg.av_speed_mph,
         strategy="with_v2v" if cfg.v2v else "without_v2v",
         detected_time_s=w.detected_time_s,
-        first_ttc_s=w.first_ttc_s if w.detected_time_s is not None else None,
+        first_ttc_s=w.first_ttc_s,
         min_ttc_s=min_ttc,
         collision=w.collided,
         collision_time_s=w.collision_time_s,

@@ -32,6 +32,9 @@ from .world import ChannelModel, SensorModel, VehicleBody, WorldState
 AV_RADIUS_M = to_si(7.3, "ft")
 PED_RADIUS_M = to_si(5.0, "ft")
 
+# A run ends this long after the pedestrian has cleared the AV's lane.
+CLEARANCE_TAIL_S = 5.0
+
 
 class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
@@ -261,14 +264,14 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _conflict_geometry(cfg: ScenarioConfig) -> tuple[float, float, float]:
-    """(contact_y, contact_dx, t_contact): where and when the unbraked run
-    first brings the discs into contact.
+def _conflict_geometry(cfg: ScenarioConfig) -> tuple[float, float]:
+    """(contact_y, t_contact): where and when the unbraked run first
+    brings the discs into contact.
 
     contact_y is the pedestrian's lateral position at first contact,
     placed reveal_margin seconds of walking past the sight-line edge.
-    contact_dx is the AV center's longitudinal shortfall from the walk
-    line at that instant, fixed by the contact condition |X| = r_sum.
+    At t_contact the AV center falls short of the walk line by the
+    distance that the contact condition |X| = r_sum fixes.
     """
     v = cfg.av_speed_mps
     contact_y = cfg.sightline_edge_y() + cfg.reveal_margin_for(v) * cfg.ped_speed_mps
@@ -280,7 +283,7 @@ def _conflict_geometry(cfg: ScenarioConfig) -> tuple[float, float, float]:
         )
     contact_dx = math.sqrt(cfg.r_sum_m * cfg.r_sum_m - dy * dy)
     t_contact = cfg.approach_time_s - contact_dx / v
-    return contact_y, contact_dx, t_contact
+    return contact_y, t_contact
 
 
 def calibrate_entry(cfg: ScenarioConfig) -> float:
@@ -289,9 +292,10 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
     Closed form: the pedestrian must reach the staged contact point
     exactly when the unbraked AV does. Raises :class:`CalibrationError`
     when the pedestrian cannot reach the conflict from its start point
-    within the approach window.
+    within the approach window, and :class:`ConfigError` when ``t_end_s``
+    could end the run before the pedestrian clears the AV's lane.
     """
-    contact_y, _, t_contact = _conflict_geometry(cfg)
+    contact_y, t_contact = _conflict_geometry(cfg)
     walk_time = (contact_y - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     if walk_time <= 0.0:
         raise CalibrationError(
@@ -302,6 +306,15 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
         raise CalibrationError(
             f"pedestrian cannot reach the conflict in time: needs {walk_time:.2f} s of "
             f"walking but the unbraked AV arrives at t={t_contact:.2f} s"
+        )
+    # The walk does not depend on the AV. Two steps cover the pedestrian
+    # starting and the clearance latching on the step grid.
+    cleared = entry + (cfg.av_lane_y + cfg.r_sum_m - cfg.ped_start_offset_m) / cfg.ped_speed_mps
+    t_end_min = cleared + CLEARANCE_TAIL_S + 2.0 * cfg.dt_s
+    if cfg.t_end_s < t_end_min:
+        raise ConfigError(
+            f"t_end_s: must be at least {math.ceil(t_end_min * 1e4) / 1e4:.4f} so the run "
+            f"ends after the pedestrian clears the AV's lane, got {cfg.t_end_s}"
         )
     return entry
 
@@ -329,7 +342,7 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
     )
     pedestrian = ActorState(
         pos=Vec2(cross_x, cfg.ped_start_offset_m),
-        vel=Vec2(0.0, 0.0),
+        vel=Vec2(0.0, cfg.ped_speed_mps),  # moves and is sensed only once active
         radius=PED_RADIUS_M,
     )
 
@@ -338,17 +351,14 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         av_sensor=SensorModel(
             range_m=cfg.av_sensor_range_m,
             fov_half_angle_rad=cfg.av_sensor_fov_half_rad,
-            roadway_only=True,
         ),
         transmitter=transmitter,
         transmitter_body=body,
         transmitter_sensor=SensorModel(
             range_m=cfg.tx_sensor_range_m,
             fov_half_angle_rad=math.pi,
-            roadway_only=False,
         ),
         pedestrian=pedestrian,
-        ped_walk_vel=Vec2(0.0, cfg.ped_speed_mps),
         ped_entry_time_s=entry,
         road_width_m=cfg.road_width_m,
         rng=random.Random(cfg.seed),

@@ -15,15 +15,13 @@ _SI_FACTOR = {
     "mph": MPS_PER_MPH,
     "ft": METERS_PER_FOOT,
     "ft_per_s": METERS_PER_FOOT,
-    "ft_per_s2": METERS_PER_FOOT,
 }
 
 
 def to_si(value: float, unit: str) -> float:
     """Convert *value* in the named unit to its SI counterpart.
 
-    Supported units: mph -> m/s, ft -> m, ft_per_s -> m/s,
-    ft_per_s2 -> m/s^2.
+    Supported units: mph -> m/s, ft -> m, ft_per_s -> m/s.
     """
     if not math.isfinite(value):
         raise ValueError(f"value must be finite, got {value}")

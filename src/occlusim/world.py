@@ -36,18 +36,11 @@ class VehicleBody:
 
 @dataclass(frozen=True, slots=True)
 class SensorModel:
-    """Detection envelope of an onboard sensor.
-
-    roadway_only restricts detections to targets between the road edges;
-    a perception stack flags roadway intruders, not people on the
-    shoulder. The transmitter's pedestrian tracker runs without this
-    restriction (it is assumed to always hold the pedestrian it yielded
-    to).
-    """
+    """Detection envelope of an onboard sensor: range and half-angle of
+    the field of view about the +x heading."""
 
     range_m: float
     fov_half_angle_rad: float
-    roadway_only: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,13 +84,12 @@ class WorldState:
     transmitter_body: VehicleBody
     transmitter_sensor: SensorModel
     pedestrian: ActorState
-    ped_walk_vel: Vec2
     ped_entry_time_s: float
     road_width_m: float
     rng: random.Random
     t_s: float = 0.0
     in_flight: deque[V2VMessage] = field(default_factory=deque)
-    latest_ped_info: PedestrianEstimate | None = None
+    latest_ped_info: V2VMessage | None = None
     next_send_s: float = 0.0
     detected_time_s: float | None = None
     first_ttc_s: TtcOutcome = None
@@ -155,17 +147,18 @@ def los_occluded(sensor_pos: Vec2, target_pos: Vec2, occluder_pos: Vec2,
     return t0 < t1 and t1 > 0.0 and t0 < 1.0
 
 
-def sense(sensor_pos: Vec2, forward: Vec2, model: SensorModel, target: ActorState,
+def sense(sensor_pos: Vec2, model: SensorModel, target: ActorState,
           occluders: list[tuple[Vec2, VehicleBody]]) -> tuple[Vec2, Vec2] | None:
     """Ground-truth observation of the target, or None when out of range,
-    outside the field of view, or occluded. The range boundary is
-    inclusive: a target exactly at range is still seen."""
+    outside the field of view, or occluded. Every sensor faces +x, the
+    direction of travel. The range boundary is inclusive: a target exactly
+    at range is still seen."""
     to_target = target.pos - sensor_pos
     dist_sq = to_target.norm_sq()
     if dist_sq > model.range_m * model.range_m:
         return None
     if dist_sq > 0.0:
-        cos_bearing = forward.dot(to_target) / (forward.norm() * math.sqrt(dist_sq))
+        cos_bearing = to_target.x / math.sqrt(dist_sq)
         # Clamp against rounding before comparing with the FOV cosine.
         cos_bearing = max(-1.0, min(1.0, cos_bearing))
         if cos_bearing < math.cos(model.fov_half_angle_rad):
@@ -188,7 +181,6 @@ def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
     if world.pedestrian_active():
         obs = sense(
             Vec2(world.transmitter.pos.x + world.transmitter.radius, world.transmitter.pos.y),
-            Vec2(1.0, 0.0),
             world.transmitter_sensor,
             world.pedestrian,
             occluders=[],
@@ -201,18 +193,18 @@ def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
                 world.in_flight.append(V2VMessage(world.t_s, obs[0], obs[1]))
 
     while world.in_flight and world.in_flight[0].sent_at_s + channel.latency_s <= world.t_s + _T_EPS:
-        msg = world.in_flight.popleft()
-        world.latest_ped_info = PedestrianEstimate("v2v", msg.sent_at_s, msg.ped_pos, msg.ped_vel)
+        world.latest_ped_info = world.in_flight.popleft()
 
 
 def _own_observation(world: WorldState) -> tuple[Vec2, Vec2] | None:
     if not world.pedestrian_active():
         return None
-    if world.av_sensor.roadway_only and not (0.0 <= world.pedestrian.pos.y <= world.road_width_m):
+    # The AV flags roadway intruders, not people on the shoulder; the
+    # transmitter holds the pedestrian it yielded to wherever it walks.
+    if not (0.0 <= world.pedestrian.pos.y <= world.road_width_m):
         return None
     return sense(
         world.av_sensor_pos(),
-        Vec2(1.0, 0.0),
         world.av_sensor,
         world.pedestrian,
         occluders=[(world.transmitter.pos, world.transmitter_body)],
@@ -234,10 +226,10 @@ def compute_control(world: WorldState, policy: BrakePolicy,
     if own is not None:
         estimate = PedestrianEstimate("sensor", world.t_s, own[0], own[1])
     elif v2v_enabled and world.latest_ped_info is not None:
-        info = world.latest_ped_info
-        age = world.t_s - info.observed_at_s
-        estimate = PedestrianEstimate("v2v", info.observed_at_s,
-                                      info.pos + info.vel.scaled(age), info.vel)
+        msg = world.latest_ped_info
+        age = world.t_s - msg.sent_at_s
+        estimate = PedestrianEstimate("v2v", msg.sent_at_s,
+                                      msg.ped_pos + msg.ped_vel.scaled(age), msg.ped_vel)
 
     world.last_estimate = estimate
     if estimate is None:
@@ -257,23 +249,18 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelMode
 
     Order per tick: collision latch on current positions, transmitter
     broadcast and message delivery, AV control, deceleration, semi-implicit
-    position integration, pedestrian advance, then the clock. The latch
-    runs first so the controller still evaluates the contact state: the
-    step on which the discs meet records a full-pressure decision instead
-    of ending silently. ``braking=False`` computes but discards the
-    pressure command (used to verify that the calibrated scenario collides
-    without mitigation).
+    AV position integration, pedestrian advance, then the clock; the
+    transmitter is stopped. The latch runs first so the controller still
+    evaluates the contact state: the step on which the discs meet records
+    a full-pressure decision instead of ending silently. ``braking=False``
+    computes but discards the pressure command (used to verify that the
+    calibrated scenario collides without mitigation).
     """
     if not world.collided:
         gap = (world.pedestrian.pos - world.av.pos).norm()
         if gap <= world.pedestrian.radius + world.av.radius:
             world.collided = True
             world.collision_time_s = world.t_s
-
-    # The pedestrian starts walking the instant it enters the scene, so
-    # the very first observation already carries the crossing velocity.
-    if world.pedestrian_active() and world.pedestrian.vel != world.ped_walk_vel:
-        world.pedestrian = replace(world.pedestrian, vel=world.ped_walk_vel)
 
     channel_step(world, channel, dt)
 
@@ -288,10 +275,6 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelMode
     new_speed = max(0.0, world.av.vel.x - deceleration_for(pressure, policy) * dt)
     new_vel = Vec2(new_speed, world.av.vel.y)
     world.av = replace(world.av, vel=new_vel, pos=world.av.pos + new_vel.scaled(dt))
-
-    world.transmitter = replace(
-        world.transmitter, pos=world.transmitter.pos + world.transmitter.vel.scaled(dt)
-    )
 
     if world.pedestrian_active():
         world.pedestrian = replace(

@@ -73,10 +73,30 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
-@pytest.mark.parametrize("speeds", ["0,10", ","])
+@pytest.mark.parametrize("speeds", ["0,10", ",", "10,nan", "10,inf"])
 def test_bad_sweep_speeds_are_config_error(tmp_path, capsys, speeds):
     assert main(["sweep", "--speeds", speeds, "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --speeds: ")
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_time_limit_before_clearance_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("t_end_s = 5\n")
+    out = tmp_path / "r.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: t_end_s: ")
+    assert not out.exists()
+
+
+def test_time_limit_in_message_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("t_end_s = 5\n")
+    assert main(["calibrate", "--config", str(cfg)]) == EXIT_CONFIG
+    least = capsys.readouterr().err.split("at least ")[1].split()[0]
+    cfg.write_text(f"t_end_s = {least}\n")
+    assert main(["calibrate", "--config", str(cfg)]) == EXIT_OK
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from occlusim.harness import (
@@ -12,7 +14,7 @@ from occlusim.harness import (
     write_results_csv,
     write_trace_csv,
 )
-from occlusim.scenario import ScenarioConfig, SimResult, config_for
+from occlusim.scenario import ConfigError, ScenarioConfig, SimResult, config_for
 
 
 class TestRunScenario:
@@ -113,6 +115,11 @@ class TestSweep:
     def test_nonpositive_speed_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec(speeds_mph=(45.0, -5.0))
+
+    @pytest.mark.parametrize("speeds", [(45.0, math.nan), (45.0, math.inf)], ids=["nan", "inf"])
+    def test_non_finite_speed_rejected(self, speeds):
+        with pytest.raises(ConfigError, match="av_speed_mph"):
+            SweepSpec(speeds_mph=speeds)
 
 
 class TestSerialization:

@@ -220,13 +220,11 @@ class TestBuildWorld:
         bumper = w.transmitter.pos.x + w.transmitter_body.length_m / 2
         assert bumper == pytest.approx(-cfg.tx_stop_gap_m, abs=1e-12)
         assert w.pedestrian.pos.y == cfg.ped_start_offset_m
-        assert w.pedestrian.vel.norm() == 0.0
+        assert w.pedestrian.vel == type(w.pedestrian.vel)(0.0, cfg.ped_speed_mps)
         assert w.ped_entry_time_s == pytest.approx(calibrate_entry(cfg))
 
-    def test_av_sensor_is_roadway_gated(self):
+    def test_transmitter_tracks_all_around(self):
         w = build_world(ScenarioConfig())
-        assert w.av_sensor.roadway_only is True
-        assert w.transmitter_sensor.roadway_only is False
         assert w.transmitter_sensor.fov_half_angle_rad == math.pi
 
     def test_seed_flows_to_rng(self):

@@ -21,23 +21,17 @@ from occlusim.world import (
 BODY = VehicleBody(length_m=4.45, width_m=1.8)
 
 
-def sensor(range_m: float, fov_half_angle_rad: float) -> SensorModel:
-    """A sensor that also sees targets off the roadway."""
-    return SensorModel(range_m, fov_half_angle_rad, roadway_only=False)
-
-
 def make_world(av_pos=(-50.0, 5.4864), av_speed=20.0, ped_pos=(0.0, 2.0),
                ped_vel=(0.0, 1.2192), tx_pos=(-2.2, 1.8288), entry=0.0,
                av_sensor=None, seed=0) -> WorldState:
     """A hand-built three-actor world for targeted checks."""
     return WorldState(
         av=ActorState(Vec2(*av_pos), Vec2(av_speed, 0.0), 2.22504),
-        av_sensor=av_sensor or sensor(150.0, math.pi / 2),
+        av_sensor=av_sensor or SensorModel(150.0, math.pi / 2),
         transmitter=ActorState(Vec2(*tx_pos), Vec2(0.0, 0.0), 2.22504),
         transmitter_body=BODY,
-        transmitter_sensor=sensor(150.0, math.pi),
+        transmitter_sensor=SensorModel(150.0, math.pi),
         pedestrian=ActorState(Vec2(*ped_pos), Vec2(*ped_vel), 1.524),
-        ped_walk_vel=Vec2(*ped_vel) if ped_vel != (0.0, 0.0) else Vec2(0.0, 1.2192),
         ped_entry_time_s=entry,
         road_width_m=14.6304,
         rng=random.Random(seed),
@@ -86,33 +80,33 @@ class TestLosOccluded:
 class TestSense:
     def test_clear_line_of_sight(self):
         target = ActorState(Vec2(30.0, 0.0), Vec2(0.0, 1.0), 1.524)
-        model = sensor(150.0, math.pi / 4)
-        obs = sense(Vec2(0, 0), Vec2(1, 0), model, target, [])
+        model = SensorModel(150.0, math.pi / 4)
+        obs = sense(Vec2(0, 0), model, target, [])
         assert obs == (target.pos, target.vel)
 
     def test_blocked_by_occluder(self):
         target = ActorState(Vec2(20.0, 0.0), Vec2(0.0, 1.0), 1.524)
-        model = sensor(150.0, math.pi / 4)
-        assert sense(Vec2(0, 0), Vec2(1, 0), model, target, [(Vec2(10, 0), BODY)]) is None
+        model = SensorModel(150.0, math.pi / 4)
+        assert sense(Vec2(0, 0), model, target, [(Vec2(10, 0), BODY)]) is None
 
     def test_range_boundary_exclusive_beyond(self):
-        model = sensor(150.0, math.pi / 4)
+        model = SensorModel(150.0, math.pi / 4)
         beyond = ActorState(Vec2(151.0, 0.0), Vec2(0.0, 0.0), 1.0)
         at_range = ActorState(Vec2(150.0, 0.0), Vec2(0.0, 0.0), 1.0)
-        assert sense(Vec2(0, 0), Vec2(1, 0), model, beyond, []) is None
-        assert sense(Vec2(0, 0), Vec2(1, 0), model, at_range, []) is not None
+        assert sense(Vec2(0, 0), model, beyond, []) is None
+        assert sense(Vec2(0, 0), model, at_range, []) is not None
 
     def test_fov_gates_lateral_targets(self):
-        model = sensor(150.0, math.pi / 4)
+        model = SensorModel(150.0, math.pi / 4)
         inside = ActorState(Vec2(10.0, 9.0), Vec2(0.0, 0.0), 1.0)
         outside = ActorState(Vec2(10.0, 11.0), Vec2(0.0, 0.0), 1.0)
-        assert sense(Vec2(0, 0), Vec2(1, 0), model, inside, []) is not None
-        assert sense(Vec2(0, 0), Vec2(1, 0), model, outside, []) is None
+        assert sense(Vec2(0, 0), model, inside, []) is not None
+        assert sense(Vec2(0, 0), model, outside, []) is None
 
     def test_full_circle_fov_sees_behind(self):
-        model = sensor(150.0, math.pi)
+        model = SensorModel(150.0, math.pi)
         behind = ActorState(Vec2(-10.0, 0.0), Vec2(0.0, 0.0), 1.0)
-        assert sense(Vec2(0, 0), Vec2(1, 0), model, behind, []) is not None
+        assert sense(Vec2(0, 0), model, behind, []) is not None
 
 
 class TestChannel:
@@ -120,8 +114,7 @@ class TestChannel:
         w = make_world()
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is not None
-        assert w.latest_ped_info.source == "v2v"
-        assert w.latest_ped_info.pos == w.pedestrian.pos
+        assert w.latest_ped_info.ped_pos == w.pedestrian.pos
 
     def test_drop_prob_one_never_delivers(self):
         w = make_world()
@@ -195,14 +188,14 @@ class TestComputeControl:
         w.av = ActorState(Vec2(-gap, 5.4864), Vec2(20.0, 0.0), 2.22504)
         # Occluded from the AV: inject the relay estimate directly.
         channel_step(w, IDEAL, 0.02)
-        w.av_sensor = sensor(1.0, math.pi / 2)
+        w.av_sensor = SensorModel(1.0, math.pi / 2)
         outcome, pressure = compute_control(w, POLICY, v2v_enabled=True)
         assert outcome == pytest.approx(6.0, rel=1e-12)
         assert pressure == pytest.approx(80.0, rel=1e-12)
 
     def test_v2v_disabled_ignores_relay(self):
         w = make_world(av_pos=(-120.0, 5.4864),
-                       av_sensor=sensor(10.0, math.pi / 2))
+                       av_sensor=SensorModel(10.0, math.pi / 2))
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is not None
         outcome, pressure = compute_control(w, POLICY, v2v_enabled=False)
@@ -214,6 +207,18 @@ class TestComputeControl:
         compute_control(w, POLICY, v2v_enabled=True)
         assert w.last_estimate is not None
         assert w.last_estimate.source == "sensor"
+
+    def test_shoulder_pedestrian_is_relayed_not_sensed(self):
+        # In range and in clear view, but off the roadway (y < 0).
+        w = make_world(av_pos=(-30.0, 5.4864), ped_pos=(0.0, -1.0), tx_pos=(-100.0, 1.8288))
+        occluders = [(w.transmitter.pos, w.transmitter_body)]
+        assert sense(w.av_sensor_pos(), w.av_sensor, w.pedestrian, occluders) is not None
+        outcome, pressure = compute_control(w, POLICY, v2v_enabled=False)
+        assert outcome is None and pressure == 0.0
+        assert w.last_estimate is None
+        channel_step(w, IDEAL, 0.02)
+        assert w.latest_ped_info is not None
+        assert w.latest_ped_info.ped_pos == w.pedestrian.pos
 
     def test_v2v_extrapolates_stale_messages(self):
         # Pedestrian not yet active, so no fresh broadcast overwrites the
