@@ -7,6 +7,7 @@ simulation error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .harness import (
@@ -42,13 +43,15 @@ def _parse_speeds(spec: str) -> tuple[float, ...]:
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"--speeds expects start:stop:step, got {spec!r}")
+            raise ConfigError(f"--speeds: expects start:stop:step, got {spec!r}")
         try:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
-            raise ConfigError(f"--speeds expects numbers, got {spec!r}") from None
+            raise ConfigError(f"--speeds: expects numbers, got {spec!r}") from None
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ConfigError(f"--speeds: start, stop and step must be finite, got {spec!r}")
         if step <= 0.0 or stop < start:
-            raise ConfigError(f"--speeds range is empty or inverted: {spec!r}")
+            raise ConfigError(f"--speeds: range is empty or inverted: {spec!r}")
         speeds = []
         value = start
         while value <= stop + 1e-9:
@@ -58,7 +61,7 @@ def _parse_speeds(spec: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in spec.split(",") if p.strip())
     except ValueError:
-        raise ConfigError(f"--speeds expects numbers, got {spec!r}") from None
+        raise ConfigError(f"--speeds: expects numbers, got {spec!r}") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -1,9 +1,9 @@
 """Run single scenarios, run speed sweeps, and serialize results.
 
 A run steps the world from t=0 until a collision, or until the pedestrian
-has cleared the AV's lane plus a 5-second tail. The configured time limit
-is only a backstop: calibration rejects one that could end a run earlier.
-The per-step trace is recorded at every timestep so the TTC and
+has cleared the AV's lane plus a 5-second tail; the pedestrian walks at
+constant speed from its calibrated entry, so every run ends one of those
+two ways. The per-step trace is recorded at every timestep so the TTC and
 pressure histories can be plotted by any external tool.
 
 Serialized TTC uses 10000 seconds as the no-valid-TTC sentinel; inside the
@@ -15,12 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import world as world_mod
-from .scenario import (CLEARANCE_TAIL_S, ConfigError, ScenarioConfig, SimResult, build_world,
-                       config_for)
+from .scenario import (CalibrationError, ConfigError, ScenarioConfig, SimResult, build_world,
+                       calibrate_entry, config_for)
 from .ttc import TtcOutcome
 from .world import los_occluded
 
 NO_TTC_SENTINEL_S = 10000.0
+
+# A run ends this long after the pedestrian has cleared the AV's lane.
+CLEARANCE_TAIL_S = 5.0
 
 DEFAULT_SWEEP_SPEEDS_MPH: tuple[float, ...] = tuple(float(s) for s in range(10, 75, 5))
 
@@ -58,9 +61,12 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.speeds_mph:
             raise ConfigError("speeds_mph must not be empty")
-        # Check every speed at the config boundary before any run starts.
+        # Check every speed's config and calibration before any run starts.
         for s in self.speeds_mph:
-            config_for(self.base, s, True)
+            try:
+                calibrate_entry(config_for(self.base, s, True))
+            except CalibrationError as exc:
+                raise CalibrationError(f"{s:g} mph: {exc}") from None
 
 
 def serialize_ttc(outcome: TtcOutcome) -> float:
@@ -110,8 +116,6 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
         if cleared_at is None and w.pedestrian.pos.y > clearance_y:
             cleared_at = w.t_s
         if cleared_at is not None and w.t_s >= cleared_at + CLEARANCE_TAIL_S:
-            break
-        if w.t_s >= cfg.t_end_s:
             break
 
     result = SimResult(

@@ -36,8 +36,8 @@ class VehicleBody:
 
 @dataclass(frozen=True, slots=True)
 class SensorModel:
-    """Detection envelope of an onboard sensor: range and half-angle of
-    the field of view about the +x heading."""
+    """Detection envelope of the AV's onboard sensor: range and half-angle
+    of the field of view about the +x heading."""
 
     range_m: float
     fov_half_angle_rad: float
@@ -66,10 +66,9 @@ class V2VMessage:
 @dataclass(frozen=True, slots=True)
 class PedestrianEstimate:
     """Freshest pedestrian information available to the AV, tagged with
-    its source ("sensor" or "v2v") and observation time."""
+    its source ("sensor" or "v2v")."""
 
     source: str
-    observed_at_s: float
     pos: Vec2
     vel: Vec2
 
@@ -82,7 +81,7 @@ class WorldState:
     av_sensor: SensorModel
     transmitter: ActorState
     transmitter_body: VehicleBody
-    transmitter_sensor: SensorModel
+    tx_sensor_range_m: float
     pedestrian: ActorState
     ped_entry_time_s: float
     road_width_m: float
@@ -150,7 +149,7 @@ def los_occluded(sensor_pos: Vec2, target_pos: Vec2, occluder_pos: Vec2,
 def sense(sensor_pos: Vec2, model: SensorModel, target: ActorState,
           occluders: list[tuple[Vec2, VehicleBody]]) -> tuple[Vec2, Vec2] | None:
     """Ground-truth observation of the target, or None when out of range,
-    outside the field of view, or occluded. Every sensor faces +x, the
+    outside the field of view, or occluded. The sensor faces +x, the
     direction of travel. The range boundary is inclusive: a target exactly
     at range is still seen."""
     to_target = target.pos - sensor_pos
@@ -172,25 +171,25 @@ def sense(sensor_pos: Vec2, model: SensorModel, target: ActorState,
 def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
     """Broadcast and delivery for one step.
 
-    While the transmitter senses the crossing pedestrian it emits one
-    message per channel period. A message is enqueued only if the AV is
+    While the crossing pedestrian is within the transmitter's tracking
+    range it emits one message per channel period. The tracker sits at the
+    transmitter's front-center and sees all around, past any occluder; its
+    range boundary is inclusive. A message is enqueued only if the AV is
     within radio range at send time and the seeded drop draw passes; the
     send slot is consumed either way. Messages are delivered once their
     send time plus latency has elapsed; the newest delivered message wins.
     """
     if world.pedestrian_active():
-        obs = sense(
-            Vec2(world.transmitter.pos.x + world.transmitter.radius, world.transmitter.pos.y),
-            world.transmitter_sensor,
-            world.pedestrian,
-            occluders=[],
-        )
-        if obs is not None and world.t_s >= world.next_send_s - _T_EPS:
+        ped, tx = world.pedestrian, world.transmitter
+        dx = ped.pos.x - (tx.pos.x + tx.radius)
+        dy = ped.pos.y - tx.pos.y
+        tracked = dx * dx + dy * dy <= world.tx_sensor_range_m * world.tx_sensor_range_m
+        if tracked and world.t_s >= world.next_send_s - _T_EPS:
             world.next_send_s = world.t_s + channel.period_s
-            in_range = (world.av.pos - world.transmitter.pos).norm() <= channel.range_m
+            in_range = (world.av.pos - tx.pos).norm() <= channel.range_m
             dropped = channel.drop_prob > 0.0 and world.rng.random() < channel.drop_prob
             if in_range and not dropped:
-                world.in_flight.append(V2VMessage(world.t_s, obs[0], obs[1]))
+                world.in_flight.append(V2VMessage(world.t_s, ped.pos, ped.vel))
 
     while world.in_flight and world.in_flight[0].sent_at_s + channel.latency_s <= world.t_s + _T_EPS:
         world.latest_ped_info = world.in_flight.popleft()
@@ -224,12 +223,11 @@ def compute_control(world: WorldState, policy: BrakePolicy,
     estimate: PedestrianEstimate | None = None
     own = _own_observation(world)
     if own is not None:
-        estimate = PedestrianEstimate("sensor", world.t_s, own[0], own[1])
+        estimate = PedestrianEstimate("sensor", own[0], own[1])
     elif v2v_enabled and world.latest_ped_info is not None:
         msg = world.latest_ped_info
         age = world.t_s - msg.sent_at_s
-        estimate = PedestrianEstimate("v2v", msg.sent_at_s,
-                                      msg.ped_pos + msg.ped_vel.scaled(age), msg.ped_vel)
+        estimate = PedestrianEstimate("v2v", msg.ped_pos + msg.ped_vel.scaled(age), msg.ped_vel)
 
     world.last_estimate = estimate
     if estimate is None:

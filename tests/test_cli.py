@@ -1,5 +1,6 @@
 import pytest
 
+from occlusim import harness
 from occlusim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parse_speeds, main
 from occlusim.harness import RESULTS_HEADER, TRACE_HEADER
 from occlusim.scenario import ConfigError
@@ -73,30 +74,24 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
-@pytest.mark.parametrize("speeds", ["0,10", ",", "10,nan", "10,inf"])
+@pytest.mark.parametrize("speeds", ["0,10", ",", "10,nan", "10,inf", "10:70:nan"])
 def test_bad_sweep_speeds_are_config_error(tmp_path, capsys, speeds):
     assert main(["sweep", "--speeds", speeds, "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --speeds: ")
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_time_limit_before_clearance_is_config_error(tmp_path, capsys, command):
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text("t_end_s = 5\n")
-    out = tmp_path / "r.csv"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: t_end_s: ")
+def test_sweep_calibration_error_names_speed_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_scenario", no_run)
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text("reveal_margin_s = 4.0\n")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("calibration error: 15 mph: ")
     assert not out.exists()
-
-
-def test_time_limit_in_message_is_accepted(tmp_path, capsys):
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text("t_end_s = 5\n")
-    assert main(["calibrate", "--config", str(cfg)]) == EXIT_CONFIG
-    least = capsys.readouterr().err.split("at least ")[1].split()[0]
-    cfg.write_text(f"t_end_s = {least}\n")
-    assert main(["calibrate", "--config", str(cfg)]) == EXIT_OK
 
 
 def test_usage_error_exit_code():
@@ -113,3 +108,7 @@ def test_parse_speeds_forms():
         _parse_speeds("70:10:5")
     with pytest.raises(ConfigError):
         _parse_speeds("a:b:c")
+    # Unbounded or NaN ranges are rejected before any speed is generated.
+    for spec in ("10:inf:5", "-inf:70:5", "10:70:nan", "10:70:inf"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            _parse_speeds(spec)

@@ -14,7 +14,7 @@ from occlusim.harness import (
     write_results_csv,
     write_trace_csv,
 )
-from occlusim.scenario import ConfigError, ScenarioConfig, SimResult, config_for
+from occlusim.scenario import CalibrationError, ConfigError, ScenarioConfig, SimResult, config_for
 
 
 class TestRunScenario:
@@ -120,6 +120,12 @@ class TestSweep:
     def test_non_finite_speed_rejected(self, speeds):
         with pytest.raises(ConfigError, match="av_speed_mph"):
             SweepSpec(speeds_mph=speeds)
+
+    def test_calibration_checked_at_every_speed(self):
+        # The slow margin still calibrates at 10 mph; 15 mph is the first
+        # speed the 4 s fast margin puts out of reach.
+        with pytest.raises(CalibrationError, match=r"^15 mph: conflict phase out of reach"):
+            SweepSpec(speeds_mph=(10.0, 15.0, 20.0), base=ScenarioConfig(reveal_margin_s=4.0))
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -83,8 +85,18 @@ class TestLoadConfig:
         assert cfg.v2v is False
 
     def test_unknown_key_rejected_by_name(self):
-        with pytest.raises(ConfigError, match="unknown key 'av_sped_mph'"):
-            load_config("av_sped_mph = 45\n")
+        # A config that still sets the removed time limit fails loudly.
+        for key in ("av_sped_mph", "t_end_s"):
+            with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'$"):
+                load_config(f"{key} = 45\n")
+
+    def test_readme_config_block_lists_every_key_at_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Config file\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        pairs = re.findall(r"(\w+) = (\S+)", block)
+        assert [key for key, _ in pairs] == [f.name for f in fields(ScenarioConfig)]
+        assert load_config("\n".join(f"{k} = {v}" for k, v in pairs)) == ScenarioConfig()
 
     def test_invariant_violation_names_field(self):
         with pytest.raises(ConfigError, match="lane_width_ft"):
@@ -222,10 +234,6 @@ class TestBuildWorld:
         assert w.pedestrian.pos.y == cfg.ped_start_offset_m
         assert w.pedestrian.vel == type(w.pedestrian.vel)(0.0, cfg.ped_speed_mps)
         assert w.ped_entry_time_s == pytest.approx(calibrate_entry(cfg))
-
-    def test_transmitter_tracks_all_around(self):
-        w = build_world(ScenarioConfig())
-        assert w.transmitter_sensor.fov_half_angle_rad == math.pi
 
     def test_seed_flows_to_rng(self):
         w1 = build_world(ScenarioConfig(seed=5))

@@ -23,14 +23,14 @@ BODY = VehicleBody(length_m=4.45, width_m=1.8)
 
 def make_world(av_pos=(-50.0, 5.4864), av_speed=20.0, ped_pos=(0.0, 2.0),
                ped_vel=(0.0, 1.2192), tx_pos=(-2.2, 1.8288), entry=0.0,
-               av_sensor=None, seed=0) -> WorldState:
+               av_sensor=None, tx_range=150.0, seed=0) -> WorldState:
     """A hand-built three-actor world for targeted checks."""
     return WorldState(
         av=ActorState(Vec2(*av_pos), Vec2(av_speed, 0.0), 2.22504),
         av_sensor=av_sensor or SensorModel(150.0, math.pi / 2),
         transmitter=ActorState(Vec2(*tx_pos), Vec2(0.0, 0.0), 2.22504),
         transmitter_body=BODY,
-        transmitter_sensor=SensorModel(150.0, math.pi),
+        tx_sensor_range_m=tx_range,
         pedestrian=ActorState(Vec2(*ped_pos), Vec2(*ped_vel), 1.524),
         ped_entry_time_s=entry,
         road_width_m=14.6304,
@@ -115,6 +115,22 @@ class TestChannel:
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is not None
         assert w.latest_ped_info.ped_pos == w.pedestrian.pos
+
+    # With the transmitter at x = -radius its tracker, at the front-center,
+    # sits on the origin; the pedestrian stands 10 m behind it.
+
+    def test_tracker_relays_pedestrian_behind_it(self):
+        w = make_world(tx_pos=(-2.22504, 0.0), ped_pos=(-10.0, 0.0), tx_range=10.0)
+        channel_step(w, IDEAL, 0.02)
+        assert w.latest_ped_info is not None
+        assert w.latest_ped_info.ped_pos == w.pedestrian.pos
+
+    def test_tracker_ignores_pedestrian_beyond_range(self):
+        w = make_world(tx_pos=(-2.22504, 0.0), ped_pos=(-10.0, 0.0), tx_range=9.99)
+        channel_step(w, IDEAL, 0.02)
+        assert w.latest_ped_info is None
+        assert not w.in_flight
+        assert w.next_send_s == 0.0  # no send slot consumed
 
     def test_drop_prob_one_never_delivers(self):
         w = make_world()
