@@ -42,9 +42,5 @@ def brake_pressure(t: TtcOutcome, policy: BrakePolicy) -> float:
 
 def deceleration_for(pressure_bar: float, policy: BrakePolicy) -> float:
     """Deceleration magnitude (m/s^2) produced by a pressure command."""
-    if not (0.0 <= pressure_bar <= policy.max_pressure_bar):
-        raise ValueError(
-            f"pressure must lie in [0, {policy.max_pressure_bar}], got {pressure_bar}"
-        )
     return pressure_bar / policy.max_pressure_bar * policy.max_decel_mps2
 

@@ -19,7 +19,8 @@ from .harness import (
     write_results_csv,
     write_trace_csv,
 )
-from .scenario import CalibrationError, ConfigError, ScenarioConfig, calibrate_entry, load_config
+from .scenario import (CalibrationError, ConfigError, ScenarioConfig, calibrate_entry, config_for,
+                       load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,16 +67,8 @@ def _parse_speeds(spec: str) -> tuple[float, ...]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_base_config(args.config)
-    overrides = {}
-    if args.speed is not None:
-        overrides["av_speed_mph"] = args.speed
-    if args.v2v is not None:
-        overrides["v2v"] = args.v2v == "on"
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-
+    cfg = config_for(cfg, cfg.av_speed_mph if args.speed is None else args.speed,
+                     cfg.v2v if args.v2v is None else args.v2v == "on")
     result, trace = run_scenario(cfg)
     save_text(args.out, write_results_csv([result]))
     if args.trace is not None:

@@ -15,15 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import world as world_mod
-from .scenario import (CalibrationError, ConfigError, ScenarioConfig, SimResult, build_world,
-                       calibrate_entry, config_for)
+from .scenario import (CLEARANCE_TAIL_S, CalibrationError, ConfigError, ScenarioConfig, SimResult,
+                       build_world, calibrate_entry, config_for)
 from .ttc import TtcOutcome
 from .world import los_occluded
 
 NO_TTC_SENTINEL_S = 10000.0
-
-# A run ends this long after the pedestrian has cleared the AV's lane.
-CLEARANCE_TAIL_S = 5.0
 
 DEFAULT_SWEEP_SPEEDS_MPH: tuple[float, ...] = tuple(float(s) for s in range(10, 75, 5))
 
@@ -65,8 +62,8 @@ class SweepSpec:
         for s in self.speeds_mph:
             try:
                 calibrate_entry(config_for(self.base, s, True))
-            except CalibrationError as exc:
-                raise CalibrationError(f"{s:g} mph: {exc}") from None
+            except (CalibrationError, ConfigError) as exc:
+                raise type(exc)(f"{s:g} mph: {exc}") from None
 
 
 def serialize_ttc(outcome: TtcOutcome) -> float:

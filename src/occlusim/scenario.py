@@ -32,6 +32,12 @@ from .world import ChannelModel, SensorModel, VehicleBody, WorldState
 AV_RADIUS_M = to_si(7.3, "ft")
 PED_RADIUS_M = to_si(5.0, "ft")
 
+# A run ends this long after the pedestrian has cleared the AV's lane.
+CLEARANCE_TAIL_S = 5.0
+
+# The most steps a run may take; calibrate_entry rejects longer runs.
+MAX_RUN_STEPS = 1_000_000
+
 
 class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
@@ -53,7 +59,6 @@ class ScenarioConfig:
     transmitter_lane_index: int = 0
     ped_speed_ftps: float = 4.0
     ped_start_offset_m: float = -18.0
-    ped_cross_x_m: float = 0.0
     approach_time_s: float = 20.0
     tx_stop_gap_m: float = -0.02
     reveal_margin_s: float = 0.18
@@ -74,7 +79,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Every simulation parameter is validated here and nowhere else.
+        # Every parameter is validated here (the run length in calibrate_entry)
+        # and nowhere below.
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name}: must be finite, got {value}")
@@ -88,6 +94,17 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ConfigError(f"{name}: must be positive, got {value}")
+        speeds_mps = {"av_speed_mph": self.av_speed_mps, "ped_speed_ftps": self.ped_speed_mps}
+        for name, mps in speeds_mps.items():
+            if mps == 0.0:
+                raise ConfigError(f"{name}: must be positive in m/s, got {getattr(self, name)}")
+        # In one step neither actor may move farther than the contact radius.
+        # With calibrate_entry's run-length cap this bounds every speed and
+        # distance, so no product on the step path overflows.
+        step_m = max(speeds_mps.values()) * self.dt_s
+        if step_m > self.r_sum_m:
+            raise ConfigError(f"dt_s: one step may move an actor at most the contact radius "
+                              f"{self.r_sum_m:.3f} m, but {self.dt_s} s moves it {step_m:.4g} m")
         if self.num_lanes < 1:
             raise ConfigError(f"num_lanes: must be at least 1, got {self.num_lanes}")
         for name in ("av_lane_index", "transmitter_lane_index"):
@@ -133,16 +150,13 @@ class ScenarioConfig:
     def road_width_m(self) -> float:
         return self.num_lanes * self.lane_width_m
 
-    def lane_center_y(self, index: int) -> float:
-        return (index + 0.5) * self.lane_width_m
-
     @property
     def av_lane_y(self) -> float:
-        return self.lane_center_y(self.av_lane_index)
+        return (self.av_lane_index + 0.5) * self.lane_width_m
 
     @property
     def tx_lane_y(self) -> float:
-        return self.lane_center_y(self.transmitter_lane_index)
+        return (self.transmitter_lane_index + 0.5) * self.lane_width_m
 
     @property
     def r_sum_m(self) -> float:
@@ -260,14 +274,17 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _conflict_geometry(cfg: ScenarioConfig) -> tuple[float, float]:
-    """(contact_y, t_contact): where and when the unbraked run first
-    brings the discs into contact.
+def calibrate_entry(cfg: ScenarioConfig) -> float:
+    """Time at which the pedestrian starts walking.
 
-    contact_y is the pedestrian's lateral position at first contact,
-    placed reveal_margin seconds of walking past the sight-line edge.
-    At t_contact the AV center falls short of the walk line by the
-    distance that the contact condition |X| = r_sum fixes.
+    Closed form: the pedestrian must reach the staged contact point
+    exactly when the unbraked AV does. Its lateral position there,
+    contact_y, lies reveal_margin seconds of walking past the sight-line
+    edge; at that instant, t_contact, the AV center falls short of the
+    walk line by the distance that the contact condition |X| = r_sum
+    fixes. Raises :class:`CalibrationError` when the pedestrian cannot
+    reach the conflict from its start point within the approach window,
+    and :class:`ConfigError` when the run would take over MAX_RUN_STEPS.
     """
     v = cfg.av_speed_mps
     contact_y = cfg.sightline_edge_y() + cfg.reveal_margin_for(v) * cfg.ped_speed_mps
@@ -279,18 +296,6 @@ def _conflict_geometry(cfg: ScenarioConfig) -> tuple[float, float]:
         )
     contact_dx = math.sqrt(cfg.r_sum_m * cfg.r_sum_m - dy * dy)
     t_contact = cfg.approach_time_s - contact_dx / v
-    return contact_y, t_contact
-
-
-def calibrate_entry(cfg: ScenarioConfig) -> float:
-    """Time at which the pedestrian starts walking.
-
-    Closed form: the pedestrian must reach the staged contact point
-    exactly when the unbraked AV does. Raises :class:`CalibrationError`
-    when the pedestrian cannot reach the conflict from its start point
-    within the approach window.
-    """
-    contact_y, t_contact = _conflict_geometry(cfg)
     walk_time = (contact_y - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     if walk_time <= 0.0:
         raise CalibrationError(
@@ -302,17 +307,34 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
             f"pedestrian cannot reach the conflict in time: needs {walk_time:.2f} s of "
             f"walking but the unbraked AV arrives at t={t_contact:.2f} s"
         )
+    length_s = run_length_s(cfg, entry)
+    if length_s / cfg.dt_s > MAX_RUN_STEPS:
+        # Blame the step if the run would fit at the default one, else the
+        # longer of the two spans the run is made of (up to rounding): the
+        # approach until contact and the walk on from contact to clearance.
+        walk_on_s = (cfg.av_lane_y + cfg.r_sum_m - contact_y) / cfg.ped_speed_mps
+        key = ("dt_s" if length_s / ScenarioConfig.dt_s <= MAX_RUN_STEPS
+               else "approach_time_s" if t_contact >= walk_on_s else "ped_speed_ftps")
+        raise ConfigError(f"{key}: the run would take {length_s / cfg.dt_s:.4g} steps, "
+                          f"more than the cap of {MAX_RUN_STEPS}")
     return entry
+
+
+def run_length_s(cfg: ScenarioConfig, entry: float) -> float:
+    """Closed-form duration of a run without collision: the entry time,
+    the walk until the pedestrian clears the AV's lane, and the tail."""
+    walk_s = (cfg.av_lane_y + cfg.r_sum_m - cfg.ped_start_offset_m) / cfg.ped_speed_mps
+    return entry + walk_s + CLEARANCE_TAIL_S
 
 
 def build_world(cfg: ScenarioConfig) -> WorldState:
     """Construct the initial world for a config, entry time included."""
     entry = calibrate_entry(cfg)
     v = cfg.av_speed_mps
-    cross_x = cfg.ped_cross_x_m
 
+    # x is measured from the walk line.
     av = ActorState(
-        pos=Vec2(cross_x - v * cfg.approach_time_s, cfg.av_lane_y),
+        pos=Vec2(-v * cfg.approach_time_s, cfg.av_lane_y),
         vel=Vec2(v, 0.0),
         radius=AV_RADIUS_M,
     )
@@ -320,14 +342,13 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
     # The transmitter has already yielded: stopped in the outer lane with
     # its bumper at the walk line (a small overlap keeps the footprint
     # containment test robust while the pedestrian passes the bumper).
-    bumper_x = cross_x - cfg.tx_stop_gap_m
     transmitter = ActorState(
-        pos=Vec2(bumper_x - body.length_m / 2.0, cfg.tx_lane_y),
+        pos=Vec2(-cfg.tx_stop_gap_m - body.length_m / 2.0, cfg.tx_lane_y),
         vel=Vec2(0.0, 0.0),
         radius=AV_RADIUS_M,
     )
     pedestrian = ActorState(
-        pos=Vec2(cross_x, cfg.ped_start_offset_m),
+        pos=Vec2(0.0, cfg.ped_start_offset_m),
         vel=Vec2(0.0, cfg.ped_speed_mps),  # moves and is sensed only once active
         radius=PED_RADIUS_M,
     )

@@ -5,58 +5,35 @@ touch at time t when |X + V*t| = R. Expanding gives the quadratic
 
     (V.V) t^2 + 2 (X.V) t + (X.X - R^2) = 0
 
-whose coefficients and discriminant are carried in :class:`QuadraticDiag`.
-``classify_ttc`` turns the roots into a single outcome: ``None`` when no
-future contact exists, otherwise the nonnegative time of first contact.
-``None`` is the only "no valid TTC" representation inside the package;
-the 10000-second sentinel used in serialized traces lives in the harness.
+``ttc`` turns its roots into a single outcome: ``None`` when no future
+contact exists, otherwise the nonnegative time of first contact. ``None``
+is the only "no valid TTC" representation inside the package; the
+10000-second sentinel used in serialized traces lives in the harness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .geometry import ActorState, RelativeState, relative_state
+from .geometry import ActorState, relative_state
 
 # A time-to-collision is a nonnegative float, or None when the pair is not
 # on a collision course.
 TtcOutcome = float | None
 
 
-@dataclass(frozen=True, slots=True)
-class QuadraticDiag:
-    """Coefficients a, b, c and discriminant d = b^2 - a*c of the contact
-    quadratic (with the factor 2 on the linear term divided out)."""
+def ttc(ped: ActorState, av: ActorState) -> TtcOutcome:
+    """Time until the two actors' discs first touch, or None.
 
-    a: float
-    b: float
-    c: float
-    d: float
+    With a = V.V, b = X.V, c = X.X - R^2 (the factor 2 on the linear term
+    divided out) and discriminant d = b^2 - a*c, the roots are
+    (-b +- sqrt(d)) / a. Case analysis:
 
-
-def quadratic_coeffs(rel: RelativeState) -> QuadraticDiag:
-    """Contact-quadratic coefficients for a relative state.
-
-    a = V.V, b = X.V, c = X.X - R^2, d = b^2 - a*c. A negative c means the
-    discs already overlap.
-    """
-    a = rel.v_rel.dot(rel.v_rel)
-    b = rel.x_rel.dot(rel.v_rel)
-    c = rel.x_rel.dot(rel.x_rel) - rel.r_sum * rel.r_sum
-    return QuadraticDiag(a=a, b=b, c=c, d=b * b - a * c)
-
-
-def classify_ttc(diag: QuadraticDiag) -> TtcOutcome:
-    """First future contact time for the quadratic, or None.
-
-    Case analysis on the roots (-b +- sqrt(d)) / a:
-
+    - zero relative velocity (a == 0): never touches unless already
+      overlapping;
     - discs already overlapping or exactly touching (c <= 0): report 0.0,
       the maximal-risk value, rather than the exit time of the ongoing
       contact;
-    - zero relative velocity (a == 0): never touches unless already
-      overlapping;
     - d < 0: paths never come within contact range;
     - b >= 0 (separating or at closest approach) with c > 0: both roots
       are nonpositive, contact lies in the past;
@@ -64,15 +41,15 @@ def classify_ttc(diag: QuadraticDiag) -> TtcOutcome:
       contact. It is computed as c / (-b + sqrt(d)), which avoids the
       cancellation the direct formula suffers when b^2 >> a*c.
     """
-    if diag.a == 0.0:
-        return None if diag.c > 0.0 else 0.0
-    if diag.c <= 0.0:
+    rel = relative_state(ped, av)
+    a = rel.v_rel.dot(rel.v_rel)
+    b = rel.x_rel.dot(rel.v_rel)
+    c = rel.x_rel.dot(rel.x_rel) - rel.r_sum * rel.r_sum
+    if a == 0.0:
+        return None if c > 0.0 else 0.0
+    if c <= 0.0:
         return 0.0
-    if diag.d < 0.0 or diag.b >= 0.0:
+    d = b * b - a * c
+    if d < 0.0 or b >= 0.0:
         return None
-    return diag.c / (-diag.b + math.sqrt(diag.d))
-
-
-def ttc(ped: ActorState, av: ActorState) -> TtcOutcome:
-    """Time until the two actors' discs first touch, or None."""
-    return classify_ttc(quadratic_coeffs(relative_state(ped, av)))
+    return c / (-b + math.sqrt(d))

@@ -6,8 +6,6 @@ use road units and convert at the boundary.
 
 from __future__ import annotations
 
-import math
-
 MPS_PER_MPH = 0.44704
 METERS_PER_FOOT = 0.3048
 
@@ -23,8 +21,6 @@ def to_si(value: float, unit: str) -> float:
 
     Supported units: mph -> m/s, ft -> m, ft_per_s -> m/s.
     """
-    if not math.isfinite(value):
-        raise ValueError(f"value must be finite, got {value}")
     try:
         return value * _SI_FACTOR[unit]
     except KeyError:

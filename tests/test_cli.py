@@ -1,3 +1,6 @@
+import faulthandler
+import sys
+
 import pytest
 
 from occlusim import harness
@@ -65,7 +68,7 @@ def test_infeasible_calibration_is_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("ped_cross_x_m", "nan"), ("tx_stop_gap_m", "inf"), ("latency_s", "inf"),
+    ("ped_start_offset_m", "nan"), ("tx_stop_gap_m", "inf"), ("latency_s", "inf"),
 ])
 def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.cfg"
@@ -112,3 +115,42 @@ def test_parse_speeds_forms():
     for spec in ("10:inf:5", "-inf:70:5", "10:70:nan", "10:70:inf"):
         with pytest.raises(ConfigError, match="must be finite"):
             _parse_speeds(spec)
+
+
+@pytest.mark.parametrize("lines,args,key", [
+    ("av_speed_mph = 1e308", [], "dt_s"),
+    ("approach_time_s = 1e308", [], "approach_time_s"),
+    ("dt_s = 1e308", [], "dt_s"),
+    ("av_speed_mph = 1e200", [], "dt_s"),
+    ("dt_s = 0.3", ["--speed", "70", "--v2v", "off"], "dt_s"),
+    ("approach_time_s = 1e200", [], "approach_time_s"),
+    ("ped_cross_x_m = 0", [], "line 1"),
+])
+def test_out_of_reach_config_exits_1_before_running(tmp_path, capsys, lines, args, key):
+    # Unless rejected at load time, each of these runs to a wrong verdict,
+    # never ends, or fails inside the run. A run that does not end aborts
+    # the test process after 60 s with a traceback instead of hanging it.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(lines + "\n")
+    out = tmp_path / "r.csv"
+    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+    try:
+        code = main(["run", "--config", str(cfg), "--out", str(out), *args])
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not out.exists()
+
+
+def test_sweep_config_error_names_speed_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_scenario", no_run)
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("dt_s = 0.15\n")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --speeds: 60 mph: dt_s: ")
+    assert not out.exists()

@@ -4,21 +4,25 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from occlusim.scenario import (
     CalibrationError,
     ConfigError,
+    MAX_RUN_STEPS,
     ScenarioConfig,
     build_world,
     calibrate_entry,
     config_for,
     load_config,
+    run_length_s,
     serialize_config,
 )
 from occlusim.harness import run_scenario
+from occlusim.units import mph_to_mps, to_si
 
+R_SUM = ScenarioConfig().r_sum_m
 FLOAT_KEYS = [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)]
 
 # Bounds that only ScenarioConfig enforces (the policy, sensor and channel
@@ -33,7 +37,7 @@ OUT_OF_BOUNDS = [
 ] + [(key, value) for key in FLOAT_KEYS for value in (math.nan, math.inf, -math.inf)]
 
 # Keys that may take any finite value; the rest are bounded below by zero.
-SIGNED_KEYS = {"ped_start_offset_m", "ped_cross_x_m", "tx_stop_gap_m"}
+SIGNED_KEYS = {"ped_start_offset_m", "tx_stop_gap_m"}
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 BOUNDED = {
     "av_sensor_fov_half_rad": st.floats(0.0, math.pi, exclude_min=True),
@@ -50,8 +54,14 @@ def valid_configs(draw) -> ScenarioConfig:
             kwargs[f.name] = draw(BOUNDED[f.name])
         elif f.name in SIGNED_KEYS:
             kwargs[f.name] = draw(FINITE)
-        elif isinstance(f.default, float):
+        elif isinstance(f.default, float) and f.name != "dt_s":
             kwargs[f.name] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    # dt_s keeps one step's travel of the faster actor within the contact
+    # radius; speeds that round to 0 m/s are rejected.
+    speeds = (mph_to_mps(kwargs["av_speed_mph"]), to_si(kwargs["ped_speed_ftps"], "ft_per_s"))
+    assume(min(speeds) > 0.0)
+    kwargs["dt_s"] = draw(st.floats(0.0, R_SUM / max(speeds), exclude_min=True))
+    assume(max(speeds) * kwargs["dt_s"] <= R_SUM)
     knees = draw(st.lists(FINITE, min_size=2, max_size=2, unique=True))
     kwargs["reveal_knee_lo_mph"], kwargs["reveal_knee_hi_mph"] = sorted(knees)
     num_lanes = draw(st.integers(2, 64))
@@ -161,6 +171,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{key}: "):
             ScenarioConfig(**{key: value})
 
+    def test_step_travel_within_contact_radius(self):
+        # 419 mph moves the AV 3.746 m per 0.02 s step, 420 mph 3.755 m,
+        # past the 3.749 m contact radius; the pedestrian is held the same.
+        ScenarioConfig(av_speed_mph=419.0)
+        for kwargs in ({"av_speed_mph": 420.0}, {"ped_speed_ftps": 700.0},
+                       {"av_speed_mph": 70.0, "dt_s": 0.3}, {"dt_s": 1e308}):
+            with pytest.raises(ConfigError, match=r"^dt_s: one step may move an actor"):
+                ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("key", ["av_speed_mph", "ped_speed_ftps"])
+    def test_speed_that_rounds_to_zero_rejected(self, key):
+        with pytest.raises(ConfigError, match=rf"^{key}: must be positive in m/s"):
+            ScenarioConfig(**{key: 5e-324})
+
     def test_derived_geometry(self):
         cfg = ScenarioConfig()
         assert cfg.lane_width_m == pytest.approx(3.6576, abs=1e-12)
@@ -207,6 +231,47 @@ class TestCalibration:
         cfg = ScenarioConfig(ped_start_offset_m=10.0)
         with pytest.raises(CalibrationError):
             calibrate_entry(cfg)
+
+    @pytest.mark.parametrize(("overrides", "key"), [
+        ({"approach_time_s": 1e200}, "approach_time_s"),
+        ({"approach_time_s": 1e308}, "approach_time_s"),
+        ({"dt_s": 4e-6}, "dt_s"),
+        # A crawl from close by: the walk on past the contact point is
+        # longer than the approach.
+        ({"ped_speed_ftps": 1e-3, "ped_start_offset_m": -1.0, "approach_time_s": 13000.0},
+         "ped_speed_ftps"),
+    ])
+    def test_run_longer_than_cap_names_dominant_key(self, overrides, key):
+        cfg = ScenarioConfig(**overrides)
+        with pytest.raises(ConfigError, match=rf"^{key}: the run would take .* steps, more than "
+                                              rf"the cap of {MAX_RUN_STEPS}$"):
+            calibrate_entry(cfg)
+
+    def test_run_at_cap_is_accepted(self):
+        # The cap is 20,000 s at 0.02 s: a run 1 s shorter is accepted, and
+        # one 1 s longer is not.
+        cfg = ScenarioConfig()
+        entry = calibrate_entry(cfg)
+        longest = replace(cfg, approach_time_s=cfg.approach_time_s
+                          + MAX_RUN_STEPS * cfg.dt_s - run_length_s(cfg, entry) - 1.0)
+        assert run_length_s(longest, calibrate_entry(longest)) / cfg.dt_s <= MAX_RUN_STEPS
+        with pytest.raises(ConfigError, match="^approach_time_s: "):
+            calibrate_entry(replace(longest, approach_time_s=longest.approach_time_s + 2.0))
+
+    def test_run_length_matches_trace_rows(self, sweep_runs):
+        # Every run that does not collide ends by the clearance tail, so its
+        # row count is the closed-form length in steps, rounded up three
+        # times on the step grid: at the pedestrian's entry, at its
+        # clearance, and at the end of the tail.
+        checked = 0
+        for (speed, v2v), (result, trace) in sweep_runs.items():
+            if result.collision:
+                continue
+            cfg = config_for(ScenarioConfig(), speed, v2v)
+            steps = run_length_s(cfg, calibrate_entry(cfg)) / cfg.dt_s
+            assert 0.0 < len(trace) - steps < 3.0, (speed, v2v, len(trace), steps)
+            checked += 1
+        assert checked == 14
 
     def test_contact_within_disc_reach_at_arrival(self):
         # The staging guarantees the pair is inside contact range when the

@@ -4,79 +4,72 @@ import random
 import pytest
 
 from _oracle import brute_force_ttc
-from occlusim.geometry import ActorState, RelativeState, Vec2
-from occlusim.ttc import QuadraticDiag, classify_ttc, quadratic_coeffs, ttc
+from occlusim.geometry import ActorState, Vec2
+from occlusim.ttc import ttc
 
-R_SUM = 3.74904
+PED_R = 1.524
+AV_R = 2.22504
+R_SUM = PED_R + AV_R
 
 
-def rel(x, y, vx, vy, r=R_SUM):
-    return RelativeState(Vec2(x, y), Vec2(vx, vy), r)
+def rel_ttc(x, y, vx, vy, ped_r=PED_R, av_r=AV_R):
+    """ttc() of a pedestrian at (x, y) moving at (vx, vy) relative to a
+    stationary AV at the origin."""
+    return ttc(ActorState(Vec2(x, y), Vec2(vx, vy), ped_r),
+               ActorState(Vec2(0.0, 0.0), Vec2(0.0, 0.0), av_r))
 
 
 class TestQuadraticCoeffs:
+    """The contact quadratic's coefficients, seen through ttc()."""
+
     def test_head_on(self):
-        d = quadratic_coeffs(rel(30.0, 0.0, -10.0, 0.0))
-        assert d.a == 100.0
-        assert d.b == -300.0
-        assert d.c == pytest.approx(885.9446990784, abs=1e-9)
-        assert d.d == pytest.approx(1405.53009216, abs=1e-6)
-        assert d.d == d.b * d.b - d.a * d.c
+        # a = 100, b = -300, c = 900 - R^2, d = b^2 - a c: the first root.
+        c = 900.0 - R_SUM * R_SUM
+        expected = c / (300.0 + math.sqrt(300.0 * 300.0 - 100.0 * c))
+        assert rel_ttc(30.0, 0.0, -10.0, 0.0) == expected
 
     def test_perpendicular_motion_zeroes_b(self):
-        d = quadratic_coeffs(rel(0.0, 10.0, 5.0, 0.0))
-        assert d.a == 25.0
-        assert d.b == 0.0
-        assert d.c == pytest.approx(85.9446990784, abs=1e-9)
-        assert d.d < 0.0
+        # b = 0: the pair is at closest approach now, so outside contact
+        # range there is no future contact, and inside it the TTC is 0.
+        assert rel_ttc(0.0, 10.0, 5.0, 0.0) is None
+        assert rel_ttc(0.0, 3.0, 5.0, 0.0) == 0.0
 
     def test_zero_relative_velocity(self):
-        d = quadratic_coeffs(rel(20.0, 0.0, 0.0, 0.0))
-        assert d.a == 0.0
-        assert d.b == 0.0
-        assert d.c > 0.0
-        assert d.d == 0.0
+        # a = 0 with both actors moving: never touches from outside.
+        out = ttc(ActorState(Vec2(20.0, 0.0), Vec2(7.0, -1.0), PED_R),
+                  ActorState(Vec2(0.0, 0.0), Vec2(7.0, -1.0), AV_R))
+        assert out is None
 
 
 class TestClassify:
     def test_head_on_closed_form(self):
-        d = quadratic_coeffs(rel(30.0, 0.0, -10.0, 0.0))
-        out = classify_ttc(d)
+        out = rel_ttc(30.0, 0.0, -10.0, 0.0)
         # Head-on: (gap - contact radius) / closing speed.
         assert out == pytest.approx((30.0 - R_SUM) / 10.0, rel=1e-12)
         assert out == pytest.approx(2.625096, abs=1e-9)
 
     def test_negative_discriminant_is_invalid(self):
-        d = quadratic_coeffs(rel(0.0, 10.0, 5.0, 0.0))
-        assert classify_ttc(d) is None
+        assert rel_ttc(0.0, 10.0, 5.0, -0.1) is None
 
     def test_receding_is_invalid(self):
-        d = quadratic_coeffs(rel(30.0, 0.0, 10.0, 0.0))
-        assert d.b == 300.0
-        assert classify_ttc(d) is None
+        assert rel_ttc(30.0, 0.0, 10.0, 0.0) is None
 
     def test_overlap_reports_zero(self):
-        d = quadratic_coeffs(rel(1.0, 0.0, -10.0, 0.0))
-        assert d.c < 0.0
-        assert classify_ttc(d) == 0.0
+        assert rel_ttc(1.0, 0.0, -10.0, 0.0) == 0.0
 
     def test_exact_touch_reports_zero(self):
-        d = QuadraticDiag(a=4.0, b=-2.0, c=0.0, d=4.0)
-        assert classify_ttc(d) == 0.0
+        # |X| = R exactly (c = 0) while closing.
+        assert rel_ttc(2.0, 0.0, -2.0, 0.0, ped_r=1.0, av_r=1.0) == 0.0
 
     def test_stationary_outside_is_invalid(self):
-        d = quadratic_coeffs(rel(20.0, 0.0, 0.0, 0.0))
-        assert classify_ttc(d) is None
+        assert rel_ttc(20.0, 0.0, 0.0, 0.0) is None
 
     def test_stationary_overlapping_is_zero(self):
-        d = quadratic_coeffs(rel(1.0, 0.0, 0.0, 0.0))
-        assert classify_ttc(d) == 0.0
+        assert rel_ttc(1.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_tangency_double_root(self):
         # Offset exactly r_sum laterally: the path grazes at one instant.
-        d = quadratic_coeffs(rel(30.0, R_SUM, -10.0, 0.0))
-        assert d.d == pytest.approx(0.0, abs=1e-6)
-        out = classify_ttc(d)
+        out = rel_ttc(30.0, R_SUM, -10.0, 0.0)
         assert out is not None
         assert out == pytest.approx(3.0, rel=1e-6)
 
