@@ -1,10 +1,13 @@
 """Hypothesis properties of whole runs.
 
 Metamorphic relations between runs: the channel knobs cannot touch a run
-without the relay, and the relay can only bring detection forward. And a
-robustness property: any finite config is either rejected at load time,
-by a config error naming a key or by a calibration error, or steps with
-finite state and bounded commands.
+without the relay, the relay can only bring detection forward, and a late
+or lossy relay can only push it back. Trace invariants of every calibrated
+run: time strictly increases, the AV never speeds up, the pressure stays
+within [0, p_max], and there is one row per step. And a robustness
+property: any finite config is either rejected at load time, by a config
+error naming a key or by a calibration error, or steps with finite state
+and bounded commands.
 """
 
 import math
@@ -55,6 +58,60 @@ def test_channel_never_touches_the_unrelayed_run_or_delays_detection(sweep_runs,
     if without.detected_time_s is not None:
         assert relayed.detected_time_s is not None
         assert relayed.detected_time_s <= without.detected_time_s
+
+
+# Calibrated configs: every test speed and step size the contact-radius
+# rule admits up to 100 mph, any channel, any brake law.
+CALIBRATED = st.fixed_dictionaries({
+    "av_speed_mph": st.floats(10.0, 100.0),
+    "v2v": st.booleans(),
+    "dt_s": st.sampled_from((0.005, 0.01, 0.02, 0.05)),
+    "tau_max_s": st.floats(0.5, 20.0),
+    "p_max_bar": st.floats(1.0, 500.0),
+    "d_max_mps2": st.floats(0.5, 12.0),
+    "latency_s": st.floats(0.0, 1.0),
+    "drop_prob": st.floats(0.0, 1.0),
+    "seed": st.integers(0, 2**32),
+})
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(keys=CALIBRATED)
+def test_every_trace_keeps_its_invariants(keys):
+    cfg = ScenarioConfig(**keys)
+    original = world_mod.step
+    steps = 0
+
+    def counting_step(*args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return original(*args, **kwargs)
+
+    world_mod.step = counting_step
+    try:
+        _, trace = run_scenario(cfg)
+    finally:
+        world_mod.step = original
+    assert len(trace) == steps
+    for earlier, later in zip(trace, trace[1:]):
+        assert later.t_s > earlier.t_s
+        assert later.av_speed_mps <= earlier.av_speed_mps
+    assert all(0.0 <= row.pressure_bar <= cfg.p_max_bar for row in trace)
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(speed=st.sampled_from(DEFAULT_SWEEP_SPEEDS_MPH),
+       late=st.fixed_dictionaries({"latency_s": st.floats(0.0, 1.0),
+                                   "drop_prob": st.floats(0.0, 1.0),
+                                   "seed": st.integers(0, 2**32)}))
+def test_late_or_lossy_relay_never_detects_earlier(sweep_runs, speed, late):
+    ideal = sweep_runs[(speed, True)][0]
+    lossy = run_scenario(config_for(replace(ScenarioConfig(), **late), speed, True))[0]
+    # The late channel sends in the same slots as the ideal one, drops some
+    # and delivers the rest later, and the AV drives the same path until
+    # its first estimate.
+    assert ideal.detected_time_s is not None
+    assert lossy.detected_time_s is None or lossy.detected_time_s >= ideal.detected_time_s
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
