@@ -1,10 +1,13 @@
-"""Planar vectors, actor states, and relative-state construction.
+"""Static records: planar vectors and actor states.
 
 The world is a 2D plan view: x runs along the road in the direction of
-travel, y runs across it. Actors are discs (position, velocity, radius);
-the collision-time math in :mod:`occlusim.ttc` works entirely on the
-relative state built here. The records check no values: the config
-boundary bounds every speed, step and run length, so none overflows.
+travel, y runs across it. Actors are discs (position, velocity, radius).
+The stopped transmitter is the one actor kept as a record, built once per
+run; the moving AV and pedestrian are plain floats in the world state, and
+:mod:`occlusim.ttc` takes their relative state as floats. Nothing in the
+package calls :func:`relative_state` any more. The records check no
+values: the config boundary bounds every speed, step and run length, so
+none overflows.
 """
 
 from __future__ import annotations

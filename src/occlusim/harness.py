@@ -32,9 +32,10 @@ RESULTS_HEADER = (
 TRACE_HEADER = "t_s,av_x_m,av_speed_mps,ped_x_m,ped_y_m,ttc_s,pressure_bar,detected,occluded"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StepRecord:
-    """One trace row, recorded after every step."""
+    """One trace row, recorded after every step. Not frozen: a frozen
+    dataclass costs several times as much to build, once per step."""
 
     t_s: float
     av_x_m: float
@@ -81,6 +82,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     w = build_world(cfg)
     policy = cfg.policy()
     channel = cfg.channel()
+    tx_pos, tx_body = w.transmitter.pos, w.transmitter_body
     clearance_y = cfg.av_lane_y + cfg.r_sum_m
 
     trace: list[StepRecord] = []
@@ -91,26 +93,21 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     while True:
         world_mod.step(w, cfg.dt_s, policy, channel, cfg.v2v, braking=braking)
 
-        if w.last_ttc_s is not None:
-            min_ttc = w.last_ttc_s if min_ttc is None else min(min_ttc, w.last_ttc_s)
-        max_pressure = max(max_pressure, w.last_pressure_bar)
+        ttc_s, pressure = w.last_ttc_s, w.last_pressure_bar
+        if ttc_s is not None:
+            min_ttc = ttc_s if min_ttc is None else min(min_ttc, ttc_s)
+        max_pressure = max(max_pressure, pressure)
+        # Fields in StepRecord order; the sight line runs from the AV's
+        # front-center sensor.
         trace.append(StepRecord(
-            t_s=w.t_s,
-            av_x_m=w.av.pos.x,
-            av_speed_mps=w.av.vel.x,
-            ped_x_m=w.pedestrian.pos.x,
-            ped_y_m=w.pedestrian.pos.y,
-            ttc_s=serialize_ttc(w.last_ttc_s),
-            pressure_bar=w.last_pressure_bar,
-            detected=w.last_estimate is not None,
-            occluded=los_occluded(
-                w.av_sensor_pos(), w.pedestrian.pos, w.transmitter.pos, w.transmitter_body
-            ),
+            w.t_s, w.av_x, w.av_speed, w.ped_x, w.ped_y, serialize_ttc(ttc_s), pressure,
+            w.last_estimate is not None,
+            los_occluded(w.av_x + w.av_radius_m, w.av_y, w.ped_x, w.ped_y, tx_pos, tx_body),
         ))
 
         if w.collided:
             break
-        if cleared_at is None and w.pedestrian.pos.y > clearance_y:
+        if cleared_at is None and w.ped_y > clearance_y:
             cleared_at = w.t_s
         if cleared_at is not None and w.t_s >= cleared_at + CLEARANCE_TAIL_S:
             break
@@ -130,17 +127,19 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
 
 def sweep(spec: SweepSpec) -> list[SimResult]:
     """One result per (speed, strategy) pair, ordered by speed and then
-    strategy (with_v2v before without_v2v)."""
-    return [result for result, _ in sweep_with_traces(spec)]
+    strategy (with_v2v before without_v2v). Each run's trace is dropped
+    as soon as the run ends."""
+    return [run_scenario(cfg)[0] for cfg in _sweep_configs(spec)]
 
 
 def sweep_with_traces(spec: SweepSpec) -> list[tuple[SimResult, list[StepRecord]]]:
     """Like :func:`sweep` but keeping each run's trace."""
-    runs: list[tuple[SimResult, list[StepRecord]]] = []
-    for speed in spec.speeds_mph:
-        for v2v in (True, False):
-            runs.append(run_scenario(config_for(spec.base, speed, v2v)))
-    return runs
+    return [run_scenario(cfg) for cfg in _sweep_configs(spec)]
+
+
+def _sweep_configs(spec: SweepSpec) -> list[ScenarioConfig]:
+    return [config_for(spec.base, speed, v2v)
+            for speed in spec.speeds_mph for v2v in (True, False)]
 
 
 def _fmt_time(value: float | None) -> str:

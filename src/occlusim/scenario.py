@@ -291,21 +291,21 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
     dy = cfg.av_lane_y - contact_y
     if not (0.0 < dy < cfg.r_sum_m):
         raise CalibrationError(
-            f"conflict phase out of reach: pedestrian contact offset {dy:.3f} m "
-            f"must lie in (0, {cfg.r_sum_m:.3f})"
+            f"conflict phase out of reach: pedestrian contact offset {dy:.4g} m "
+            f"must lie in (0, {cfg.r_sum_m:.4g})"
         )
     contact_dx = math.sqrt(cfg.r_sum_m * cfg.r_sum_m - dy * dy)
     t_contact = cfg.approach_time_s - contact_dx / v
     walk_time = (contact_y - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     if walk_time <= 0.0:
         raise CalibrationError(
-            f"pedestrian start offset {cfg.ped_start_offset_m} m is past the conflict point"
+            f"pedestrian start offset {cfg.ped_start_offset_m:.4g} m is past the conflict point"
         )
     entry = t_contact - walk_time
     if entry < 0.0:
         raise CalibrationError(
-            f"pedestrian cannot reach the conflict in time: needs {walk_time:.2f} s of "
-            f"walking but the unbraked AV arrives at t={t_contact:.2f} s"
+            f"pedestrian cannot reach the conflict in time: needs {walk_time:.4g} s of "
+            f"walking but the unbraked AV arrives at t={t_contact:.4g} s"
         )
     length_s = run_length_s(cfg, entry)
     if length_s / cfg.dt_s > MAX_RUN_STEPS:
@@ -332,12 +332,6 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
     entry = calibrate_entry(cfg)
     v = cfg.av_speed_mps
 
-    # x is measured from the walk line.
-    av = ActorState(
-        pos=Vec2(-v * cfg.approach_time_s, cfg.av_lane_y),
-        vel=Vec2(v, 0.0),
-        radius=AV_RADIUS_M,
-    )
     body = VehicleBody()
     # The transmitter has already yielded: stopped in the outer lane with
     # its bumper at the walk line (a small overlap keeps the footprint
@@ -347,14 +341,13 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         vel=Vec2(0.0, 0.0),
         radius=AV_RADIUS_M,
     )
-    pedestrian = ActorState(
-        pos=Vec2(0.0, cfg.ped_start_offset_m),
-        vel=Vec2(0.0, cfg.ped_speed_mps),  # moves and is sensed only once active
-        radius=PED_RADIUS_M,
-    )
 
     return WorldState(
-        av=av,
+        # x is measured from the walk line.
+        av_x=-v * cfg.approach_time_s,
+        av_y=cfg.av_lane_y,
+        av_speed=v,
+        av_radius_m=AV_RADIUS_M,
         av_sensor=SensorModel(
             range_m=cfg.av_sensor_range_m,
             fov_half_angle_rad=cfg.av_sensor_fov_half_rad,
@@ -362,7 +355,12 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         transmitter=transmitter,
         transmitter_body=body,
         tx_sensor_range_m=cfg.tx_sensor_range_m,
-        pedestrian=pedestrian,
+        # The pedestrian moves and is sensed only once active.
+        ped_x=0.0,
+        ped_y=cfg.ped_start_offset_m,
+        ped_vx=0.0,
+        ped_vy=cfg.ped_speed_mps,
+        ped_radius_m=PED_RADIUS_M,
         ped_entry_time_s=entry,
         road_width_m=cfg.road_width_m,
         rng=random.Random(cfg.seed),

