@@ -2,7 +2,7 @@
 hidden by a stopped vehicle, with and without V2V relay of the
 pedestrian's state."""
 
-from .harness import SweepSpec, run_scenario, sweep, sweep_with_traces, write_results_csv
+from .harness import SweepSpec, run_scenario, sweep, write_results_csv
 from .scenario import ScenarioConfig
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ none overflows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -23,23 +22,8 @@ class Vec2:
     x: float
     y: float
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
-
-    def scaled(self, k: float) -> "Vec2":
-        return Vec2(self.x * k, self.y * k)
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def norm_sq(self) -> float:
-        return self.x * self.x + self.y * self.y
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
 
 @dataclass(frozen=True, slots=True)

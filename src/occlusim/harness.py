@@ -2,9 +2,11 @@
 
 A run steps the world from t=0 until a collision, or until the pedestrian
 has cleared the AV's lane plus a 5-second tail; the pedestrian walks at
-constant speed from its calibrated entry, so every run ends one of those
-two ways. The per-step trace is recorded at every timestep so the TTC and
-pressure histories can be plotted by any external tool.
+constant speed from the entry its config calibrated, so every run ends one
+of those two ways. The per-step trace is recorded at every timestep so the
+TTC and pressure histories can be plotted by any external tool. A sweep
+builds, and so validates and calibrates, every run's config before the
+first run starts.
 
 Serialized TTC uses 10000 seconds as the no-valid-TTC sentinel; inside the
 package the absence of a TTC is always None.
@@ -15,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import world as world_mod
-from .scenario import (CLEARANCE_TAIL_S, CalibrationError, ConfigError, ScenarioConfig, SimResult,
-                       build_world, calibrate_entry, config_for)
+from .scenario import (CLEARANCE_TAIL_S, ConfigError, ScenarioConfig, SimResult, build_world,
+                       config_for)
 from .ttc import TtcOutcome
 from .world import los_occluded
 
@@ -51,20 +53,24 @@ class StepRecord:
 @dataclass(frozen=True)
 class SweepSpec:
     """Speeds and base configuration of a sweep; both strategies run at
-    every speed with identical seeds so the pair is directly comparable."""
+    every speed with identical seeds so the pair is directly comparable.
+    ``configs`` holds every run's config, ordered by speed and then
+    strategy (with_v2v before without_v2v)."""
 
     speeds_mph: tuple[float, ...] = DEFAULT_SWEEP_SPEEDS_MPH
     base: ScenarioConfig = field(default_factory=ScenarioConfig)
+    configs: tuple[ScenarioConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.speeds_mph:
             raise ConfigError("speeds_mph must not be empty")
-        # Check every speed's config and calibration before any run starts.
+        configs = []
         for s in self.speeds_mph:
             try:
-                calibrate_entry(config_for(self.base, s, True))
-            except (CalibrationError, ConfigError) as exc:
-                raise type(exc)(f"{s:g} mph: {exc}") from None
+                configs += (config_for(self.base, s, v2v) for v2v in (True, False))
+            except ConfigError as exc:
+                raise ConfigError(f"{s:g} mph: {exc}") from None
+        object.__setattr__(self, "configs", tuple(configs))
 
 
 def serialize_ttc(outcome: TtcOutcome) -> float:
@@ -126,20 +132,9 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
 
 
 def sweep(spec: SweepSpec) -> list[SimResult]:
-    """One result per (speed, strategy) pair, ordered by speed and then
-    strategy (with_v2v before without_v2v). Each run's trace is dropped
-    as soon as the run ends."""
-    return [run_scenario(cfg)[0] for cfg in _sweep_configs(spec)]
-
-
-def sweep_with_traces(spec: SweepSpec) -> list[tuple[SimResult, list[StepRecord]]]:
-    """Like :func:`sweep` but keeping each run's trace."""
-    return [run_scenario(cfg) for cfg in _sweep_configs(spec)]
-
-
-def _sweep_configs(spec: SweepSpec) -> list[ScenarioConfig]:
-    return [config_for(spec.base, speed, v2v)
-            for speed in spec.speeds_mph for v2v in (True, False)]
+    """One result per config of *spec*, in its order. Each run's trace is
+    dropped as soon as the run ends."""
+    return [run_scenario(cfg)[0] for cfg in spec.configs]
 
 
 def _fmt_time(value: float | None) -> str:

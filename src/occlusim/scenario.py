@@ -13,7 +13,9 @@ interval after the pedestrian clears the stopped vehicle's inner edge.
 That construction guarantees an unmitigated collision at every test speed
 while pinning how much sight-line warning the AV gets: a short window at
 15 mph and above, a longer one at 10 mph where an emergency stop can still
-succeed.
+succeed. Calibration is the last rule of the config boundary: a config
+that cannot stage the conflict raises :class:`ConfigError` naming a key,
+like any other invalid config.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
 
 
-class CalibrationError(ValueError):
-    """The requested scenario geometry cannot produce the staged conflict."""
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One experiment's inputs, in the units used at the file boundary."""
+    """One experiment's inputs, in the units used at the file boundary.
+
+    Construction validates every key and calibrates the pedestrian's
+    entry, kept as ``ped_entry_time_s``; that is not a field, so it is
+    not a config key.
+    """
 
     av_speed_mph: float = 45.0
     v2v: bool = True
@@ -79,8 +82,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Every parameter is validated here (the run length in calibrate_entry)
-        # and nowhere below.
+        # Every parameter is validated here and nowhere below.
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name}: must be finite, got {value}")
@@ -131,6 +133,8 @@ class ScenarioConfig:
                 "reveal_knee_lo_mph: must be below reveal_knee_hi_mph, got "
                 f"{self.reveal_knee_lo_mph} >= {self.reveal_knee_hi_mph}"
             )
+        # Last, the config must stage the conflict within the run-length cap.
+        object.__setattr__(self, "ped_entry_time_s", calibrate_entry(self))
 
     # Derived SI quantities.
 
@@ -167,18 +171,21 @@ class ScenarioConfig:
         the pedestrian first clears the AV's blocked sight line."""
         return self.tx_lane_y + VehicleBody().width_m / 2.0
 
-    def reveal_margin_for(self, av_speed_mps: float) -> float:
+    def reveal_margin_for(self, av_speed_mps: float, **override: float) -> float:
         """Seconds between the pedestrian clearing the sight line and the
         unbraked disc contact, interpolated between the slow and fast
-        margins across the knee speeds."""
+        margins across the knee speeds. *override* replaces the value of
+        ``reveal_margin_s`` or ``reveal_margin_slow_s``."""
+        fast = override.get("reveal_margin_s", self.reveal_margin_s)
+        slow = override.get("reveal_margin_slow_s", self.reveal_margin_slow_s)
         lo = mph_to_mps(self.reveal_knee_lo_mph)
         hi = mph_to_mps(self.reveal_knee_hi_mph)
         if av_speed_mps <= lo:
-            return self.reveal_margin_slow_s
+            return slow
         if av_speed_mps >= hi:
-            return self.reveal_margin_s
+            return fast
         frac = (hi - av_speed_mps) / (hi - lo)
-        return self.reveal_margin_s + (self.reveal_margin_slow_s - self.reveal_margin_s) * frac
+        return fast + (slow - fast) * frac
 
     def policy(self) -> BrakePolicy:
         return BrakePolicy(
@@ -275,38 +282,42 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 
 def calibrate_entry(cfg: ScenarioConfig) -> float:
-    """Time at which the pedestrian starts walking.
+    """Time at which the pedestrian starts walking; the last config rule.
 
     Closed form: the pedestrian must reach the staged contact point
     exactly when the unbraked AV does. Its lateral position there,
     contact_y, lies reveal_margin seconds of walking past the sight-line
     edge; at that instant, t_contact, the AV center falls short of the
     walk line by the distance that the contact condition |X| = r_sum
-    fixes. Raises :class:`CalibrationError` when the pedestrian cannot
-    reach the conflict from its start point within the approach window,
-    and :class:`ConfigError` when the run would take over MAX_RUN_STEPS.
+    fixes. Raises :class:`ConfigError` naming a key when the contact lies
+    out of the discs' reach, when the pedestrian starts past it or cannot
+    reach it within the approach window, and when the run would take over
+    MAX_RUN_STEPS. Where two keys could be at fault, it names the first
+    one unless the config would pass with that key at its default.
     """
     v = cfg.av_speed_mps
     contact_y = cfg.sightline_edge_y() + cfg.reveal_margin_for(v) * cfg.ped_speed_mps
     dy = cfg.av_lane_y - contact_y
     if not (0.0 < dy < cfg.r_sum_m):
-        raise CalibrationError(
-            f"conflict phase out of reach: pedestrian contact offset {dy:.4g} m "
-            f"must lie in (0, {cfg.r_sum_m:.4g})"
-        )
+        key = "reveal_margin_slow_s" if v <= mph_to_mps(cfg.reveal_knee_lo_mph) else "reveal_margin_s"
+        margin = cfg.reveal_margin_for(v, **{key: getattr(ScenarioConfig, key)})
+        if not (0.0 < cfg.av_lane_y - (cfg.sightline_edge_y() + margin * cfg.ped_speed_mps)
+                < cfg.r_sum_m):
+            key = "lane_width_ft"
+        raise ConfigError(f"{key}: contact out of reach: the pedestrian's offset from the AV's "
+                          f"lane center {dy:.4g} m must lie in (0, {cfg.r_sum_m:.4g})")
     contact_dx = math.sqrt(cfg.r_sum_m * cfg.r_sum_m - dy * dy)
     t_contact = cfg.approach_time_s - contact_dx / v
     walk_time = (contact_y - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     if walk_time <= 0.0:
-        raise CalibrationError(
-            f"pedestrian start offset {cfg.ped_start_offset_m:.4g} m is past the conflict point"
-        )
+        raise ConfigError(f"ped_start_offset_m: the start {cfg.ped_start_offset_m:.4g} m is past "
+                          f"the contact point {contact_y:.4g} m")
     entry = t_contact - walk_time
     if entry < 0.0:
-        raise CalibrationError(
-            f"pedestrian cannot reach the conflict in time: needs {walk_time:.4g} s of "
-            f"walking but the unbraked AV arrives at t={t_contact:.4g} s"
-        )
+        default_walk = (contact_y - ScenarioConfig.ped_start_offset_m) / cfg.ped_speed_mps
+        key = "ped_start_offset_m" if t_contact - default_walk >= 0.0 else "approach_time_s"
+        raise ConfigError(f"{key}: the pedestrian cannot reach the conflict in time: it needs "
+                          f"{walk_time:.4g} s but the unbraked AV arrives at t={t_contact:.4g} s")
     length_s = run_length_s(cfg, entry)
     if length_s / cfg.dt_s > MAX_RUN_STEPS:
         # Blame the step if the run would fit at the default one, else the
@@ -328,8 +339,7 @@ def run_length_s(cfg: ScenarioConfig, entry: float) -> float:
 
 
 def build_world(cfg: ScenarioConfig) -> WorldState:
-    """Construct the initial world for a config, entry time included."""
-    entry = calibrate_entry(cfg)
+    """Construct the initial world for a config, at its calibrated entry."""
     v = cfg.av_speed_mps
 
     body = VehicleBody()
@@ -361,7 +371,7 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         ped_vx=0.0,
         ped_vy=cfg.ped_speed_mps,
         ped_radius_m=PED_RADIUS_M,
-        ped_entry_time_s=entry,
+        ped_entry_time_s=cfg.ped_entry_time_s,
         road_width_m=cfg.road_width_m,
         rng=random.Random(cfg.seed),
     )

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from occlusim import ScenarioConfig, SweepSpec, run_scenario, sweep_with_traces
+from occlusim import ScenarioConfig, SweepSpec, run_scenario
 from occlusim.scenario import config_for
 
 SWEEP_SPEEDS = tuple(float(s) for s in range(10, 75, 5))
@@ -21,7 +21,7 @@ def default_spec() -> SweepSpec:
 @pytest.fixture(scope="session")
 def sweep_runs(default_spec):
     """All 26 default runs with traces, keyed by (speed_mph, v2v)."""
-    runs = sweep_with_traces(default_spec)
+    runs = [run_scenario(c) for c in default_spec.configs]
     keyed = {}
     for result, trace in runs:
         keyed[(result.av_speed_mph, result.strategy == "with_v2v")] = (result, trace)

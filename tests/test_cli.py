@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from occlusim import harness
-from occlusim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parse_speeds, main
+from occlusim.cli import EXIT_CONFIG, EXIT_OK, _parse_speeds, main
 from occlusim.harness import RESULTS_HEADER, TRACE_HEADER
 from occlusim.scenario import ConfigError
 
@@ -60,11 +60,11 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
 
-def test_infeasible_calibration_is_runtime_error(tmp_path, capsys):
+def test_infeasible_calibration_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "far.cfg"
     cfg.write_text("ped_start_offset_m = -60\n")
-    assert main(["calibrate", "--config", str(cfg)]) == EXIT_RUNTIME
-    assert "calibration error" in capsys.readouterr().err
+    assert main(["calibrate", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ped_start_offset_m: ")
 
 
 @pytest.mark.parametrize("key,value", [
@@ -89,23 +89,38 @@ def test_sweep_calibration_error_names_speed_before_any_run(tmp_path, capsys, mo
         raise AssertionError("a run started")
 
     monkeypatch.setattr(harness, "run_scenario", no_run)
+    # The slow margin stages 10 mph; 15 mph is the first speed the 4 s fast
+    # margin puts out of reach.
     cfg = tmp_path / "late.cfg"
-    cfg.write_text("reveal_margin_s = 4.0\n")
+    cfg.write_text("av_speed_mph = 10\nreveal_margin_s = 4.0\n")
     out = tmp_path / "s.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
-    assert capsys.readouterr().err.startswith("calibration error: 15 mph: ")
+    args = ["sweep", "--config", str(cfg), "--speeds", "10,15,20", "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --speeds: 15 mph: reveal_margin_s: ")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["lane_width_ft = 1e307", "ped_start_offset_m = -1e300"])
-def test_calibration_error_message_stays_short(tmp_path, capsys, line):
+@pytest.mark.parametrize("lines,key", [
+    ("lane_width_ft = 1e307", "lane_width_ft"),
+    ("av_lane_index = 2", "lane_width_ft"),
+    ("lane_width_ft = 2", "lane_width_ft"),
+    ("reveal_margin_s = 4.0", "reveal_margin_s"),
+    ("av_speed_mph = 10\nreveal_margin_slow_s = 4.0", "reveal_margin_slow_s"),
+    ("ped_start_offset_m = -60", "ped_start_offset_m"),
+    ("ped_start_offset_m = -1e300", "ped_start_offset_m"),
+    ("ped_start_offset_m = 10", "ped_start_offset_m"),
+    ("approach_time_s = 5", "approach_time_s"),
+])
+def test_unstageable_config_exits_1_naming_key(tmp_path, capsys, lines, key):
     # Offsets and times print with 4 significant digits, never 300.
-    cfg = tmp_path / "far.cfg"
-    cfg.write_text(line + "\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == EXIT_RUNTIME
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(lines + "\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("calibration error: ")
+    assert err.startswith(f"config error: {key}: ")
     assert len(err) < 200, err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():

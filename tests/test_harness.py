@@ -17,7 +17,7 @@ from occlusim.harness import (
     write_results_csv,
     write_trace_csv,
 )
-from occlusim.scenario import CalibrationError, ConfigError, ScenarioConfig, SimResult, config_for
+from occlusim.scenario import ConfigError, ScenarioConfig, SimResult, config_for
 
 
 class TestRunScenario:
@@ -153,8 +153,9 @@ class TestSweep:
     def test_calibration_checked_at_every_speed(self):
         # The slow margin still calibrates at 10 mph; 15 mph is the first
         # speed the 4 s fast margin puts out of reach.
-        with pytest.raises(CalibrationError, match=r"^15 mph: conflict phase out of reach"):
-            SweepSpec(speeds_mph=(10.0, 15.0, 20.0), base=ScenarioConfig(reveal_margin_s=4.0))
+        base = ScenarioConfig(av_speed_mph=10.0, reveal_margin_s=4.0)
+        with pytest.raises(ConfigError, match=r"^15 mph: reveal_margin_s: contact out of reach"):
+            SweepSpec(speeds_mph=(10.0, 15.0, 20.0), base=base)
 
 
 class TestSerialization:

@@ -4,10 +4,10 @@ Metamorphic relations between runs: the channel knobs cannot touch a run
 without the relay, the relay can only bring detection forward, and a late
 or lossy relay can only push it back. Trace invariants of every calibrated
 run: time strictly increases, the AV never speeds up, the pressure stays
-within [0, p_max], and there is one row per step. And a robustness
-property: any finite config is either rejected at load time, by a config
-error naming a key or by a calibration error, or steps with finite state
-and bounded commands.
+within [0, p_max], and there is one row per step. The staging premise:
+every calibrated run collides when the AV never brakes. And a robustness
+property: any finite config is either rejected at load time by a config
+error naming a key, or steps with finite state and bounded commands.
 """
 
 import math
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from occlusim import ScenarioConfig, run_scenario, write_results_csv
 from occlusim import world as world_mod
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH
-from occlusim.scenario import CalibrationError, ConfigError, build_world, config_for
+from occlusim.scenario import ConfigError, build_world, config_for
 
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 # Any finite float, drawn positive more often, as most keys must be.
@@ -99,6 +99,12 @@ def test_every_trace_keeps_its_invariants(keys):
     assert all(0.0 <= row.pressure_bar <= cfg.p_max_bar for row in trace)
 
 
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(keys=CALIBRATED)
+def test_every_unbraked_calibrated_run_collides(keys):
+    assert run_scenario(ScenarioConfig(**keys), braking=False)[0].collision
+
+
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
 @given(speed=st.sampled_from(DEFAULT_SWEEP_SPEEDS_MPH),
        late=st.fixed_dictionaries({"latency_s": st.floats(0.0, 1.0),
@@ -124,8 +130,6 @@ def test_finite_config_is_rejected_by_name_or_steps_finitely(base, extreme, v2v)
         w = build_world(cfg)
     except ConfigError as exc:
         assert KEY_PREFIX.match(str(exc)), str(exc)
-        return
-    except CalibrationError:
         return
     policy, channel = cfg.policy(), cfg.channel()
     for _ in range(200):

@@ -4,11 +4,10 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlusim.scenario import (
-    CalibrationError,
     ConfigError,
     MAX_RUN_STEPS,
     ScenarioConfig,
@@ -20,9 +19,7 @@ from occlusim.scenario import (
     serialize_config,
 )
 from occlusim.harness import run_scenario
-from occlusim.units import mph_to_mps, to_si
 
-R_SUM = ScenarioConfig().r_sum_m
 FLOAT_KEYS = [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)]
 
 # Bounds that only ScenarioConfig enforces (the policy, sensor and channel
@@ -46,32 +43,42 @@ BOUNDED = {
 }
 
 
+# The keys calibration reads are drawn from a box that always stages the
+# conflict (adjacent lanes, the transmitter in one of the four outer ones);
+# every other key ranges over all the values its rule admits.
+STAGED = {
+    "av_speed_mph": st.floats(10.0, 100.0),
+    "lane_width_ft": st.floats(11.0, 13.0),
+    "ped_speed_ftps": st.floats(3.5, 6.0),
+    "ped_start_offset_m": st.floats(-25.0, -5.0),
+    "approach_time_s": st.floats(45.0, 60.0),
+    "reveal_margin_s": st.floats(0.05, 0.9),
+    "reveal_margin_slow_s": st.floats(0.05, 0.9),
+    "dt_s": st.floats(0.001, 0.05),
+}
+
+
 @st.composite
 def valid_configs(draw) -> ScenarioConfig:
-    kwargs = {}
+    kwargs = {name: draw(strategy) for name, strategy in STAGED.items()}
     for f in fields(ScenarioConfig):
+        if f.name in kwargs:
+            continue
         if f.name in BOUNDED:
             kwargs[f.name] = draw(BOUNDED[f.name])
         elif f.name in SIGNED_KEYS:
             kwargs[f.name] = draw(FINITE)
-        elif isinstance(f.default, float) and f.name != "dt_s":
+        elif isinstance(f.default, float):
             kwargs[f.name] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
-    # dt_s keeps one step's travel of the faster actor within the contact
-    # radius; speeds that round to 0 m/s are rejected.
-    speeds = (mph_to_mps(kwargs["av_speed_mph"]), to_si(kwargs["ped_speed_ftps"], "ft_per_s"))
-    assume(min(speeds) > 0.0)
-    kwargs["dt_s"] = draw(st.floats(0.0, R_SUM / max(speeds), exclude_min=True))
-    assume(max(speeds) * kwargs["dt_s"] <= R_SUM)
     knees = draw(st.lists(FINITE, min_size=2, max_size=2, unique=True))
     kwargs["reveal_knee_lo_mph"], kwargs["reveal_knee_hi_mph"] = sorted(knees)
-    num_lanes = draw(st.integers(2, 64))
-    tx_lane = draw(st.integers(0, num_lanes - 2))
+    tx_lane = draw(st.integers(0, 3))
     return ScenarioConfig(
         **kwargs,
         v2v=draw(st.booleans()),
-        num_lanes=num_lanes,
+        num_lanes=draw(st.integers(tx_lane + 2, 64)),
         transmitter_lane_index=tx_lane,
-        av_lane_index=draw(st.integers(tx_lane + 1, num_lanes - 1)),
+        av_lane_index=tx_lane + 1,
         seed=draw(st.integers()),
     )
 
@@ -223,14 +230,12 @@ class TestCalibration:
 
     def test_infeasible_walk_raises(self):
         # Start so far away the pedestrian cannot arrive inside the window.
-        cfg = ScenarioConfig(ped_start_offset_m=-60.0)
-        with pytest.raises(CalibrationError, match="cannot reach"):
-            calibrate_entry(cfg)
+        with pytest.raises(ConfigError, match="^ped_start_offset_m: .* cannot reach"):
+            ScenarioConfig(ped_start_offset_m=-60.0)
 
     def test_start_past_conflict_raises(self):
-        cfg = ScenarioConfig(ped_start_offset_m=10.0)
-        with pytest.raises(CalibrationError):
-            calibrate_entry(cfg)
+        with pytest.raises(ConfigError, match="^ped_start_offset_m: .* past the contact point"):
+            ScenarioConfig(ped_start_offset_m=10.0)
 
     @pytest.mark.parametrize(("overrides", "key"), [
         ({"approach_time_s": 1e200}, "approach_time_s"),
@@ -242,10 +247,9 @@ class TestCalibration:
          "ped_speed_ftps"),
     ])
     def test_run_longer_than_cap_names_dominant_key(self, overrides, key):
-        cfg = ScenarioConfig(**overrides)
         with pytest.raises(ConfigError, match=rf"^{key}: the run would take .* steps, more than "
                                               rf"the cap of {MAX_RUN_STEPS}$"):
-            calibrate_entry(cfg)
+            ScenarioConfig(**overrides)
 
     def test_run_at_cap_is_accepted(self):
         # The cap is 20,000 s at 0.02 s: a run 1 s shorter is accepted, and
@@ -256,7 +260,7 @@ class TestCalibration:
                           + MAX_RUN_STEPS * cfg.dt_s - run_length_s(cfg, entry) - 1.0)
         assert run_length_s(longest, calibrate_entry(longest)) / cfg.dt_s <= MAX_RUN_STEPS
         with pytest.raises(ConfigError, match="^approach_time_s: "):
-            calibrate_entry(replace(longest, approach_time_s=longest.approach_time_s + 2.0))
+            replace(longest, approach_time_s=longest.approach_time_s + 2.0)
 
     def test_run_length_matches_trace_rows(self, sweep_runs):
         # Every run that does not collide ends by the clearance tail, so its
