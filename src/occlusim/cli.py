@@ -15,6 +15,7 @@ from .harness import (
     SweepSpec,
     run_scenario,
     save_text,
+    speed_label,
     sweep,
     write_results_csv,
     write_trace_csv,
@@ -24,6 +25,9 @@ from .scenario import ConfigError, ScenarioConfig, config_for, load_config
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+
+# The most speeds a start:stop:step range may list.
+MAX_RANGE_SPEEDS = 10_000
 
 
 def _load_base_config(path: str | None) -> ScenarioConfig:
@@ -52,12 +56,12 @@ def _parse_speeds(spec: str) -> tuple[float, ...]:
             raise ConfigError(f"--speeds: start, stop and step must be finite, got {spec!r}")
         if step <= 0.0 or stop < start:
             raise ConfigError(f"--speeds: range is empty or inverted: {spec!r}")
-        speeds = []
-        value = start
-        while value <= stop + 1e-9:
-            speeds.append(round(value, 6))
-            value += step
-        return tuple(speeds)
+        # Count the speeds first: a step too small to move the speed would
+        # otherwise list speeds without end.
+        steps = (stop + 1e-9 - start) / step
+        if steps >= MAX_RANGE_SPEEDS:
+            raise ConfigError(f"--speeds: {spec!r} lists more than {MAX_RANGE_SPEEDS} speeds")
+        return tuple(round(start + i * step, 6) for i in range(math.floor(steps) + 1))
     try:
         return tuple(float(p) for p in spec.split(",") if p.strip())
     except ValueError:
@@ -76,8 +80,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     detected = "-" if result.detected_time_s is None else f"{result.detected_time_s:.4f}s"
     first = "none" if result.first_ttc_s is None else f"{result.first_ttc_s:.4f}s"
     print(
-        f"{result.av_speed_mph:g} mph {result.strategy}: collision={str(result.collision).lower()}"
-        f" detected={detected} first_ttc={first} max_pressure={result.max_pressure_bar:.1f} bar"
+        f"{speed_label(result.av_speed_mph)} mph {result.strategy}:"
+        f" collision={str(result.collision).lower()} detected={detected}"
+        f" first_ttc={first} max_pressure={result.max_pressure_bar:.1f} bar"
     )
     return EXIT_OK
 

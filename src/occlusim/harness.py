@@ -69,8 +69,15 @@ class SweepSpec:
             try:
                 configs += (config_for(self.base, s, v2v) for v2v in (True, False))
             except ConfigError as exc:
-                raise ConfigError(f"{s:g} mph: {exc}") from None
+                raise ConfigError(f"{speed_label(s)} mph: {exc}") from None
         object.__setattr__(self, "configs", tuple(configs))
+
+
+def speed_label(mph: float) -> str:
+    """The shortest text that reads back as *mph*, without a trailing
+    ".0": 45.0 prints as 45 and 100.0001 as itself."""
+    text = repr(float(mph))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def serialize_ttc(outcome: TtcOutcome) -> float:
@@ -88,7 +95,6 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     w = build_world(cfg)
     policy = cfg.policy()
     channel = cfg.channel()
-    tx_pos, tx_body = w.transmitter.pos, w.transmitter_body
     clearance_y = cfg.av_lane_y + cfg.r_sum_m
 
     trace: list[StepRecord] = []
@@ -108,7 +114,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
         trace.append(StepRecord(
             w.t_s, w.av_x, w.av_speed, w.ped_x, w.ped_y, serialize_ttc(ttc_s), pressure,
             w.last_estimate is not None,
-            los_occluded(w.av_x + w.av_radius_m, w.av_y, w.ped_x, w.ped_y, tx_pos, tx_body),
+            los_occluded(w.av_x + w.av_radius_m, w.av_y, w.ped_x, w.ped_y, w.occluder),
         ))
 
         if w.collided:
@@ -159,7 +165,7 @@ def write_results_csv(results: list[SimResult]) -> str:
     lines = [RESULTS_HEADER]
     for r in results:
         lines.append(",".join((
-            f"{r.av_speed_mph:g}",
+            speed_label(r.av_speed_mph),
             r.strategy,
             _fmt_time(r.detected_time_s),
             _fmt_ttc(r.first_ttc_s),

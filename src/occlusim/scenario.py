@@ -27,12 +27,16 @@ from dataclasses import dataclass, fields, replace
 from .braking import BrakePolicy
 from .geometry import ActorState, Vec2
 from .units import mph_to_mps, to_si
-from .world import ChannelModel, SensorModel, VehicleBody, WorldState
+from .world import ChannelModel, WorldState
 
 # Disc radii: half the subject car's body length, and the pedestrian's
 # reach envelope (7.3 ft and 5 ft).
 AV_RADIUS_M = to_si(7.3, "ft")
 PED_RADIUS_M = to_si(5.0, "ft")
+
+# Width of the stopped transmitter's rectangular footprint, the occluder;
+# its length is the AV's, 2 * AV_RADIUS_M (14.6 ft).
+BODY_WIDTH_M = 1.8
 
 # A run ends this long after the pedestrian has cleared the AV's lane.
 CLEARANCE_TAIL_S = 5.0
@@ -169,7 +173,7 @@ class ScenarioConfig:
     def sightline_edge_y(self) -> float:
         """Lateral position of the stopped transmitter's inner edge, where
         the pedestrian first clears the AV's blocked sight line."""
-        return self.tx_lane_y + VehicleBody().width_m / 2.0
+        return self.tx_lane_y + BODY_WIDTH_M / 2.0
 
     def reveal_margin_for(self, av_speed_mps: float, **override: float) -> float:
         """Seconds between the pedestrian clearing the sight line and the
@@ -219,9 +223,8 @@ class SimResult:
 
 # Config file grammar: one "key = value" per line, '#' comments, strict keys.
 
-_BOOL_KEYS = {"v2v"}
-_INT_KEYS = {"num_lanes", "av_lane_index", "transmitter_lane_index", "seed"}
-_CONFIG_KEYS: tuple[str, ...] = tuple(f.name for f in fields(ScenarioConfig))
+# Each key's type is that of its default: bool, int or float.
+_KEY_TYPES: dict[str, type] = {f.name: type(f.default) for f in fields(ScenarioConfig)}
 
 _TRUE_WORDS = {"on", "true", "yes", "1"}
 _FALSE_WORDS = {"off", "false", "no", "0"}
@@ -240,11 +243,12 @@ def load_config(text: str) -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in data:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _BOOL_KEYS:
+        if kind is bool:
             lowered = value.lower()
             if lowered in _TRUE_WORDS:
                 data[key] = True
@@ -252,7 +256,7 @@ def load_config(text: str) -> ScenarioConfig:
                 data[key] = False
             else:
                 raise ConfigError(f"line {lineno}: {key} expects on/off, got {value!r}")
-        elif key in _INT_KEYS:
+        elif kind is int:
             try:
                 data[key] = int(value)
             except ValueError:
@@ -269,11 +273,11 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     """Render a config as parseable text; load_config(serialize_config(c))
     reproduces c exactly."""
     lines = []
-    for name in _CONFIG_KEYS:
+    for name, kind in _KEY_TYPES.items():
         value = getattr(cfg, name)
-        if name in _BOOL_KEYS:
+        if kind is bool:
             rendered = "on" if value else "off"
-        elif name in _INT_KEYS:
+        elif kind is int:
             rendered = str(value)
         else:
             rendered = repr(float(value))
@@ -339,18 +343,17 @@ def run_length_s(cfg: ScenarioConfig, entry: float) -> float:
 
 
 def build_world(cfg: ScenarioConfig) -> WorldState:
-    """Construct the initial world for a config, at its calibrated entry."""
+    """Construct the initial world for a config, at its calibrated entry,
+    with the run's fixed sensing geometry worked out once."""
     v = cfg.av_speed_mps
 
-    body = VehicleBody()
     # The transmitter has already yielded: stopped in the outer lane with
     # its bumper at the walk line (a small overlap keeps the footprint
     # containment test robust while the pedestrian passes the bumper).
-    transmitter = ActorState(
-        pos=Vec2(-cfg.tx_stop_gap_m - body.length_m / 2.0, cfg.tx_lane_y),
-        vel=Vec2(0.0, 0.0),
-        radius=AV_RADIUS_M,
-    )
+    # Its body is as long as the AV's, so its half-length is AV_RADIUS_M.
+    tx_x = -cfg.tx_stop_gap_m - AV_RADIUS_M
+    tx_y = cfg.tx_lane_y
+    transmitter = ActorState(pos=Vec2(tx_x, tx_y), vel=Vec2(0.0, 0.0), radius=AV_RADIUS_M)
 
     return WorldState(
         # x is measured from the walk line.
@@ -358,19 +361,18 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         av_y=cfg.av_lane_y,
         av_speed=v,
         av_radius_m=AV_RADIUS_M,
-        av_sensor=SensorModel(
-            range_m=cfg.av_sensor_range_m,
-            fov_half_angle_rad=cfg.av_sensor_fov_half_rad,
-        ),
+        av_sensor_range_m=cfg.av_sensor_range_m,
+        av_sensor_cos_fov=math.cos(cfg.av_sensor_fov_half_rad),
         transmitter=transmitter,
-        transmitter_body=body,
+        occluder=(tx_x - AV_RADIUS_M, tx_x + AV_RADIUS_M,
+                  tx_y - BODY_WIDTH_M / 2.0, tx_y + BODY_WIDTH_M / 2.0),
         tx_sensor_range_m=cfg.tx_sensor_range_m,
         # The pedestrian moves and is sensed only once active.
         ped_x=0.0,
         ped_y=cfg.ped_start_offset_m,
         ped_vx=0.0,
         ped_vy=cfg.ped_speed_mps,
-        ped_radius_m=PED_RADIUS_M,
+        r_sum_m=cfg.r_sum_m,
         ped_entry_time_s=cfg.ped_entry_time_s,
         road_width_m=cfg.road_width_m,
         rng=random.Random(cfg.seed),

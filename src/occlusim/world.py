@@ -8,8 +8,10 @@ actor records; the stopped transmitter is a record built once per run.
 All randomness comes from the seeded generator held by the world (used
 only for message drops), so runs with identical inputs are bit-identical.
 
-The parameter records here are built from a :class:`ScenarioConfig`,
-which validates every value once; they do not check their fields again.
+The run's fixed sensing geometry, the occluder's bounds and the sensor's
+envelope, is worked out once when the world is built and held as floats.
+Everything here is built from a :class:`ScenarioConfig`, which validates
+every value once; nothing below checks it again.
 """
 
 from __future__ import annotations
@@ -21,29 +23,11 @@ from dataclasses import dataclass, field
 from dataclasses import replace  # noqa: F401  perfbench/tracer.py counts world.replace calls
 
 from .braking import BrakePolicy, brake_pressure, deceleration_for
-from .geometry import ActorState, Vec2
+from .geometry import ActorState
 from .ttc import TtcOutcome, ttc
 
 # Guard for timestamp comparisons on the accumulated time grid.
 _T_EPS = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class VehicleBody:
-    """Axis-aligned rectangular footprint of a vehicle, used as an
-    occluder. Defaults: 14.6 ft long (twice the AV disc radius), 1.8 m wide."""
-
-    length_m: float = 4.45008
-    width_m: float = 1.8
-
-
-@dataclass(frozen=True, slots=True)
-class SensorModel:
-    """Detection envelope of the AV's onboard sensor: range and half-angle
-    of the field of view about the +x heading."""
-
-    range_m: float
-    fov_half_angle_rad: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,21 +63,25 @@ class WorldState:
     is (``ped_x``, ``ped_y``) and its velocity (``ped_vx``, ``ped_vy``).
     ``last_estimate`` names the source of the AV's pedestrian estimate on
     the last step: "sensor", "v2v", or None when it had none.
+    ``occluder`` holds the stopped transmitter's footprint as its bounds
+    (min_x, max_x, min_y, max_y); ``r_sum_m`` is the contact radius, the
+    sum of the two discs' radii.
     """
 
     av_x: float
     av_y: float
     av_speed: float
     av_radius_m: float
-    av_sensor: SensorModel
+    av_sensor_range_m: float
+    av_sensor_cos_fov: float
     transmitter: ActorState
-    transmitter_body: VehicleBody
+    occluder: tuple[float, float, float, float]
     tx_sensor_range_m: float
     ped_x: float
     ped_y: float
     ped_vx: float
     ped_vy: float
-    ped_radius_m: float
+    r_sum_m: float
     ped_entry_time_s: float
     road_width_m: float
     rng: random.Random
@@ -119,20 +107,17 @@ class WorldState:
 
 
 def los_occluded(sensor_x: float, sensor_y: float, target_x: float, target_y: float,
-                 occluder: Vec2, body: VehicleBody) -> bool:
-    """True iff the open segment sensor -> target crosses the rectangle of
-    *body* centered on *occluder*, or the target lies inside (or on) it."""
-    half_l = body.length_m / 2.0
-    half_w = body.width_m / 2.0
-    min_x = occluder.x - half_l
-    max_x = occluder.x + half_l
-    min_y = occluder.y - half_w
-    max_y = occluder.y + half_w
+                 occluder: tuple[float, float, float, float]) -> bool:
+    """True iff the open segment sensor -> target crosses the rectangle
+    *occluder* = (min_x, max_x, min_y, max_y), or the target lies inside
+    (or on) it."""
+    min_x, max_x, min_y, max_y = occluder
 
     if min_x <= target_x <= max_x and min_y <= target_y <= max_y:
         return True
 
-    # Liang-Barsky clip of the segment against the rectangle slabs.
+    # Liang-Barsky clip of the segment against the rectangle slabs (Liang &
+    # Barsky, "A new concept and method for line clipping", ACM TOG 3(1), 1984).
     dx = target_x - sensor_x
     dy = target_y - sensor_y
     t0, t1 = 0.0, 1.0
@@ -153,28 +138,26 @@ def los_occluded(sensor_x: float, sensor_y: float, target_x: float, target_y: fl
     return t0 < t1 and t1 > 0.0 and t0 < 1.0
 
 
-def sense(sensor_x: float, sensor_y: float, model: SensorModel,
+def sense(sensor_x: float, sensor_y: float, range_m: float, cos_fov: float,
           target: tuple[float, float, float, float],
-          occluders: list[tuple[Vec2, VehicleBody]]) -> tuple[float, float, float, float] | None:
+          occluder: tuple[float, float, float, float]) -> tuple[float, float, float, float] | None:
     """Ground-truth observation of a target (x, y, vx, vy): the target
     itself, or None when out of range, outside the field of view, or
-    occluded. The sensor faces +x, the direction of travel. The range
-    boundary is inclusive: a target exactly at range is still seen."""
+    occluded. The sensor faces +x, the direction of travel, and *cos_fov*
+    is the cosine of its half-angle. The range boundary is inclusive: a
+    target exactly at range is still seen."""
     dx = target[0] - sensor_x
     dy = target[1] - sensor_y
     dist_sq = dx * dx + dy * dy
-    if dist_sq > model.range_m * model.range_m:
+    if dist_sq > range_m * range_m:
         return None
     if dist_sq > 0.0:
         cos_bearing = dx / math.sqrt(dist_sq)
         # Clamp against rounding before comparing with the FOV cosine.
         cos_bearing = max(-1.0, min(1.0, cos_bearing))
-        if cos_bearing < math.cos(model.fov_half_angle_rad):
+        if cos_bearing < cos_fov:
             return None
-    for occ_pos, occ_body in occluders:
-        if los_occluded(sensor_x, sensor_y, target[0], target[1], occ_pos, occ_body):
-            return None
-    return target
+    return None if los_occluded(sensor_x, sensor_y, target[0], target[1], occluder) else target
 
 
 def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
@@ -217,9 +200,10 @@ def _own_observation(world: WorldState) -> tuple[float, float, float, float] | N
     return sense(
         world.av_x + world.av_radius_m,
         world.av_y,
-        world.av_sensor,
+        world.av_sensor_range_m,
+        world.av_sensor_cos_fov,
         (world.ped_x, world.ped_y, world.ped_vx, world.ped_vy),
-        occluders=[(world.transmitter.pos, world.transmitter_body)],
+        world.occluder,
     )
 
 
@@ -249,8 +233,7 @@ def compute_control(world: WorldState, policy: BrakePolicy,
         return None, 0.0
 
     # Relative to the AV, which moves along +x only.
-    outcome = ttc(x - world.av_x, y - world.av_y, vx - world.av_speed, vy,
-                  world.ped_radius_m + world.av_radius_m)
+    outcome = ttc(x - world.av_x, y - world.av_y, vx - world.av_speed, vy, world.r_sum_m)
     if world.detected_time_s is None:
         world.detected_time_s = world.t_s
         world.first_ttc_s = outcome
@@ -275,7 +258,7 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelMode
     """
     if not world.collided:
         gap = math.hypot(world.ped_x - world.av_x, world.ped_y - world.av_y)
-        if gap <= world.ped_radius_m + world.av_radius_m:
+        if gap <= world.r_sum_m:
             world.collided = True
             world.collision_time_s = world.t_s
 

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from occlusim import harness
-from occlusim.cli import EXIT_CONFIG, EXIT_OK, _parse_speeds, main
+from occlusim.cli import EXIT_CONFIG, EXIT_OK, MAX_RANGE_SPEEDS, _parse_speeds, main
 from occlusim.harness import RESULTS_HEADER, TRACE_HEADER
 from occlusim.scenario import ConfigError
 
@@ -77,11 +77,29 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
-@pytest.mark.parametrize("speeds", ["0,10", ",", "10,nan", "10,inf", "10:70:nan"])
-def test_bad_sweep_speeds_are_config_error(tmp_path, capsys, speeds):
+@pytest.mark.parametrize("speeds", ["0,10", ",", "10,nan", "10,inf", "10:70:nan",
+                                    "10:70:1e-16", "10:70:1e-9"])
+def test_bad_sweep_speeds_are_config_error(tmp_path, capsys, monkeypatch, speeds):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_scenario", no_run)
+    # 10:70:1e-16 never moves past 10 and 10:70:1e-9 lists 6e10 speeds;
+    # both are rejected by count before any speed is listed.
     assert main(["sweep", "--speeds", speeds, "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --speeds: ")
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_labels_tell_close_speeds_apart(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--speeds", "100.0001,100.0002", "--out", str(out)]) == EXIT_OK
+    labels = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert labels == ["100.0001", "100.0001", "100.0002", "100.0002"]
+    assert [float(label) for label in labels[::2]] == [100.0001, 100.0002]
+    capsys.readouterr()
+    assert main(["run", "--speed", "100.0001", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("100.0001 mph with_v2v: ")
 
 
 def test_sweep_calibration_error_names_speed_before_any_run(tmp_path, capsys, monkeypatch):
@@ -140,6 +158,11 @@ def test_parse_speeds_forms():
     # Unbounded or NaN ranges are rejected before any speed is generated.
     for spec in ("10:inf:5", "-inf:70:5", "10:70:nan", "10:70:inf"):
         with pytest.raises(ConfigError, match="must be finite"):
+            _parse_speeds(spec)
+    # A range may list at most MAX_RANGE_SPEEDS speeds, its endpoint included.
+    assert len(_parse_speeds(f"0:{MAX_RANGE_SPEEDS - 1}:1")) == MAX_RANGE_SPEEDS
+    for spec in (f"0:{MAX_RANGE_SPEEDS}:1", "-1e308:1e308:1e-308", "1e6:1e6:1e-14"):
+        with pytest.raises(ConfigError, match="more than"):
             _parse_speeds(spec)
 
 

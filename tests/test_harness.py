@@ -17,7 +17,7 @@ from occlusim.harness import (
     write_results_csv,
     write_trace_csv,
 )
-from occlusim.scenario import ConfigError, ScenarioConfig, SimResult, config_for
+from occlusim.scenario import AV_RADIUS_M, ConfigError, ScenarioConfig, SimResult, config_for
 
 
 class TestRunScenario:
@@ -37,6 +37,18 @@ class TestRunScenario:
         # Heavy braking down to a crawl while the pedestrian passes clear.
         assert result.max_pressure_bar > 150.0
         assert min(r.av_speed_mps for r in trace) < 1.0
+
+    def test_10mph_without_v2v_closest_approach_matches_readme(self, sweep_runs):
+        # README: "closest approach 1.3 m bumper-to-walk-line at a 0.66 m/s crawl".
+        _, trace = sweep_runs[(10.0, False)]
+        cfg = ScenarioConfig()
+        distance, closest = min(
+            ((math.hypot(r.ped_x_m - r.av_x_m, r.ped_y_m - cfg.av_lane_y), r) for r in trace),
+            key=lambda pair: pair[0],
+        )
+        assert distance > cfg.r_sum_m
+        assert round(-(closest.av_x_m + AV_RADIUS_M), 1) == 1.3
+        assert round(closest.av_speed_mps, 2) == 0.66
 
     def test_detection_with_v2v_strictly_earlier(self, sweep_runs):
         for mph in (10.0, 20.0, 45.0, 70.0):
@@ -149,6 +161,10 @@ class TestSweep:
     def test_non_finite_speed_rejected(self, speeds):
         with pytest.raises(ConfigError, match="av_speed_mph"):
             SweepSpec(speeds_mph=speeds)
+
+    def test_error_names_the_exact_speed(self):
+        with pytest.raises(ConfigError, match=r"^1000\.0001 mph: dt_s: "):
+            SweepSpec(speeds_mph=(45.0, 1000.0001))
 
     def test_calibration_checked_at_every_speed(self):
         # The slow margin still calibrates at 10 mph; 15 mph is the first

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlusim.scenario import (
+    AV_RADIUS_M,
+    BODY_WIDTH_M,
     ConfigError,
     MAX_RUN_STEPS,
     ScenarioConfig,
@@ -298,11 +300,25 @@ class TestBuildWorld:
         assert w.av_speed == pytest.approx(cfg.av_speed_mps)
         assert w.transmitter.vel == type(w.transmitter.vel)(0.0, 0.0)
         # Stopped with its bumper just past the walk line.
-        bumper = w.transmitter.pos.x + w.transmitter_body.length_m / 2
+        bumper = w.occluder[1]
         assert bumper == pytest.approx(-cfg.tx_stop_gap_m, abs=1e-12)
         assert (w.ped_x, w.ped_y) == (0.0, cfg.ped_start_offset_m)
         assert (w.ped_vx, w.ped_vy) == (0.0, cfg.ped_speed_mps)
         assert w.ped_entry_time_s == pytest.approx(calibrate_entry(cfg))
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"lane_width_ft": 11.0},
+        {"transmitter_lane_index": 1, "av_lane_index": 2, "approach_time_s": 25.0},
+    ])
+    def test_one_footprint_for_calibration_and_occlusion(self, overrides):
+        # Calibration stages the reveal at the sight-line edge; the sensor
+        # must be blocked by exactly that footprint.
+        cfg = ScenarioConfig(**overrides)
+        min_x, max_x, min_y, max_y = build_world(cfg).occluder
+        assert cfg.sightline_edge_y() == max_y
+        assert max_x - min_x == pytest.approx(2 * AV_RADIUS_M, rel=1e-12)
+        assert max_y - min_y == pytest.approx(BODY_WIDTH_M, rel=1e-12)
 
     def test_seed_flows_to_rng(self):
         w1 = build_world(ScenarioConfig(seed=5))

@@ -7,9 +7,7 @@ from occlusim.braking import BrakePolicy
 from occlusim.geometry import ActorState, Vec2
 from occlusim.world import (
     ChannelModel,
-    SensorModel,
     V2VMessage,
-    VehicleBody,
     WorldState,
     channel_step,
     compute_control,
@@ -18,27 +16,38 @@ from occlusim.world import (
     step,
 )
 
-BODY = VehicleBody(length_m=4.45, width_m=1.8)
+LENGTH, WIDTH = 4.45, 1.8
+
+
+def rect(cx: float, cy: float) -> tuple[float, float, float, float]:
+    """Bounds of a LENGTH x WIDTH footprint centered on (cx, cy)."""
+    return (cx - LENGTH / 2, cx + LENGTH / 2, cy - WIDTH / 2, cy + WIDTH / 2)
+
+
+# A footprint far off every sight line below, for sensing with no occluder.
+CLEAR = rect(0.0, -1000.0)
+COS_45 = math.cos(math.pi / 4)
 
 
 def make_world(av_pos=(-50.0, 5.4864), av_speed=20.0, ped_pos=(0.0, 2.0),
                ped_vel=(0.0, 1.2192), tx_pos=(-2.2, 1.8288), entry=0.0,
-               av_sensor=None, tx_range=150.0, seed=0) -> WorldState:
+               sensor_range=150.0, tx_range=150.0, seed=0) -> WorldState:
     """A hand-built three-actor world for targeted checks."""
     return WorldState(
         av_x=av_pos[0],
         av_y=av_pos[1],
         av_speed=av_speed,
         av_radius_m=2.22504,
-        av_sensor=av_sensor or SensorModel(150.0, math.pi / 2),
+        av_sensor_range_m=sensor_range,
+        av_sensor_cos_fov=math.cos(math.pi / 2),
         transmitter=ActorState(Vec2(*tx_pos), Vec2(0.0, 0.0), 2.22504),
-        transmitter_body=BODY,
+        occluder=rect(*tx_pos),
         tx_sensor_range_m=tx_range,
         ped_x=ped_pos[0],
         ped_y=ped_pos[1],
         ped_vx=ped_vel[0],
         ped_vy=ped_vel[1],
-        ped_radius_m=1.524,
+        r_sum_m=1.524 + 2.22504,
         ped_entry_time_s=entry,
         road_width_m=14.6304,
         rng=random.Random(seed),
@@ -51,16 +60,16 @@ POLICY = BrakePolicy()
 
 class TestLosOccluded:
     def test_collinear_blocking(self):
-        assert los_occluded(0, 0, 20, 0, Vec2(10, 0), BODY)
+        assert los_occluded(0, 0, 20, 0, rect(10, 0))
 
     def test_segment_clears_rectangle(self):
-        assert not los_occluded(0, 0, 20, 10, Vec2(10, 0), BODY)
+        assert not los_occluded(0, 0, 20, 10, rect(10, 0))
 
     def test_target_inside_footprint(self):
-        assert los_occluded(0, 0, 10.5, 0.4, Vec2(10, 0), BODY)
+        assert los_occluded(0, 0, 10.5, 0.4, rect(10, 0))
 
     def test_target_on_footprint_boundary(self):
-        assert los_occluded(0, 5, 10.0, BODY.width_m / 2, Vec2(10, 0), BODY)
+        assert los_occluded(0, 5, 10.0, WIDTH / 2, rect(10, 0))
 
     def test_segment_test_symmetric(self):
         rng = random.Random(11)
@@ -68,12 +77,12 @@ class TestLosOccluded:
             a = Vec2(rng.uniform(-30, 30), rng.uniform(-30, 30))
             b = Vec2(rng.uniform(-30, 30), rng.uniform(-30, 30))
             occ = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            inside_a = abs(a.x - occ.x) <= BODY.length_m / 2 and abs(a.y - occ.y) <= BODY.width_m / 2
-            inside_b = abs(b.x - occ.x) <= BODY.length_m / 2 and abs(b.y - occ.y) <= BODY.width_m / 2
+            inside_a = abs(a.x - occ.x) <= LENGTH / 2 and abs(a.y - occ.y) <= WIDTH / 2
+            inside_b = abs(b.x - occ.x) <= LENGTH / 2 and abs(b.y - occ.y) <= WIDTH / 2
             if inside_a or inside_b:
                 continue
-            forward = los_occluded(a.x, a.y, b.x, b.y, occ, BODY)
-            assert forward == los_occluded(b.x, b.y, a.x, a.y, occ, BODY)
+            forward = los_occluded(a.x, a.y, b.x, b.y, rect(occ.x, occ.y))
+            assert forward == los_occluded(b.x, b.y, a.x, a.y, rect(occ.x, occ.y))
 
     def test_rectangle_fully_aside_never_blocks(self):
         # Occluder strictly on one side of the segment's bounding box.
@@ -81,34 +90,29 @@ class TestLosOccluded:
         for _ in range(100):
             a = Vec2(rng.uniform(-20, 0), rng.uniform(-5, 5))
             b = Vec2(rng.uniform(1, 20), rng.uniform(-5, 5))
-            occ = Vec2(rng.uniform(-20, 20), 5 + BODY.width_m / 2 + rng.uniform(0.01, 10))
-            assert not los_occluded(a.x, a.y, b.x, b.y, occ, BODY)
+            occ = Vec2(rng.uniform(-20, 20), 5 + WIDTH / 2 + rng.uniform(0.01, 10))
+            assert not los_occluded(a.x, a.y, b.x, b.y, rect(occ.x, occ.y))
 
 
 class TestSense:
     def test_clear_line_of_sight(self):
         target = (30.0, 0.0, 0.0, 1.0)
-        model = SensorModel(150.0, math.pi / 4)
-        assert sense(0, 0, model, target, []) == target
+        assert sense(0, 0, 150.0, COS_45, target, CLEAR) == target
 
     def test_blocked_by_occluder(self):
         target = (20.0, 0.0, 0.0, 1.0)
-        model = SensorModel(150.0, math.pi / 4)
-        assert sense(0, 0, model, target, [(Vec2(10, 0), BODY)]) is None
+        assert sense(0, 0, 150.0, COS_45, target, rect(10, 0)) is None
 
     def test_range_boundary_exclusive_beyond(self):
-        model = SensorModel(150.0, math.pi / 4)
-        assert sense(0, 0, model, (151.0, 0.0, 0.0, 0.0), []) is None
-        assert sense(0, 0, model, (150.0, 0.0, 0.0, 0.0), []) is not None
+        assert sense(0, 0, 150.0, COS_45, (151.0, 0.0, 0.0, 0.0), CLEAR) is None
+        assert sense(0, 0, 150.0, COS_45, (150.0, 0.0, 0.0, 0.0), CLEAR) is not None
 
     def test_fov_gates_lateral_targets(self):
-        model = SensorModel(150.0, math.pi / 4)
-        assert sense(0, 0, model, (10.0, 9.0, 0.0, 0.0), []) is not None
-        assert sense(0, 0, model, (10.0, 11.0, 0.0, 0.0), []) is None
+        assert sense(0, 0, 150.0, COS_45, (10.0, 9.0, 0.0, 0.0), CLEAR) is not None
+        assert sense(0, 0, 150.0, COS_45, (10.0, 11.0, 0.0, 0.0), CLEAR) is None
 
     def test_full_circle_fov_sees_behind(self):
-        model = SensorModel(150.0, math.pi)
-        assert sense(0, 0, model, (-10.0, 0.0, 0.0, 0.0), []) is not None
+        assert sense(0, 0, 150.0, math.cos(math.pi), (-10.0, 0.0, 0.0, 0.0), CLEAR) is not None
 
 
 class TestChannel:
@@ -206,14 +210,13 @@ class TestComputeControl:
         w.av_x = -gap
         # Occluded from the AV: inject the relay estimate directly.
         channel_step(w, IDEAL, 0.02)
-        w.av_sensor = SensorModel(1.0, math.pi / 2)
+        w.av_sensor_range_m = 1.0
         outcome, pressure = compute_control(w, POLICY, v2v_enabled=True)
         assert outcome == pytest.approx(6.0, rel=1e-12)
         assert pressure == pytest.approx(80.0, rel=1e-12)
 
     def test_v2v_disabled_ignores_relay(self):
-        w = make_world(av_pos=(-120.0, 5.4864),
-                       av_sensor=SensorModel(10.0, math.pi / 2))
+        w = make_world(av_pos=(-120.0, 5.4864), sensor_range=10.0)
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is not None
         outcome, pressure = compute_control(w, POLICY, v2v_enabled=False)
@@ -228,9 +231,9 @@ class TestComputeControl:
     def test_shoulder_pedestrian_is_relayed_not_sensed(self):
         # In range and in clear view, but off the roadway (y < 0).
         w = make_world(av_pos=(-30.0, 5.4864), ped_pos=(0.0, -1.0), tx_pos=(-100.0, 1.8288))
-        occluders = [(w.transmitter.pos, w.transmitter_body)]
         target = (w.ped_x, w.ped_y, w.ped_vx, w.ped_vy)
-        assert sense(w.av_x + w.av_radius_m, w.av_y, w.av_sensor, target, occluders) is not None
+        assert sense(w.av_x + w.av_radius_m, w.av_y, w.av_sensor_range_m, w.av_sensor_cos_fov,
+                     target, w.occluder) is not None
         outcome, pressure = compute_control(w, POLICY, v2v_enabled=False)
         assert outcome is None and pressure == 0.0
         assert w.last_estimate is None
