@@ -34,7 +34,8 @@ def _load_base_config(path: str | None) -> ScenarioConfig:
     if path is None:
         return ScenarioConfig()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark some editors write.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -61,7 +62,11 @@ def _parse_speeds(spec: str) -> tuple[float, ...]:
         steps = (stop + 1e-9 - start) / step
         if steps >= MAX_RANGE_SPEEDS:
             raise ConfigError(f"--speeds: {spec!r} lists more than {MAX_RANGE_SPEEDS} speeds")
-        return tuple(round(start + i * step, 6) for i in range(math.floor(steps) + 1))
+        speeds = tuple(round(start + i * step, 6) for i in range(math.floor(steps) + 1))
+        # A step below the rounding can list one speed twice.
+        if any(later <= earlier for earlier, later in zip(speeds, speeds[1:])):
+            raise ConfigError(f"--speeds: {spec!r} repeats a speed at 6 decimals")
+        return speeds
     try:
         return tuple(float(p) for p in spec.split(",") if p.strip())
     except ValueError:

@@ -20,7 +20,7 @@ from . import world as world_mod
 from .scenario import (CLEARANCE_TAIL_S, ConfigError, ScenarioConfig, SimResult, build_world,
                        config_for)
 from .ttc import TtcOutcome
-from .world import los_occluded
+from .world import AV_RADIUS_M, R_SUM_M, los_occluded
 
 NO_TTC_SENTINEL_S = 10000.0
 
@@ -37,12 +37,12 @@ TRACE_HEADER = "t_s,av_x_m,av_speed_mps,ped_x_m,ped_y_m,ttc_s,pressure_bar,detec
 @dataclass(slots=True)
 class StepRecord:
     """One trace row, recorded after every step. Not frozen: a frozen
-    dataclass costs several times as much to build, once per step."""
+    dataclass costs several times as much to build, once per step. The
+    pedestrian's x is the walk line's, 0, in every row."""
 
     t_s: float
     av_x_m: float
     av_speed_mps: float
-    ped_x_m: float
     ped_y_m: float
     ttc_s: float
     pressure_bar: float
@@ -95,7 +95,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     w = build_world(cfg)
     policy = cfg.policy()
     channel = cfg.channel()
-    clearance_y = cfg.av_lane_y + cfg.r_sum_m
+    clearance_y = cfg.av_lane_y + R_SUM_M
 
     trace: list[StepRecord] = []
     min_ttc: float | None = None
@@ -112,12 +112,12 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
         # Fields in StepRecord order; the sight line runs from the AV's
         # front-center sensor.
         trace.append(StepRecord(
-            w.t_s, w.av_x, w.av_speed, w.ped_x, w.ped_y, serialize_ttc(ttc_s), pressure,
+            w.t_s, w.av_x, w.av_speed, w.ped_y, serialize_ttc(ttc_s), pressure,
             w.last_estimate is not None,
-            los_occluded(w.av_x + w.av_radius_m, w.av_y, w.ped_x, w.ped_y, w.occluder),
+            los_occluded(w.av_x + AV_RADIUS_M, w.av_y, 0.0, w.ped_y, w.occluder),
         ))
 
-        if w.collided:
+        if w.collision_time_s is not None:
             break
         if cleared_at is None and w.ped_y > clearance_y:
             cleared_at = w.t_s
@@ -130,7 +130,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
         detected_time_s=w.detected_time_s,
         first_ttc_s=w.first_ttc_s,
         min_ttc_s=min_ttc,
-        collision=w.collided,
+        collision=w.collision_time_s is not None,
         collision_time_s=w.collision_time_s,
         max_pressure_bar=max_pressure,
     )
@@ -178,7 +178,8 @@ def write_results_csv(results: list[SimResult]) -> str:
 
 
 def write_trace_csv(trace: list[StepRecord]) -> str:
-    """Per-step trace as CSV text."""
+    """Per-step trace as CSV text. The ped_x_m column keeps the trace's
+    layout: the pedestrian crosses at x = 0, so it is always 0.0000."""
     if not trace:
         raise ValueError("no trace rows to serialize")
     lines = [TRACE_HEADER]
@@ -187,7 +188,7 @@ def write_trace_csv(trace: list[StepRecord]) -> str:
             f"{rec.t_s:.4f}",
             f"{rec.av_x_m:.4f}",
             f"{rec.av_speed_mps:.4f}",
-            f"{rec.ped_x_m:.4f}",
+            "0.0000",
             f"{rec.ped_y_m:.4f}",
             _fmt_ttc(rec.ttc_s),
             f"{rec.pressure_bar:.4f}",

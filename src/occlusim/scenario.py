@@ -27,12 +27,7 @@ from dataclasses import dataclass, fields, replace
 from .braking import BrakePolicy
 from .geometry import ActorState, Vec2
 from .units import mph_to_mps, to_si
-from .world import ChannelModel, WorldState
-
-# Disc radii: half the subject car's body length, and the pedestrian's
-# reach envelope (7.3 ft and 5 ft).
-AV_RADIUS_M = to_si(7.3, "ft")
-PED_RADIUS_M = to_si(5.0, "ft")
+from .world import AV_RADIUS_M, R_SUM_M, ChannelModel, WorldState
 
 # Width of the stopped transmitter's rectangular footprint, the occluder;
 # its length is the AV's, 2 * AV_RADIUS_M (14.6 ft).
@@ -108,9 +103,9 @@ class ScenarioConfig:
         # With calibrate_entry's run-length cap this bounds every speed and
         # distance, so no product on the step path overflows.
         step_m = max(speeds_mps.values()) * self.dt_s
-        if step_m > self.r_sum_m:
+        if step_m > R_SUM_M:
             raise ConfigError(f"dt_s: one step may move an actor at most the contact radius "
-                              f"{self.r_sum_m:.3f} m, but {self.dt_s} s moves it {step_m:.4g} m")
+                              f"{R_SUM_M:.3f} m, but {self.dt_s} s moves it {step_m:.4g} m")
         if self.num_lanes < 1:
             raise ConfigError(f"num_lanes: must be at least 1, got {self.num_lanes}")
         for name in ("av_lane_index", "transmitter_lane_index"):
@@ -165,10 +160,6 @@ class ScenarioConfig:
     @property
     def tx_lane_y(self) -> float:
         return (self.transmitter_lane_index + 0.5) * self.lane_width_m
-
-    @property
-    def r_sum_m(self) -> float:
-        return AV_RADIUS_M + PED_RADIUS_M
 
     def sightline_edge_y(self) -> float:
         """Lateral position of the stopped transmitter's inner edge, where
@@ -302,15 +293,15 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
     v = cfg.av_speed_mps
     contact_y = cfg.sightline_edge_y() + cfg.reveal_margin_for(v) * cfg.ped_speed_mps
     dy = cfg.av_lane_y - contact_y
-    if not (0.0 < dy < cfg.r_sum_m):
+    if not (0.0 < dy < R_SUM_M):
         key = "reveal_margin_slow_s" if v <= mph_to_mps(cfg.reveal_knee_lo_mph) else "reveal_margin_s"
         margin = cfg.reveal_margin_for(v, **{key: getattr(ScenarioConfig, key)})
         if not (0.0 < cfg.av_lane_y - (cfg.sightline_edge_y() + margin * cfg.ped_speed_mps)
-                < cfg.r_sum_m):
+                < R_SUM_M):
             key = "lane_width_ft"
         raise ConfigError(f"{key}: contact out of reach: the pedestrian's offset from the AV's "
-                          f"lane center {dy:.4g} m must lie in (0, {cfg.r_sum_m:.4g})")
-    contact_dx = math.sqrt(cfg.r_sum_m * cfg.r_sum_m - dy * dy)
+                          f"lane center {dy:.4g} m must lie in (0, {R_SUM_M:.4g})")
+    contact_dx = math.sqrt(R_SUM_M * R_SUM_M - dy * dy)
     t_contact = cfg.approach_time_s - contact_dx / v
     walk_time = (contact_y - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     if walk_time <= 0.0:
@@ -327,7 +318,7 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
         # Blame the step if the run would fit at the default one, else the
         # longer of the two spans the run is made of (up to rounding): the
         # approach until contact and the walk on from contact to clearance.
-        walk_on_s = (cfg.av_lane_y + cfg.r_sum_m - contact_y) / cfg.ped_speed_mps
+        walk_on_s = (cfg.av_lane_y + R_SUM_M - contact_y) / cfg.ped_speed_mps
         key = ("dt_s" if length_s / ScenarioConfig.dt_s <= MAX_RUN_STEPS
                else "approach_time_s" if t_contact >= walk_on_s else "ped_speed_ftps")
         raise ConfigError(f"{key}: the run would take {length_s / cfg.dt_s:.4g} steps, "
@@ -338,7 +329,7 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
 def run_length_s(cfg: ScenarioConfig, entry: float) -> float:
     """Closed-form duration of a run without collision: the entry time,
     the walk until the pedestrian clears the AV's lane, and the tail."""
-    walk_s = (cfg.av_lane_y + cfg.r_sum_m - cfg.ped_start_offset_m) / cfg.ped_speed_mps
+    walk_s = (cfg.av_lane_y + R_SUM_M - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     return entry + walk_s + CLEARANCE_TAIL_S
 
 
@@ -360,19 +351,16 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         av_x=-v * cfg.approach_time_s,
         av_y=cfg.av_lane_y,
         av_speed=v,
-        av_radius_m=AV_RADIUS_M,
         av_sensor_range_m=cfg.av_sensor_range_m,
         av_sensor_cos_fov=math.cos(cfg.av_sensor_fov_half_rad),
         transmitter=transmitter,
         occluder=(tx_x - AV_RADIUS_M, tx_x + AV_RADIUS_M,
                   tx_y - BODY_WIDTH_M / 2.0, tx_y + BODY_WIDTH_M / 2.0),
         tx_sensor_range_m=cfg.tx_sensor_range_m,
-        # The pedestrian moves and is sensed only once active.
-        ped_x=0.0,
+        # The pedestrian moves along the walk line and is sensed only
+        # once active.
         ped_y=cfg.ped_start_offset_m,
-        ped_vx=0.0,
         ped_vy=cfg.ped_speed_mps,
-        r_sum_m=cfg.r_sum_m,
         ped_entry_time_s=cfg.ped_entry_time_s,
         road_width_m=cfg.road_width_m,
         rng=random.Random(cfg.seed),

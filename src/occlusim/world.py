@@ -5,6 +5,7 @@ One :class:`WorldState` is owned by exactly one run and stepped
 sequentially; distinct runs share nothing mutable. The two moving actors,
 the AV and the pedestrian, are plain floats, so a step builds no vector or
 actor records; the stopped transmitter is a record built once per run.
+The pedestrian crosses on the walk line, x = 0, so only its y moves.
 All randomness comes from the seeded generator held by the world (used
 only for message drops), so runs with identical inputs are bit-identical.
 
@@ -25,6 +26,13 @@ from dataclasses import replace  # noqa: F401  perfbench/tracer.py counts world.
 from .braking import BrakePolicy, brake_pressure, deceleration_for
 from .geometry import ActorState
 from .ttc import TtcOutcome, ttc
+from .units import to_si
+
+# Disc radii: half the subject car's body length, and the pedestrian's
+# reach envelope (7.3 ft and 5 ft); the discs touch at their sum.
+AV_RADIUS_M = to_si(7.3, "ft")
+PED_RADIUS_M = to_si(5.0, "ft")
+R_SUM_M = AV_RADIUS_M + PED_RADIUS_M
 
 # Guard for timestamp comparisons on the accumulated time grid.
 _T_EPS = 1e-9
@@ -43,14 +51,12 @@ class ChannelModel:
 
 @dataclass(slots=True)
 class V2VMessage:
-    """Pedestrian position and velocity relayed by the transmitter. Not
-    frozen: one is built per broadcast, and a frozen dataclass costs
-    several times as much to build."""
+    """Pedestrian position and velocity across the road, relayed by the
+    transmitter. Not frozen: one is built per broadcast, and a frozen
+    dataclass costs several times as much to build."""
 
     sent_at_s: float
-    ped_x: float
     ped_y: float
-    ped_vx: float
     ped_vy: float
 
 
@@ -60,28 +66,23 @@ class WorldState:
 
     The AV drives along +x at ``av_speed`` (m/s) with its center at
     (``av_x``, ``av_y``); its lane never changes. The pedestrian's center
-    is (``ped_x``, ``ped_y``) and its velocity (``ped_vx``, ``ped_vy``).
-    ``last_estimate`` names the source of the AV's pedestrian estimate on
-    the last step: "sensor", "v2v", or None when it had none.
-    ``occluder`` holds the stopped transmitter's footprint as its bounds
-    (min_x, max_x, min_y, max_y); ``r_sum_m`` is the contact radius, the
-    sum of the two discs' radii.
+    is (0, ``ped_y``) and it walks along +y at ``ped_vy``. ``last_estimate``
+    names the source of the AV's pedestrian estimate on the last step:
+    "sensor", "v2v", or None when it had none. ``occluder`` holds the
+    stopped transmitter's footprint as its bounds (min_x, max_x, min_y,
+    max_y). A collision latches ``collision_time_s``.
     """
 
     av_x: float
     av_y: float
     av_speed: float
-    av_radius_m: float
     av_sensor_range_m: float
     av_sensor_cos_fov: float
     transmitter: ActorState
     occluder: tuple[float, float, float, float]
     tx_sensor_range_m: float
-    ped_x: float
     ped_y: float
-    ped_vx: float
     ped_vy: float
-    r_sum_m: float
     ped_entry_time_s: float
     road_width_m: float
     rng: random.Random
@@ -91,7 +92,6 @@ class WorldState:
     next_send_s: float = 0.0
     detected_time_s: float | None = None
     first_ttc_s: TtcOutcome = None
-    collided: bool = False
     collision_time_s: float | None = None
     last_ttc_s: TtcOutcome = None
     last_pressure_bar: float = 0.0
@@ -139,15 +139,14 @@ def los_occluded(sensor_x: float, sensor_y: float, target_x: float, target_y: fl
 
 
 def sense(sensor_x: float, sensor_y: float, range_m: float, cos_fov: float,
-          target: tuple[float, float, float, float],
-          occluder: tuple[float, float, float, float]) -> tuple[float, float, float, float] | None:
-    """Ground-truth observation of a target (x, y, vx, vy): the target
-    itself, or None when out of range, outside the field of view, or
-    occluded. The sensor faces +x, the direction of travel, and *cos_fov*
-    is the cosine of its half-angle. The range boundary is inclusive: a
-    target exactly at range is still seen."""
-    dx = target[0] - sensor_x
-    dy = target[1] - sensor_y
+          target_y: float, occluder: tuple[float, float, float, float]) -> float | None:
+    """Ground-truth observation of a target on the walk line, at
+    (0, *target_y*): its y, or None when out of range, outside the field
+    of view, or occluded. The sensor faces +x, the direction of travel,
+    and *cos_fov* is the cosine of its half-angle. The range boundary is
+    inclusive: a target exactly at range is still seen."""
+    dx = 0.0 - sensor_x
+    dy = target_y - sensor_y
     dist_sq = dx * dx + dy * dy
     if dist_sq > range_m * range_m:
         return None
@@ -157,7 +156,7 @@ def sense(sensor_x: float, sensor_y: float, range_m: float, cos_fov: float,
         cos_bearing = max(-1.0, min(1.0, cos_bearing))
         if cos_bearing < cos_fov:
             return None
-    return None if los_occluded(sensor_x, sensor_y, target[0], target[1], occluder) else target
+    return None if los_occluded(sensor_x, sensor_y, 0.0, target_y, occluder) else target_y
 
 
 def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
@@ -173,7 +172,7 @@ def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
     """
     if world.pedestrian_active():
         tx = world.transmitter
-        dx = world.ped_x - (tx.pos.x + tx.radius)
+        dx = 0.0 - (tx.pos.x + tx.radius)
         dy = world.ped_y - tx.pos.y
         tracked = dx * dx + dy * dy <= world.tx_sensor_range_m * world.tx_sensor_range_m
         if tracked and world.t_s >= world.next_send_s - _T_EPS:
@@ -181,15 +180,14 @@ def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
             in_range = math.hypot(world.av_x - tx.pos.x, world.av_y - tx.pos.y) <= channel.range_m
             dropped = channel.drop_prob > 0.0 and world.rng.random() < channel.drop_prob
             if in_range and not dropped:
-                world.in_flight.append(
-                    V2VMessage(world.t_s, world.ped_x, world.ped_y, world.ped_vx, world.ped_vy)
-                )
+                world.in_flight.append(V2VMessage(world.t_s, world.ped_y, world.ped_vy))
 
     while world.in_flight and world.in_flight[0].sent_at_s + channel.latency_s <= world.t_s + _T_EPS:
         world.latest_ped_info = world.in_flight.popleft()
 
 
-def _own_observation(world: WorldState) -> tuple[float, float, float, float] | None:
+def _own_observation(world: WorldState) -> float | None:
+    """The pedestrian's y as the AV's own sensor sees it, or None."""
     if not world.pedestrian_active():
         return None
     # The AV flags roadway intruders, not people on the shoulder; the
@@ -197,43 +195,36 @@ def _own_observation(world: WorldState) -> tuple[float, float, float, float] | N
     if not (0.0 <= world.ped_y <= world.road_width_m):
         return None
     # The sensor sits at the AV's front-center.
-    return sense(
-        world.av_x + world.av_radius_m,
-        world.av_y,
-        world.av_sensor_range_m,
-        world.av_sensor_cos_fov,
-        (world.ped_x, world.ped_y, world.ped_vx, world.ped_vy),
-        world.occluder,
-    )
+    return sense(world.av_x + AV_RADIUS_M, world.av_y, world.av_sensor_range_m,
+                 world.av_sensor_cos_fov, world.ped_y, world.occluder)
 
 
-def compute_control(world: WorldState, policy: BrakePolicy,
-                    v2v_enabled: bool) -> tuple[TtcOutcome, float]:
+def compute_control(world: WorldState, policy: BrakePolicy) -> tuple[TtcOutcome, float]:
     """One control evaluation: pick the pedestrian estimate, compute the
     TTC, and derive the pressure command.
 
-    The AV's own observation is preferred over V2V when both exist. A V2V
-    estimate is extrapolated at constant velocity over its age. With no
-    estimate at all the AV holds speed. The first step with any estimate
-    fixes detected_time and the TTC recorded at that instant.
+    The AV's own observation is preferred over V2V when both exist; a run
+    without the relay never steps the channel, so it has no V2V estimate.
+    A V2V estimate is extrapolated at constant velocity over its age. With
+    no estimate at all the AV holds speed. The first step with any
+    estimate fixes detected_time and the TTC recorded at that instant.
     """
-    own = _own_observation(world)
-    if own is not None:
+    y = _own_observation(world)
+    if y is not None:
         world.last_estimate = "sensor"
-        x, y, vx, vy = own
-    elif v2v_enabled and world.latest_ped_info is not None:
+        vy = world.ped_vy
+    elif world.latest_ped_info is not None:
         world.last_estimate = "v2v"
         msg = world.latest_ped_info
-        age = world.t_s - msg.sent_at_s
-        vx, vy = msg.ped_vx, msg.ped_vy
-        x = msg.ped_x + vx * age
-        y = msg.ped_y + vy * age
+        vy = msg.ped_vy
+        y = msg.ped_y + vy * (world.t_s - msg.sent_at_s)
     else:
         world.last_estimate = None
         return None, 0.0
 
-    # Relative to the AV, which moves along +x only.
-    outcome = ttc(x - world.av_x, y - world.av_y, vx - world.av_speed, vy, world.r_sum_m)
+    # Relative to the AV, which moves along +x only; the pedestrian is on
+    # the walk line, x = 0, and does not move along it.
+    outcome = ttc(0.0 - world.av_x, y - world.av_y, 0.0 - world.av_speed, vy, R_SUM_M)
     if world.detected_time_s is None:
         world.detected_time_s = world.t_s
         world.first_ttc_s = outcome
@@ -256,16 +247,14 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelMode
     Without the relay nothing reads the channel, and the seeded generator
     feeds only the channel, so the channel is not stepped at all.
     """
-    if not world.collided:
-        gap = math.hypot(world.ped_x - world.av_x, world.ped_y - world.av_y)
-        if gap <= world.r_sum_m:
-            world.collided = True
-            world.collision_time_s = world.t_s
+    if (world.collision_time_s is None
+            and math.hypot(0.0 - world.av_x, world.ped_y - world.av_y) <= R_SUM_M):
+        world.collision_time_s = world.t_s
 
     if v2v_enabled:
         channel_step(world, channel, dt)
 
-    outcome, pressure = compute_control(world, policy, v2v_enabled)
+    outcome, pressure = compute_control(world, policy)
     if not braking:
         pressure = 0.0
     world.last_ttc_s = outcome
@@ -278,7 +267,6 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelMode
     world.av_x += speed * dt
 
     if world.pedestrian_active():
-        world.ped_x += world.ped_vx * dt
         world.ped_y += world.ped_vy * dt
 
     world.t_s += dt

@@ -6,7 +6,7 @@ import pytest
 from occlusim import harness
 from occlusim.cli import EXIT_CONFIG, EXIT_OK, MAX_RANGE_SPEEDS, _parse_speeds, main
 from occlusim.harness import RESULTS_HEADER, TRACE_HEADER
-from occlusim.scenario import ConfigError
+from occlusim.scenario import ConfigError, ScenarioConfig
 
 
 def test_run_writes_results_and_trace(tmp_path, capsys):
@@ -49,6 +49,19 @@ def test_calibrate_prints_entry_time(capsys):
     assert value >= 0.0
 
 
+def test_config_with_byte_order_mark_reads_as_without(tmp_path, capsys):
+    text = "av_speed_mph = 20\nped_speed_ftps = 5\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["calibrate", "--config", str(plain)]) == EXIT_OK
+    entry = capsys.readouterr().out
+    assert main(["calibrate", "--config", str(marked)]) == EXIT_OK
+    assert capsys.readouterr().out == entry
+    assert entry != "{:.6f}\n".format(ScenarioConfig().ped_entry_time_s)
+
+
 def test_bad_config_path_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
@@ -78,14 +91,16 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("speeds", ["0,10", ",", "10,nan", "10,inf", "10:70:nan",
-                                    "10:70:1e-16", "10:70:1e-9"])
+                                    "10:70:1e-16", "10:70:1e-9", "10:10.000002:0.0000004",
+                                    "10.0000005:10.00001:0.000001"])
 def test_bad_sweep_speeds_are_config_error(tmp_path, capsys, monkeypatch, speeds):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(harness, "run_scenario", no_run)
     # 10:70:1e-16 never moves past 10 and 10:70:1e-9 lists 6e10 speeds;
-    # both are rejected by count before any speed is listed.
+    # both are rejected by count before any speed is listed. The last two
+    # list speeds that repeat once rounded to 6 decimals.
     assert main(["sweep", "--speeds", speeds, "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --speeds: ")
     assert not (tmp_path / "s.csv").exists()

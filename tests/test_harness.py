@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from occlusim.harness import (
     write_trace_csv,
 )
 from occlusim.scenario import AV_RADIUS_M, ConfigError, ScenarioConfig, SimResult, config_for
+from occlusim.world import R_SUM_M
 
 
 class TestRunScenario:
@@ -43,10 +45,10 @@ class TestRunScenario:
         _, trace = sweep_runs[(10.0, False)]
         cfg = ScenarioConfig()
         distance, closest = min(
-            ((math.hypot(r.ped_x_m - r.av_x_m, r.ped_y_m - cfg.av_lane_y), r) for r in trace),
+            ((math.hypot(r.av_x_m, r.ped_y_m - cfg.av_lane_y), r) for r in trace),
             key=lambda pair: pair[0],
         )
-        assert distance > cfg.r_sum_m
+        assert distance > R_SUM_M
         assert round(-(closest.av_x_m + AV_RADIUS_M), 1) == 1.3
         assert round(closest.av_speed_mps, 2) == 0.66
 
@@ -205,9 +207,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             write_results_csv([])
 
+    def test_readme_documents_both_csv_layouts(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"\n{RESULTS_HEADER}\n" in readme
+        assert f"(`{TRACE_HEADER}`)" in readme
+
     def test_trace_csv_layout(self):
         rec = StepRecord(t_s=0.02, av_x_m=-400.0, av_speed_mps=20.1168,
-                         ped_x_m=0.0, ped_y_m=-18.0, ttc_s=NO_TTC_SENTINEL_S,
+                         ped_y_m=-18.0, ttc_s=NO_TTC_SENTINEL_S,
                          pressure_bar=0.0, detected=False, occluded=True)
         text = write_trace_csv([rec])
         lines = text.splitlines()

@@ -4,7 +4,8 @@ Metamorphic relations between runs: the channel knobs cannot touch a run
 without the relay, the relay can only bring detection forward, and a late
 or lossy relay can only push it back. Trace invariants of every calibrated
 run: time strictly increases, the AV never speeds up, the pressure stays
-within [0, p_max], and there is one row per step. The staging premise:
+within [0, p_max], there is one row per step, and the pedestrian never
+leaves the walk line. The staging premise:
 every calibrated run collides when the AV never brakes. And a robustness
 property: any finite config is either rejected at load time by a config
 error naming a key, or steps with finite state and bounded commands.
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from occlusim import ScenarioConfig, run_scenario, write_results_csv
 from occlusim import world as world_mod
-from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH
+from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH, TRACE_HEADER, write_trace_csv
 from occlusim.scenario import ConfigError, build_world, config_for
 
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
@@ -97,6 +98,11 @@ def test_every_trace_keeps_its_invariants(keys):
         assert later.t_s > earlier.t_s
         assert later.av_speed_mps <= earlier.av_speed_mps
     assert all(0.0 <= row.pressure_bar <= cfg.p_max_bar for row in trace)
+    # The pedestrian crosses on the walk line, x = 0, whatever the step,
+    # the brake law or the channel.
+    ped_x_col = TRACE_HEADER.split(",").index("ped_x_m")
+    rows = write_trace_csv(trace).splitlines()[1:]
+    assert all(row.split(",")[ped_x_col] == "0.0000" for row in rows)
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -134,7 +140,7 @@ def test_finite_config_is_rejected_by_name_or_steps_finitely(base, extreme, v2v)
     policy, channel = cfg.policy(), cfg.channel()
     for _ in range(200):
         world_mod.step(w, cfg.dt_s, policy, channel, cfg.v2v)
-        for value in (w.av_x, w.av_y, w.av_speed, w.ped_x, w.ped_y):
+        for value in (w.av_x, w.av_y, w.av_speed, w.ped_y):
             assert math.isfinite(value)
         assert w.last_ttc_s is None or (math.isfinite(w.last_ttc_s) and w.last_ttc_s >= 0.0)
         assert 0.0 <= w.last_pressure_bar <= cfg.p_max_bar

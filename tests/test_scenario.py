@@ -12,6 +12,7 @@ from occlusim.scenario import (
     BODY_WIDTH_M,
     ConfigError,
     MAX_RUN_STEPS,
+    R_SUM_M,
     ScenarioConfig,
     build_world,
     calibrate_entry,
@@ -200,7 +201,7 @@ class TestValidation:
         assert cfg.av_lane_y == pytest.approx(5.4864, abs=1e-12)
         assert cfg.tx_lane_y == pytest.approx(1.8288, abs=1e-12)
         assert cfg.road_width_m == pytest.approx(14.6304, abs=1e-12)
-        assert cfg.r_sum_m == pytest.approx(3.74904, abs=1e-12)
+        assert R_SUM_M == pytest.approx(3.74904, abs=1e-12)
         assert cfg.sightline_edge_y() == pytest.approx(2.7288, abs=1e-12)
 
 
@@ -287,7 +288,7 @@ class TestCalibration:
         entry = calibrate_entry(cfg)
         arrival = cfg.approach_time_s
         ped_y = cfg.ped_start_offset_m + (arrival - entry) * cfg.ped_speed_mps
-        assert abs(ped_y - cfg.av_lane_y) <= cfg.r_sum_m
+        assert abs(ped_y - cfg.av_lane_y) <= R_SUM_M
         assert v > 0
 
 
@@ -302,8 +303,7 @@ class TestBuildWorld:
         # Stopped with its bumper just past the walk line.
         bumper = w.occluder[1]
         assert bumper == pytest.approx(-cfg.tx_stop_gap_m, abs=1e-12)
-        assert (w.ped_x, w.ped_y) == (0.0, cfg.ped_start_offset_m)
-        assert (w.ped_vx, w.ped_vy) == (0.0, cfg.ped_speed_mps)
+        assert (w.ped_y, w.ped_vy) == (cfg.ped_start_offset_m, cfg.ped_speed_mps)
         assert w.ped_entry_time_s == pytest.approx(calibrate_entry(cfg))
 
     @pytest.mark.parametrize("overrides", [

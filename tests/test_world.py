@@ -6,6 +6,8 @@ import pytest
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import ActorState, Vec2
 from occlusim.world import (
+    AV_RADIUS_M,
+    R_SUM_M,
     ChannelModel,
     V2VMessage,
     WorldState,
@@ -29,25 +31,22 @@ CLEAR = rect(0.0, -1000.0)
 COS_45 = math.cos(math.pi / 4)
 
 
-def make_world(av_pos=(-50.0, 5.4864), av_speed=20.0, ped_pos=(0.0, 2.0),
-               ped_vel=(0.0, 1.2192), tx_pos=(-2.2, 1.8288), entry=0.0,
-               sensor_range=150.0, tx_range=150.0, seed=0) -> WorldState:
-    """A hand-built three-actor world for targeted checks."""
+def make_world(av_pos=(-50.0, 5.4864), av_speed=20.0, ped_y=2.0, ped_vy=1.2192,
+               tx_pos=(-2.2, 1.8288), entry=0.0, sensor_range=150.0, tx_range=150.0,
+               seed=0) -> WorldState:
+    """A hand-built three-actor world for targeted checks; the pedestrian
+    is on the walk line, x = 0."""
     return WorldState(
         av_x=av_pos[0],
         av_y=av_pos[1],
         av_speed=av_speed,
-        av_radius_m=2.22504,
         av_sensor_range_m=sensor_range,
         av_sensor_cos_fov=math.cos(math.pi / 2),
         transmitter=ActorState(Vec2(*tx_pos), Vec2(0.0, 0.0), 2.22504),
         occluder=rect(*tx_pos),
         tx_sensor_range_m=tx_range,
-        ped_x=ped_pos[0],
-        ped_y=ped_pos[1],
-        ped_vx=ped_vel[0],
-        ped_vy=ped_vel[1],
-        r_sum_m=1.524 + 2.22504,
+        ped_y=ped_y,
+        ped_vy=ped_vy,
         ped_entry_time_s=entry,
         road_width_m=14.6304,
         rng=random.Random(seed),
@@ -95,24 +94,24 @@ class TestLosOccluded:
 
 
 class TestSense:
+    # The target stands on the walk line, x = 0; the sensor moves instead.
+
     def test_clear_line_of_sight(self):
-        target = (30.0, 0.0, 0.0, 1.0)
-        assert sense(0, 0, 150.0, COS_45, target, CLEAR) == target
+        assert sense(-30, 2.0, 150.0, COS_45, 2.0, CLEAR) == 2.0
 
     def test_blocked_by_occluder(self):
-        target = (20.0, 0.0, 0.0, 1.0)
-        assert sense(0, 0, 150.0, COS_45, target, rect(10, 0)) is None
+        assert sense(-20, 0, 150.0, COS_45, 0.0, rect(-10, 0)) is None
 
     def test_range_boundary_exclusive_beyond(self):
-        assert sense(0, 0, 150.0, COS_45, (151.0, 0.0, 0.0, 0.0), CLEAR) is None
-        assert sense(0, 0, 150.0, COS_45, (150.0, 0.0, 0.0, 0.0), CLEAR) is not None
+        assert sense(-151, 0, 150.0, COS_45, 0.0, CLEAR) is None
+        assert sense(-150, 0, 150.0, COS_45, 0.0, CLEAR) is not None
 
     def test_fov_gates_lateral_targets(self):
-        assert sense(0, 0, 150.0, COS_45, (10.0, 9.0, 0.0, 0.0), CLEAR) is not None
-        assert sense(0, 0, 150.0, COS_45, (10.0, 11.0, 0.0, 0.0), CLEAR) is None
+        assert sense(-10, 0, 150.0, COS_45, 9.0, CLEAR) is not None
+        assert sense(-10, 0, 150.0, COS_45, 11.0, CLEAR) is None
 
     def test_full_circle_fov_sees_behind(self):
-        assert sense(0, 0, 150.0, math.cos(math.pi), (-10.0, 0.0, 0.0, 0.0), CLEAR) is not None
+        assert sense(10, 0, 150.0, math.cos(math.pi), 0.0, CLEAR) is not None
 
 
 class TestChannel:
@@ -120,19 +119,20 @@ class TestChannel:
         w = make_world()
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is not None
-        assert (w.latest_ped_info.ped_x, w.latest_ped_info.ped_y) == (w.ped_x, w.ped_y)
+        assert (w.latest_ped_info.ped_y, w.latest_ped_info.ped_vy) == (w.ped_y, w.ped_vy)
 
     # With the transmitter at x = -radius its tracker, at the front-center,
-    # sits on the origin; the pedestrian stands 10 m behind it.
+    # sits on the origin; the pedestrian stands 10 m from it along the
+    # walk line.
 
-    def test_tracker_relays_pedestrian_behind_it(self):
-        w = make_world(tx_pos=(-2.22504, 0.0), ped_pos=(-10.0, 0.0), tx_range=10.0)
+    def test_tracker_relays_pedestrian_beside_it(self):
+        w = make_world(tx_pos=(-2.22504, 0.0), ped_y=-10.0, tx_range=10.0)
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is not None
-        assert (w.latest_ped_info.ped_x, w.latest_ped_info.ped_y) == (w.ped_x, w.ped_y)
+        assert w.latest_ped_info.ped_y == w.ped_y
 
     def test_tracker_ignores_pedestrian_beyond_range(self):
-        w = make_world(tx_pos=(-2.22504, 0.0), ped_pos=(-10.0, 0.0), tx_range=9.99)
+        w = make_world(tx_pos=(-2.22504, 0.0), ped_y=-10.0, tx_range=9.99)
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is None
         assert not w.in_flight
@@ -197,82 +197,91 @@ class TestChannel:
 class TestComputeControl:
     def test_no_estimate_no_brake(self):
         w = make_world(entry=100.0)
-        outcome, pressure = compute_control(w, POLICY, v2v_enabled=True)
+        outcome, pressure = compute_control(w, POLICY)
         assert outcome is None
         assert pressure == 0.0
         assert w.detected_time_s is None
 
     def test_v2v_estimate_six_second_ttc_gives_80_bar(self):
         # Head-on V2V geometry engineered to a 6 s TTC.
-        w = make_world(av_pos=(-100.0, 5.4864), av_speed=20.0,
-                       ped_pos=(0.0, 5.4864), ped_vel=(0.0, 0.0))
+        w = make_world(av_pos=(-100.0, 5.4864), av_speed=20.0, ped_y=5.4864, ped_vy=0.0)
         gap = 6.0 * 20.0 + 3.74904  # contact in exactly 6 s
         w.av_x = -gap
         # Occluded from the AV: inject the relay estimate directly.
         channel_step(w, IDEAL, 0.02)
         w.av_sensor_range_m = 1.0
-        outcome, pressure = compute_control(w, POLICY, v2v_enabled=True)
+        outcome, pressure = compute_control(w, POLICY)
         assert outcome == pytest.approx(6.0, rel=1e-12)
         assert pressure == pytest.approx(80.0, rel=1e-12)
 
-    def test_v2v_disabled_ignores_relay(self):
-        w = make_world(av_pos=(-120.0, 5.4864), sensor_range=10.0)
-        channel_step(w, IDEAL, 0.02)
-        assert w.latest_ped_info is not None
-        outcome, pressure = compute_control(w, POLICY, v2v_enabled=False)
-        assert outcome is None and pressure == 0.0
-
     def test_own_sensor_preferred_over_v2v(self):
-        w = make_world(av_pos=(-30.0, 5.4864), ped_pos=(0.0, 4.5), tx_pos=(-200.0, 1.8288))
+        w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288))
         channel_step(w, IDEAL, 0.02)
-        compute_control(w, POLICY, v2v_enabled=True)
+        compute_control(w, POLICY)
         assert w.last_estimate == "sensor"
 
     def test_shoulder_pedestrian_is_relayed_not_sensed(self):
         # In range and in clear view, but off the roadway (y < 0).
-        w = make_world(av_pos=(-30.0, 5.4864), ped_pos=(0.0, -1.0), tx_pos=(-100.0, 1.8288))
-        target = (w.ped_x, w.ped_y, w.ped_vx, w.ped_vy)
-        assert sense(w.av_x + w.av_radius_m, w.av_y, w.av_sensor_range_m, w.av_sensor_cos_fov,
-                     target, w.occluder) is not None
-        outcome, pressure = compute_control(w, POLICY, v2v_enabled=False)
+        w = make_world(av_pos=(-30.0, 5.4864), ped_y=-1.0, tx_pos=(-100.0, 1.8288))
+        assert sense(w.av_x + AV_RADIUS_M, w.av_y, w.av_sensor_range_m, w.av_sensor_cos_fov,
+                     w.ped_y, w.occluder) is not None
+        outcome, pressure = compute_control(w, POLICY)
         assert outcome is None and pressure == 0.0
         assert w.last_estimate is None
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is not None
-        assert (w.latest_ped_info.ped_x, w.latest_ped_info.ped_y) == (w.ped_x, w.ped_y)
+        assert w.latest_ped_info.ped_y == w.ped_y
 
     def test_v2v_extrapolates_stale_messages(self):
         # Pedestrian not yet active, so no fresh broadcast overwrites the
-        # queued stale message. Sent at t = 0 and read at t = 0.5, it puts
-        # the pedestrian 1 m further along its -x walk: head-on at 22 m/s,
-        # contact is 6 s away (6.045 s from the stale position).
-        w = make_world(av_pos=(-(1.0 + 3.74904 + 6.0 * 22.0), 5.4864), entry=100.0)
-        w.in_flight.append(V2VMessage(0.0, 0.0, 5.4864, -2.0, 0.0))
+        # queued stale message. Sent at t = 0 from 3 m short of the AV's
+        # lane at 2 m/s and read at t = 0.5, it puts the pedestrian 1 m
+        # further across, 2 m short of the lane.
+        w = make_world(av_pos=(-40.0, 5.4864), av_speed=20.0, entry=100.0)
+        w.in_flight.append(V2VMessage(0.0, 5.4864 - 3.0, 2.0))
         w.t_s = 0.5
         channel_step(w, IDEAL, 0.02)
-        outcome, _ = compute_control(w, POLICY, v2v_enabled=True)
+        outcome, _ = compute_control(w, POLICY)
         assert w.last_estimate == "v2v"
-        assert outcome == pytest.approx(6.0, rel=1e-12)
+
+        def first_contact(y):
+            # Smaller root of |X + V t| = R_SUM_M for X = (40, y), V = (-20, 2).
+            x, vx, vy = 40.0, -20.0, 2.0
+            a, b, c = vx * vx + vy * vy, x * vx + y * vy, x * x + y * y - R_SUM_M * R_SUM_M
+            return (-b - math.sqrt(b * b - a * c)) / a
+
+        assert outcome == pytest.approx(first_contact((5.4864 - 2.0) - 5.4864), rel=1e-12)
+        assert abs(outcome - first_contact(-3.0)) > 0.01
 
     def test_detected_time_latches_once(self):
-        w = make_world(av_pos=(-30.0, 5.4864), ped_pos=(0.0, 4.5), tx_pos=(-200.0, 1.8288))
-        compute_control(w, POLICY, v2v_enabled=False)
+        w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288))
+        compute_control(w, POLICY)
         first = w.detected_time_s
         assert first is not None
         w.t_s += 0.5
-        compute_control(w, POLICY, v2v_enabled=False)
+        compute_control(w, POLICY)
         assert w.detected_time_s == first
 
 
 class TestStep:
     def test_full_brake_euler_arithmetic(self):
-        w = make_world(av_pos=(-100.0, 5.4864), av_speed=20.0,
-                       ped_pos=(0.0, 5.4864), ped_vel=(0.0, 0.0))
+        w = make_world(av_pos=(-100.0, 5.4864), av_speed=20.0, ped_y=5.4864, ped_vy=0.0)
         # Overlapping estimate: full pressure this step.
         w.av_x = -1.0
         step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
         assert w.last_pressure_bar == 200.0
         assert w.av_speed == pytest.approx(20.0 - 8.0 * 0.02, rel=1e-12)
+
+    def test_v2v_disabled_ignores_relay(self):
+        # Out of the AV's sensor range, the pedestrian is known only
+        # through the relay, which a run without V2V never reads.
+        relayed = make_world(av_pos=(-120.0, 5.4864), sensor_range=10.0)
+        step(relayed, 0.02, POLICY, IDEAL, v2v_enabled=True)
+        assert relayed.last_estimate == "v2v"
+        w = make_world(av_pos=(-120.0, 5.4864), sensor_range=10.0)
+        step(w, 0.02, POLICY, IDEAL, v2v_enabled=False)
+        assert w.last_estimate is None and w.latest_ped_info is None
+        assert w.last_ttc_s is None and w.last_pressure_bar == 0.0
 
     def test_channel_not_stepped_without_relay(self):
         # Nothing reads the channel then, and its drop draws are the only
@@ -286,13 +295,12 @@ class TestStep:
         assert w.rng.getstate() == rng_state
 
     def test_speed_clamps_at_zero(self):
-        w = make_world(av_pos=(-1.0, 5.4864), av_speed=0.05,
-                       ped_pos=(0.0, 5.4864), ped_vel=(0.0, 0.0))
+        w = make_world(av_pos=(-1.0, 5.4864), av_speed=0.05, ped_y=5.4864, ped_vy=0.0)
         step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
         assert w.av_speed == 0.0
 
     def test_pedestrian_advances_at_walk_speed(self):
-        w = make_world(ped_pos=(0.0, 2.0), ped_vel=(0.0, 1.2192))
+        w = make_world(ped_y=2.0, ped_vy=1.2192)
         y0 = w.ped_y
         step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
         assert w.ped_y == pytest.approx(y0 + 0.024384, rel=1e-12)
@@ -303,17 +311,15 @@ class TestStep:
         assert w.ped_y == 2.0
 
     def test_collision_latch_is_monotone(self):
-        w = make_world(av_pos=(-2.0, 5.4864), av_speed=30.0,
-                       ped_pos=(0.0, 5.4864), ped_vel=(0.0, 1.2192))
+        w = make_world(av_pos=(-2.0, 5.4864), av_speed=30.0, ped_y=5.4864, ped_vy=1.2192)
         for _ in range(200):
             step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
-            if w.collided:
+            if w.collision_time_s is not None:
                 break
-        assert w.collided
         t_hit = w.collision_time_s
+        assert t_hit is not None
         for _ in range(50):
             step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
-        assert w.collided
         assert w.collision_time_s == t_hit
 
     def test_speed_never_increases(self):
