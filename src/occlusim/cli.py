@@ -68,9 +68,13 @@ def _parse_speeds(spec: str) -> tuple[float, ...]:
             raise ConfigError(f"--speeds: {spec!r} repeats a speed at 6 decimals")
         return speeds
     try:
-        return tuple(float(p) for p in spec.split(",") if p.strip())
+        speeds = tuple(float(p) for p in spec.split(",") if p.strip())
     except ValueError:
         raise ConfigError(f"--speeds: expects numbers, got {spec!r}") from None
+    # As in a range, each speed runs once: a repeat would write its rows twice.
+    if len(set(speeds)) != len(speeds):
+        raise ConfigError(f"--speeds: {spec!r} repeats a speed")
+    return speeds
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

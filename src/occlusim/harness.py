@@ -32,6 +32,8 @@ RESULTS_HEADER = (
 )
 
 TRACE_HEADER = "t_s,av_x_m,av_speed_mps,ped_x_m,ped_y_m,ttc_s,pressure_bar,detected,occluded"
+# One trace row in TRACE_HEADER's column order; ped_x_m is always 0.
+_TRACE_ROW = "%.4f,%.4f,%.4f,0.0000,%.4f,%s,%.4f,%s,%s"
 
 
 @dataclass(slots=True)
@@ -102,26 +104,41 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     max_pressure = 0.0
     cleared_at: float | None = None
 
-    while True:
-        world_mod.step(w, cfg.dt_s, policy, channel, cfg.v2v, braking=braking)
+    # Bound once per run: what the loop calls and what never changes
+    # during a run. world.step is looked up here, so a wrapper installed
+    # on it before the run still sees every step.
+    step = world_mod.step
+    record = trace.append
+    dt = cfg.dt_s
+    v2v = cfg.v2v
+    av_y = w.av_y
+    occluder = w.occluder
 
-        ttc_s, pressure = w.last_ttc_s, w.last_pressure_bar
-        if ttc_s is not None:
-            min_ttc = ttc_s if min_ttc is None else min(min_ttc, ttc_s)
-        max_pressure = max(max_pressure, pressure)
+    while True:
+        step(w, dt, policy, channel, v2v, braking=braking)
+
+        ttc_s = w.last_ttc_s
+        pressure = w.last_pressure_bar
+        if ttc_s is not None and (min_ttc is None or ttc_s < min_ttc):
+            min_ttc = ttc_s
+        if pressure > max_pressure:
+            max_pressure = pressure
         # Fields in StepRecord order; the sight line runs from the AV's
         # front-center sensor.
-        trace.append(StepRecord(
-            w.t_s, w.av_x, w.av_speed, w.ped_y, serialize_ttc(ttc_s), pressure,
+        t_s = w.t_s
+        av_x = w.av_x
+        ped_y = w.ped_y
+        record(StepRecord(
+            t_s, av_x, w.av_speed, ped_y, serialize_ttc(ttc_s), pressure,
             w.last_estimate is not None,
-            los_occluded(w.av_x + AV_RADIUS_M, w.av_y, 0.0, w.ped_y, w.occluder),
+            los_occluded(av_x + AV_RADIUS_M, av_y, 0.0, ped_y, occluder),
         ))
 
         if w.collision_time_s is not None:
             break
-        if cleared_at is None and w.ped_y > clearance_y:
-            cleared_at = w.t_s
-        if cleared_at is not None and w.t_s >= cleared_at + CLEARANCE_TAIL_S:
+        if cleared_at is None and ped_y > clearance_y:
+            cleared_at = t_s
+        if cleared_at is not None and t_s >= cleared_at + CLEARANCE_TAIL_S:
             break
 
     result = SimResult(
@@ -184,17 +201,11 @@ def write_trace_csv(trace: list[StepRecord]) -> str:
         raise ValueError("no trace rows to serialize")
     lines = [TRACE_HEADER]
     for rec in trace:
-        lines.append(",".join((
-            f"{rec.t_s:.4f}",
-            f"{rec.av_x_m:.4f}",
-            f"{rec.av_speed_mps:.4f}",
-            "0.0000",
-            f"{rec.ped_y_m:.4f}",
-            _fmt_ttc(rec.ttc_s),
-            f"{rec.pressure_bar:.4f}",
-            _fmt_bool(rec.detected),
-            _fmt_bool(rec.occluded),
-        )))
+        # One format per row; %.4f prints exactly what f"{x:.4f}" does.
+        lines.append(_TRACE_ROW % (
+            rec.t_s, rec.av_x_m, rec.av_speed_mps, rec.ped_y_m, _fmt_ttc(rec.ttc_s),
+            rec.pressure_bar, _fmt_bool(rec.detected), _fmt_bool(rec.occluded),
+        ))
     return "\n".join(lines) + "\n"
 
 

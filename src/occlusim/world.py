@@ -71,6 +71,10 @@ class WorldState:
     "sensor", "v2v", or None when it had none. ``occluder`` holds the
     stopped transmitter's footprint as its bounds (min_x, max_x, min_y,
     max_y). A collision latches ``collision_time_s``.
+
+    The pedestrian is active, has stepped out and begun crossing, once
+    ``t_s >= ped_entry_time_s - _T_EPS``. Before then there is nothing for
+    either vehicle to detect, and it does not move.
     """
 
     av_x: float
@@ -97,14 +101,6 @@ class WorldState:
     last_pressure_bar: float = 0.0
     last_estimate: str | None = None
 
-    def pedestrian_active(self) -> bool:
-        """True once the pedestrian has stepped out and begun crossing.
-
-        Before the entry time there is nothing for either vehicle to
-        detect; the pedestrian is off stage.
-        """
-        return self.t_s >= self.ped_entry_time_s - _T_EPS
-
 
 def los_occluded(sensor_x: float, sensor_y: float, target_x: float, target_y: float,
                  occluder: tuple[float, float, float, float]) -> bool:
@@ -117,21 +113,38 @@ def los_occluded(sensor_x: float, sensor_y: float, target_x: float, target_y: fl
         return True
 
     # Liang-Barsky clip of the segment against the rectangle slabs (Liang &
-    # Barsky, "A new concept and method for line clipping", ACM TOG 3(1), 1984).
+    # Barsky, "A new concept and method for line clipping", ACM TOG 3(1), 1984),
+    # written out once per axis: this runs on every step of every run.
+    t0 = 0.0
+    t1 = 1.0
     dx = target_x - sensor_x
-    dy = target_y - sensor_y
-    t0, t1 = 0.0, 1.0
-    for d, lo, hi, s in ((dx, min_x, max_x, sensor_x), (dy, min_y, max_y, sensor_y)):
-        if d == 0.0:
-            if not (lo <= s <= hi):
-                return False
-            continue
-        ta = (lo - s) / d
-        tb = (hi - s) / d
+    if dx == 0.0:
+        if not (min_x <= sensor_x <= max_x):
+            return False
+    else:
+        ta = (min_x - sensor_x) / dx
+        tb = (max_x - sensor_x) / dx
         if ta > tb:
             ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
+        if ta > t0:
+            t0 = ta
+        if tb < t1:
+            t1 = tb
+        if t0 > t1:
+            return False
+    dy = target_y - sensor_y
+    if dy == 0.0:
+        if not (min_y <= sensor_y <= max_y):
+            return False
+    else:
+        ta = (min_y - sensor_y) / dy
+        tb = (max_y - sensor_y) / dy
+        if ta > tb:
+            ta, tb = tb, ta
+        if ta > t0:
+            t0 = ta
+        if tb < t1:
+            t1 = tb
         if t0 > t1:
             return False
     # Endpoint-only grazes do not block (open segment).
@@ -170,33 +183,25 @@ def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
     send slot is consumed either way. Messages are delivered once their
     send time plus latency has elapsed; the newest delivered message wins.
     """
-    if world.pedestrian_active():
+    t_s = world.t_s
+    in_flight = world.in_flight
+    if t_s >= world.ped_entry_time_s - _T_EPS:
         tx = world.transmitter
         dx = 0.0 - (tx.pos.x + tx.radius)
         dy = world.ped_y - tx.pos.y
         tracked = dx * dx + dy * dy <= world.tx_sensor_range_m * world.tx_sensor_range_m
-        if tracked and world.t_s >= world.next_send_s - _T_EPS:
-            world.next_send_s = world.t_s + channel.period_s
+        if tracked and t_s >= world.next_send_s - _T_EPS:
+            world.next_send_s = t_s + channel.period_s
             in_range = math.hypot(world.av_x - tx.pos.x, world.av_y - tx.pos.y) <= channel.range_m
             dropped = channel.drop_prob > 0.0 and world.rng.random() < channel.drop_prob
             if in_range and not dropped:
-                world.in_flight.append(V2VMessage(world.t_s, world.ped_y, world.ped_vy))
+                in_flight.append(V2VMessage(t_s, world.ped_y, world.ped_vy))
 
-    while world.in_flight and world.in_flight[0].sent_at_s + channel.latency_s <= world.t_s + _T_EPS:
-        world.latest_ped_info = world.in_flight.popleft()
-
-
-def _own_observation(world: WorldState) -> float | None:
-    """The pedestrian's y as the AV's own sensor sees it, or None."""
-    if not world.pedestrian_active():
-        return None
-    # The AV flags roadway intruders, not people on the shoulder; the
-    # transmitter holds the pedestrian it yielded to wherever it walks.
-    if not (0.0 <= world.ped_y <= world.road_width_m):
-        return None
-    # The sensor sits at the AV's front-center.
-    return sense(world.av_x + AV_RADIUS_M, world.av_y, world.av_sensor_range_m,
-                 world.av_sensor_cos_fov, world.ped_y, world.occluder)
+    if in_flight:
+        latency_s = channel.latency_s
+        due_s = t_s + _T_EPS
+        while in_flight and in_flight[0].sent_at_s + latency_s <= due_s:
+            world.latest_ped_info = in_flight.popleft()
 
 
 def compute_control(world: WorldState, policy: BrakePolicy) -> tuple[TtcOutcome, float]:
@@ -209,7 +214,15 @@ def compute_control(world: WorldState, policy: BrakePolicy) -> tuple[TtcOutcome,
     no estimate at all the AV holds speed. The first step with any
     estimate fixes detected_time and the TTC recorded at that instant.
     """
-    y = _own_observation(world)
+    # The AV's own sensor, at its front-center, sees the pedestrian only
+    # once active and on the roadway: it flags roadway intruders, not
+    # people on the shoulder, while the transmitter holds the pedestrian
+    # it yielded to wherever it walks.
+    y = None
+    ped_y = world.ped_y
+    if world.t_s >= world.ped_entry_time_s - _T_EPS and 0.0 <= ped_y <= world.road_width_m:
+        y = sense(world.av_x + AV_RADIUS_M, world.av_y, world.av_sensor_range_m,
+                  world.av_sensor_cos_fov, ped_y, world.occluder)
     if y is not None:
         world.last_estimate = "sensor"
         vy = world.ped_vy
@@ -262,11 +275,16 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelMode
 
     # Longitudinal kinematics: brake, clamp at standstill, then move with
     # the new velocity. The AV never re-accelerates once a threat clears.
-    speed = max(0.0, world.av_speed - deceleration_for(pressure, policy) * dt)
-    world.av_speed = speed
+    # Zero pressure leaves the speed as it is (v - 0.0 * dt == v).
+    speed = world.av_speed
+    if pressure != 0.0:
+        speed -= deceleration_for(pressure, policy) * dt
+        if speed <= 0.0:
+            speed = 0.0
+        world.av_speed = speed
     world.av_x += speed * dt
 
-    if world.pedestrian_active():
+    if world.t_s >= world.ped_entry_time_s - _T_EPS:
         world.ped_y += world.ped_vy * dt
 
     world.t_s += dt

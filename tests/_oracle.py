@@ -1,8 +1,15 @@
-"""Brute-force time-to-collision oracle, independent of the closed form.
+"""Reference implementations that the package's fast forms are checked
+against.
 
-Steps the relative motion on a fine time grid, reports the first sample
-where the separation is within the contact radius, then sharpens the
-bracket by bisection. Used to cross-check the quadratic solver.
+``brute_force_ttc`` is a time-to-collision oracle independent of the
+closed form: it steps the relative motion on a fine time grid, reports the
+first sample where the separation is within the contact radius, then
+sharpens the bracket by bisection. Used to cross-check the quadratic
+solver.
+
+``los_occluded_loop`` is the sight-line test in its loop form, one pass
+per slab; ``occlusim.world.los_occluded`` writes the same clip out once
+per axis and must return the same boolean.
 """
 
 from __future__ import annotations
@@ -56,3 +63,33 @@ def brute_force_ttc(x: float, y: float, vx: float, vy: float, r: float,
         else:
             lo = mid
     return hi
+
+
+def los_occluded_loop(sensor_x: float, sensor_y: float, target_x: float, target_y: float,
+                      occluder: tuple[float, float, float, float]) -> bool:
+    """True iff the open segment sensor -> target crosses the rectangle
+    *occluder* = (min_x, max_x, min_y, max_y), or the target lies inside
+    (or on) it: a Liang-Barsky clip that loops over the two slabs."""
+    min_x, max_x, min_y, max_y = occluder
+
+    if min_x <= target_x <= max_x and min_y <= target_y <= max_y:
+        return True
+
+    dx = target_x - sensor_x
+    dy = target_y - sensor_y
+    t0, t1 = 0.0, 1.0
+    for d, lo, hi, s in ((dx, min_x, max_x, sensor_x), (dy, min_y, max_y, sensor_y)):
+        if d == 0.0:
+            if not (lo <= s <= hi):
+                return False
+            continue
+        ta = (lo - s) / d
+        tb = (hi - s) / d
+        if ta > tb:
+            ta, tb = tb, ta
+        t0 = max(t0, ta)
+        t1 = min(t1, tb)
+        if t0 > t1:
+            return False
+    # Endpoint-only grazes do not block (open segment).
+    return t0 < t1 and t1 > 0.0 and t0 < 1.0

@@ -92,15 +92,16 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("speeds", ["0,10", ",", "10,nan", "10,inf", "10:70:nan",
                                     "10:70:1e-16", "10:70:1e-9", "10:10.000002:0.0000004",
-                                    "10.0000005:10.00001:0.000001"])
+                                    "10.0000005:10.00001:0.000001", "10,10", "20,10,20.0"])
 def test_bad_sweep_speeds_are_config_error(tmp_path, capsys, monkeypatch, speeds):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(harness, "run_scenario", no_run)
     # 10:70:1e-16 never moves past 10 and 10:70:1e-9 lists 6e10 speeds;
-    # both are rejected by count before any speed is listed. The last two
-    # list speeds that repeat once rounded to 6 decimals.
+    # both are rejected by count before any speed is listed. The two ranges
+    # after them list speeds that repeat once rounded to 6 decimals; the
+    # last two lists repeat a speed outright.
     assert main(["sweep", "--speeds", speeds, "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --speeds: ")
     assert not (tmp_path / "s.csv").exists()
@@ -164,6 +165,11 @@ def test_parse_speeds_forms():
     assert _parse_speeds("10:70:5") == tuple(float(s) for s in range(10, 75, 5))
     assert _parse_speeds("45") == (45.0,)
     assert _parse_speeds("20,45,70") == (20.0, 45.0, 70.0)
+    # A list runs each speed once, as a range does; it need not be sorted.
+    assert _parse_speeds("70,20") == (70.0, 20.0)
+    for spec in ("10,10", "45,10,45.0", "1e1,10"):
+        with pytest.raises(ConfigError, match="repeats a speed"):
+            _parse_speeds(spec)
     with pytest.raises(ConfigError):
         _parse_speeds("10:70")
     with pytest.raises(ConfigError):

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _oracle import los_occluded_loop
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import ActorState, Vec2
 from occlusim.world import (
@@ -53,6 +56,22 @@ def make_world(av_pos=(-50.0, 5.4864), av_speed=20.0, ped_y=2.0, ped_vy=1.2192,
     )
 
 
+# Coordinates on a coarse grid meet rectangle edges, corners and each other
+# exactly, so the clip's ties and zero directions come up; any float in a
+# wide box covers the rest.
+COORD = st.one_of(st.integers(-4, 4).map(float), st.floats(-60.0, 60.0))
+
+
+@st.composite
+def rectangles(draw) -> tuple[float, float, float, float]:
+    min_x, max_x = sorted((draw(COORD), draw(COORD)))
+    min_y, max_y = sorted((draw(COORD), draw(COORD)))
+    return (min_x, max_x, min_y, max_y)
+
+
+# A 4 x 2 box with its corner on the origin, for exact boundary cases.
+BOX = (0.0, 4.0, 0.0, 2.0)
+
 IDEAL = ChannelModel(latency_s=0.0, drop_prob=0.0, range_m=300.0, period_s=0.02)
 POLICY = BrakePolicy()
 
@@ -92,6 +111,33 @@ class TestLosOccluded:
             occ = Vec2(rng.uniform(-20, 20), 5 + WIDTH / 2 + rng.uniform(0.01, 10))
             assert not los_occluded(a.x, a.y, b.x, b.y, rect(occ.x, occ.y))
 
+    @pytest.mark.parametrize("sensor,target,expected", [
+        ((2.0, -5.0), (2.0, 5.0), True),     # dx == 0 inside the x slab
+        ((5.0, -5.0), (5.0, 5.0), False),    # dx == 0 beside it
+        ((4.0, -5.0), (4.0, 5.0), True),     # dx == 0 along the right edge
+        ((0.0, -5.0), (0.0, 5.0), True),     # dx == 0 along the left edge
+        ((-5.0, 1.0), (9.0, 1.0), True),     # dy == 0 inside the y slab
+        ((-5.0, 3.0), (9.0, 3.0), False),    # dy == 0 above it
+        ((-5.0, 2.0), (9.0, 2.0), True),     # dy == 0 along the top edge
+        ((-5.0, 0.0), (9.0, 0.0), True),     # dy == 0 along the bottom edge
+        ((-5.0, 3.0), (-5.0, 3.0), False),   # zero-length segment outside
+        ((-5.0, 1.0), (0.0, 1.0), True),     # target on the left edge
+        ((10.0, 10.0), (4.0, 2.0), True),    # target on a corner
+        ((4.0, 1.0), (9.0, 1.0), False),     # touches only at its sensor end
+        ((-1.0, 1.0), (1.0, 3.0), False),    # touches only the corner (0, 2)
+        ((2.0, 1.0), (10.0, 10.0), True),    # sensor inside
+    ])
+    def test_boundary_cases_match_loop_form(self, sensor, target, expected):
+        assert los_occluded(*sensor, *target, BOX) is expected
+        assert los_occluded_loop(*sensor, *target, BOX) is expected
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(sx=COORD, sy=COORD, tx=COORD, ty=COORD, occluder=rectangles())
+    @example(sx=0.0, sy=0.0, tx=0.0, ty=0.0, occluder=(0.0, 0.0, 0.0, 0.0))
+    @example(sx=-1.0, sy=0.0, tx=1.0, ty=0.0, occluder=(0.0, 0.0, -1.0, 1.0))
+    def test_unrolled_clip_matches_loop_form(self, sx, sy, tx, ty, occluder):
+        assert los_occluded(sx, sy, tx, ty, occluder) == los_occluded_loop(sx, sy, tx, ty, occluder)
+
 
 class TestSense:
     # The target stands on the walk line, x = 0; the sensor moves instead.
@@ -112,6 +158,13 @@ class TestSense:
 
     def test_full_circle_fov_sees_behind(self):
         assert sense(10, 0, 150.0, math.cos(math.pi), 0.0, CLEAR) is not None
+
+    def test_bearing_measured_from_sensor_off_the_axis(self):
+        # From (-10, 3) the target at y = 9 is 6 m across: a 31 degree
+        # bearing, inside the 45 degree half-angle. From (-10, -3), the
+        # mirror of that sensor, it is 12 m across and outside.
+        assert sense(-10, 3.0, 150.0, COS_45, 9.0, CLEAR) == 9.0
+        assert sense(-10, -3.0, 150.0, COS_45, 9.0, CLEAR) is None
 
 
 class TestChannel:
@@ -137,6 +190,19 @@ class TestChannel:
         assert w.latest_ped_info is None
         assert not w.in_flight
         assert w.next_send_s == 0.0  # no send slot consumed
+
+    def test_tracker_range_measured_from_its_own_position(self):
+        # The tracker sits at (0, 5): a pedestrian at y = 15 is 10 m from
+        # it and relayed, one at y = -5 is 10 m from it and, at a 9.99 m
+        # range, not.
+        w = make_world(tx_pos=(-2.22504, 5.0), ped_y=15.0, tx_range=10.0)
+        channel_step(w, IDEAL, 0.02)
+        assert w.latest_ped_info is not None
+        assert w.latest_ped_info.ped_y == 15.0
+        w = make_world(tx_pos=(-2.22504, 5.0), ped_y=-5.0, tx_range=9.99)
+        channel_step(w, IDEAL, 0.02)
+        assert w.latest_ped_info is None
+        assert not w.in_flight
 
     def test_drop_prob_one_never_delivers(self):
         w = make_world()
