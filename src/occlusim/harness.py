@@ -8,18 +8,18 @@ TTC and pressure histories can be plotted by any external tool. A sweep
 builds, and so validates and calibrates, every run's config before the
 first run starts.
 
-Serialized TTC uses 10000 seconds as the no-valid-TTC sentinel; inside the
-package the absence of a TTC is always None.
+Serialized TTC and a trace row's TTC use 10000 seconds as the no-valid-TTC
+sentinel; elsewhere in the package the absence of a TTC is always None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import world as world_mod
 from .scenario import (CLEARANCE_TAIL_S, ConfigError, ScenarioConfig, SimResult, build_world,
                        config_for)
-from .ttc import TtcOutcome
 from .world import AV_RADIUS_M, R_SUM_M, los_occluded
 
 NO_TTC_SENTINEL_S = 10000.0
@@ -32,15 +32,20 @@ RESULTS_HEADER = (
 )
 
 TRACE_HEADER = "t_s,av_x_m,av_speed_mps,ped_x_m,ped_y_m,ttc_s,pressure_bar,detected,occluded"
-# One trace row in TRACE_HEADER's column order; ped_x_m is always 0.
-_TRACE_ROW = "%.4f,%.4f,%.4f,0.0000,%.4f,%s,%.4f,%s,%s"
+# One trace row in TRACE_HEADER's column order; ped_x_m is always 0, and
+# the no-valid-TTC sentinel prints bare.
+_TRACE_ROW = "%.4f,%.4f,%.4f,0.0000,%.4f,%.4f,%.4f,%s,%s"
+_TRACE_ROW_NO_TTC = "%.4f,%.4f,%.4f,0.0000,%.4f,10000,%.4f,%s,%s"
+_BOOL_TEXT = ("false", "true")
 
 
-@dataclass(slots=True)
-class StepRecord:
-    """One trace row, recorded after every step. Not frozen: a frozen
-    dataclass costs several times as much to build, once per step. The
-    pedestrian's x is the walk line's, 0, in every row."""
+class StepRecord(NamedTuple):
+    """One trace row, recorded after every step from values the step has
+    already produced. ``ttc_s`` holds the 10000 s sentinel when there was
+    no valid TTC. ``sight`` is the run's (sensor lane y, occluder bounds),
+    one tuple shared by every row of a run: the ``occluded`` column is
+    worked out from it by :func:`write_trace_csv`, only when a trace is
+    written. The pedestrian's x is the walk line's, 0, in every row."""
 
     t_s: float
     av_x_m: float
@@ -49,7 +54,7 @@ class StepRecord:
     ttc_s: float
     pressure_bar: float
     detected: bool
-    occluded: bool
+    sight: tuple[float, tuple[float, float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -82,11 +87,6 @@ def speed_label(mph: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def serialize_ttc(outcome: TtcOutcome) -> float:
-    """None (no valid TTC) becomes the 10000 s sentinel."""
-    return NO_TTC_SENTINEL_S if outcome is None else outcome
-
-
 def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, list[StepRecord]]:
     """Run one scenario to completion and return its result row and trace.
 
@@ -106,13 +106,14 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
 
     # Bound once per run: what the loop calls and what never changes
     # during a run. world.step is looked up here, so a wrapper installed
-    # on it before the run still sees every step.
+    # on it before the run still sees every step. A row is built the way
+    # namedtuple's _make builds one, without its Python frame.
     step = world_mod.step
     record = trace.append
+    new_row = tuple.__new__
     dt = cfg.dt_s
     v2v = cfg.v2v
-    av_y = w.av_y
-    occluder = w.occluder
+    sight = (w.av_y, w.occluder)
 
     while True:
         step(w, dt, policy, channel, v2v, braking=braking)
@@ -123,16 +124,15 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
             min_ttc = ttc_s
         if pressure > max_pressure:
             max_pressure = pressure
-        # Fields in StepRecord order; the sight line runs from the AV's
-        # front-center sensor.
+        # Fields in StepRecord order; no valid TTC is stored as the
+        # sentinel, and the occluded cell is left to write_trace_csv.
         t_s = w.t_s
-        av_x = w.av_x
         ped_y = w.ped_y
-        record(StepRecord(
-            t_s, av_x, w.av_speed, ped_y, serialize_ttc(ttc_s), pressure,
-            w.last_estimate is not None,
-            los_occluded(av_x + AV_RADIUS_M, av_y, 0.0, ped_y, occluder),
-        ))
+        record(new_row(StepRecord, (
+            t_s, w.av_x, w.av_speed, ped_y,
+            NO_TTC_SENTINEL_S if ttc_s is None else ttc_s, pressure,
+            w.last_estimate is not None, sight,
+        )))
 
         if w.collision_time_s is not None:
             break
@@ -171,10 +171,6 @@ def _fmt_ttc(value: float | None) -> str:
     return f"{value:.4f}"
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def write_results_csv(results: list[SimResult]) -> str:
     """Results as CSV text: fixed header, 4-decimal times, locale-free."""
     if not results:
@@ -187,7 +183,7 @@ def write_results_csv(results: list[SimResult]) -> str:
             _fmt_time(r.detected_time_s),
             _fmt_ttc(r.first_ttc_s),
             _fmt_ttc(r.min_ttc_s),
-            _fmt_bool(r.collision),
+            _BOOL_TEXT[r.collision],
             _fmt_time(r.collision_time_s),
             f"{r.max_pressure_bar:.4f}",
         )))
@@ -196,16 +192,22 @@ def write_results_csv(results: list[SimResult]) -> str:
 
 def write_trace_csv(trace: list[StepRecord]) -> str:
     """Per-step trace as CSV text. The ped_x_m column keeps the trace's
-    layout: the pedestrian crosses at x = 0, so it is always 0.0000."""
+    layout: the pedestrian crosses at x = 0, so it is always 0.0000. The
+    occluded column is the sight line from the AV's front-center sensor
+    to the pedestrian, checked against the row's occluder."""
     if not trace:
         raise ValueError("no trace rows to serialize")
     lines = [TRACE_HEADER]
-    for rec in trace:
+    append = lines.append
+    for t_s, av_x, speed, ped_y, ttc_s, pressure, detected, (sensor_y, occluder) in trace:
+        occluded = los_occluded(av_x + AV_RADIUS_M, sensor_y, 0.0, ped_y, occluder)
         # One format per row; %.4f prints exactly what f"{x:.4f}" does.
-        lines.append(_TRACE_ROW % (
-            rec.t_s, rec.av_x_m, rec.av_speed_mps, rec.ped_y_m, _fmt_ttc(rec.ttc_s),
-            rec.pressure_bar, _fmt_bool(rec.detected), _fmt_bool(rec.occluded),
-        ))
+        if ttc_s >= NO_TTC_SENTINEL_S:
+            append(_TRACE_ROW_NO_TTC % (t_s, av_x, speed, ped_y, pressure,
+                                        _BOOL_TEXT[detected], _BOOL_TEXT[occluded]))
+        else:
+            append(_TRACE_ROW % (t_s, av_x, speed, ped_y, ttc_s, pressure,
+                                 _BOOL_TEXT[detected], _BOOL_TEXT[occluded]))
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from occlusim import harness
 from occlusim import world as world_mod
 from occlusim.geometry import ActorState, Vec2
 from occlusim.harness import (
@@ -13,12 +14,12 @@ from occlusim.harness import (
     StepRecord,
     SweepSpec,
     run_scenario,
-    serialize_ttc,
     sweep,
     write_results_csv,
     write_trace_csv,
 )
-from occlusim.scenario import AV_RADIUS_M, ConfigError, ScenarioConfig, SimResult, config_for
+from occlusim.scenario import (AV_RADIUS_M, ConfigError, ScenarioConfig, SimResult, build_world,
+                               config_for)
 from occlusim.world import R_SUM_M
 
 
@@ -196,8 +197,6 @@ class TestSerialization:
     def test_no_ttc_serializes_as_sentinel(self):
         text = write_results_csv([self._result(first_ttc_s=None, min_ttc_s=None)])
         assert ",10000,10000," in text.splitlines()[1]
-        assert serialize_ttc(None) == NO_TTC_SENTINEL_S
-        assert serialize_ttc(2.5) == 2.5
 
     def test_collision_row_literals(self):
         text = write_results_csv([self._result(collision=True, collision_time_s=19.88)])
@@ -213,13 +212,39 @@ class TestSerialization:
         assert f"(`{TRACE_HEADER}`)" in readme
 
     def test_trace_csv_layout(self):
-        rec = StepRecord(t_s=0.02, av_x_m=-400.0, av_speed_mps=20.1168,
-                         ped_y_m=-18.0, ttc_s=NO_TTC_SENTINEL_S,
-                         pressure_bar=0.0, detected=False, occluded=True)
-        text = write_trace_csv([rec])
-        lines = text.splitlines()
-        assert lines[0] == TRACE_HEADER
-        assert lines[1] == "0.0200,-400.0000,20.1168,0.0000,-18.0000,10000,0.0000,false,true"
+        # Both rows share one run's sight: the default sensor lane and the
+        # stopped car. At x = -30 the car hides the pedestrian at y = 2; at
+        # x = -20 the pedestrian at y = 3.5 is in the open.
+        w = build_world(ScenarioConfig())
+        sight = (w.av_y, w.occluder)
+        hidden = StepRecord(t_s=9.02, av_x_m=-30.0, av_speed_mps=20.1168, ped_y_m=2.0,
+                            ttc_s=NO_TTC_SENTINEL_S, pressure_bar=0.0, detected=False,
+                            sight=sight)
+        seen = StepRecord(t_s=9.04, av_x_m=-20.0, av_speed_mps=19.5, ped_y_m=3.5,
+                          ttc_s=2.5, pressure_bar=56.1234, detected=True, sight=sight)
+        lines = write_trace_csv([hidden, seen]).splitlines()
+        assert lines == [
+            TRACE_HEADER,
+            "9.0200,-30.0000,20.1168,0.0000,2.0000,10000,0.0000,false,true",
+            "9.0400,-20.0000,19.5000,0.0000,3.5000,2.5000,56.1234,true,false",
+        ]
+
+    def test_sight_line_checked_only_when_a_trace_is_written(self, monkeypatch):
+        calls = 0
+        original = harness.los_occluded
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(harness, "los_occluded", counting)
+        assert len(sweep(SweepSpec(speeds_mph=(45.0,)))) == 2
+        assert calls == 0
+        _, trace = run_scenario(config_for(ScenarioConfig(), 45.0, True))
+        assert calls == 0
+        write_trace_csv(trace)
+        assert calls == len(trace)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):

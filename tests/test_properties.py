@@ -4,8 +4,9 @@ Metamorphic relations between runs: the channel knobs cannot touch a run
 without the relay, the relay can only bring detection forward, and a late
 or lossy relay can only push it back. Trace invariants of every calibrated
 run: time strictly increases, the AV never speeds up, the pressure stays
-within [0, p_max], there is one row per step, and the pedestrian never
-leaves the walk line. The staging premise:
+within [0, p_max], there is one row per step, the pedestrian never
+leaves the walk line, and the written occluded column is the loop-form
+sight-line check of the row's values. The staging premise:
 every calibrated run collides when the AV never brakes. And a robustness
 property: any finite config is either rejected at load time by a config
 error naming a key, or steps with finite state and bounded commands.
@@ -18,10 +19,12 @@ from dataclasses import fields, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import los_occluded_loop
 from occlusim import ScenarioConfig, run_scenario, write_results_csv
 from occlusim import world as world_mod
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH, TRACE_HEADER, write_trace_csv
 from occlusim.scenario import ConfigError, build_world, config_for
+from occlusim.world import AV_RADIUS_M
 
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 # Any finite float, drawn positive more often, as most keys must be.
@@ -103,6 +106,13 @@ def test_every_trace_keeps_its_invariants(keys):
     ped_x_col = TRACE_HEADER.split(",").index("ped_x_m")
     rows = write_trace_csv(trace).splitlines()[1:]
     assert all(row.split(",")[ped_x_col] == "0.0000" for row in rows)
+    # The occluded cell, worked out when the trace is written, is the loop
+    # form's verdict on the row's unrounded floats.
+    occluder = build_world(cfg).occluder
+    for rec, row in zip(trace, rows, strict=True):
+        blocked = los_occluded_loop(rec.av_x_m + AV_RADIUS_M, cfg.av_lane_y, 0.0, rec.ped_y_m,
+                                    occluder)
+        assert row.rsplit(",", 1)[1] == ("true" if blocked else "false")
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
