@@ -3,10 +3,11 @@
 A run steps the world from t=0 until a collision, or until the pedestrian
 has cleared the AV's lane plus a 5-second tail; the pedestrian walks at
 constant speed from the entry its config calibrated, so every run ends one
-of those two ways. The per-step trace is recorded at every timestep so the
-TTC and pressure histories can be plotted by any external tool. A sweep
-builds, and so validates and calibrates, every run's config before the
-first run starts.
+of those two ways. From what each step returns the run keeps its first
+detection with that step's TTC and its collision, each timed at the world
+time before the step, and one trace row per step for any plotting tool. A
+sweep builds, and so validates and calibrates, every run's config before
+the first run starts.
 
 Serialized TTC and a trace row's TTC use 10000 seconds as the no-valid-TTC
 sentinel; elsewhere in the package the absence of a TTC is always None.
@@ -100,9 +101,13 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     clearance_y = cfg.av_lane_y + R_SUM_M
 
     trace: list[StepRecord] = []
+    detected_at: float | None = None
+    first_ttc: float | None = None
     min_ttc: float | None = None
     max_pressure = 0.0
+    collision_at: float | None = None
     cleared_at: float | None = None
+    t_s = 0.0  # the world's time before the coming step: the last row's t_s
 
     # Bound once per run: what the loop calls and what never changes
     # during a run. world.step is looked up here, so a wrapper installed
@@ -116,26 +121,28 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     sight = (w.av_y, w.occluder)
 
     while True:
-        step(w, dt, policy, channel, v2v, braking=braking)
+        ttc_s, pressure, source, contact = step(w, dt, policy, channel, v2v, braking=braking)
 
-        ttc_s = w.last_ttc_s
-        pressure = w.last_pressure_bar
+        if source is not None and detected_at is None:
+            detected_at = t_s
+            first_ttc = ttc_s
         if ttc_s is not None and (min_ttc is None or ttc_s < min_ttc):
             min_ttc = ttc_s
         if pressure > max_pressure:
             max_pressure = pressure
         # Fields in StepRecord order; no valid TTC is stored as the
         # sentinel, and the occluded cell is left to write_trace_csv.
-        t_s = w.t_s
         ped_y = w.ped_y
         record(new_row(StepRecord, (
-            t_s, w.av_x, w.av_speed, ped_y,
+            w.t_s, w.av_x, w.av_speed, ped_y,
             NO_TTC_SENTINEL_S if ttc_s is None else ttc_s, pressure,
-            w.last_estimate is not None, sight,
+            source is not None, sight,
         )))
 
-        if w.collision_time_s is not None:
+        if contact:  # the first contact ends the run, after its row
+            collision_at = t_s
             break
+        t_s = w.t_s
         if cleared_at is None and ped_y > clearance_y:
             cleared_at = t_s
         if cleared_at is not None and t_s >= cleared_at + CLEARANCE_TAIL_S:
@@ -144,11 +151,11 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     result = SimResult(
         av_speed_mph=cfg.av_speed_mph,
         strategy="with_v2v" if cfg.v2v else "without_v2v",
-        detected_time_s=w.detected_time_s,
-        first_ttc_s=w.first_ttc_s,
+        detected_time_s=detected_at,
+        first_ttc_s=first_ttc,
         min_ttc_s=min_ttc,
-        collision=w.collision_time_s is not None,
-        collision_time_s=w.collision_time_s,
+        collision=collision_at is not None,
+        collision_time_s=collision_at,
         max_pressure_bar=max_pressure,
     )
     return result, trace

@@ -1,13 +1,15 @@
 """Discrete-time world: three actors, line-of-sight occlusion, onboard
-sensing, the V2V relay, proportional braking, and collision detection.
+sensing, the V2V relay, proportional braking, and contact detection.
 
 One :class:`WorldState` is owned by exactly one run and stepped
-sequentially; distinct runs share nothing mutable. The two moving actors,
-the AV and the pedestrian, are plain floats, so a step builds no vector or
+sequentially; it holds only what the next step reads, and distinct runs
+share nothing mutable. :func:`step` returns what it observed (TTC,
+pressure, estimate source, contact); the caller keeps what it needs. The
+AV and the pedestrian are plain floats, so a step builds no vector or
 actor records; the stopped transmitter is a record built once per run.
-The pedestrian crosses on the walk line, x = 0, so only its y moves.
-All randomness comes from the seeded generator held by the world (used
-only for message drops), so runs with identical inputs are bit-identical.
+The pedestrian crosses on the walk line, x = 0, so only its y moves. All
+randomness comes from the seeded generator held by the world (used only
+for message drops), so runs with identical inputs are bit-identical.
 
 The run's fixed sensing geometry, the occluder's bounds and the sensor's
 envelope, is worked out once when the world is built and held as floats.
@@ -62,15 +64,12 @@ class V2VMessage:
 
 @dataclass(slots=True)
 class WorldState:
-    """Mutable state of one simulation run.
-
-    The AV drives along +x at ``av_speed`` (m/s) with its center at
-    (``av_x``, ``av_y``); its lane never changes. The pedestrian's center
-    is (0, ``ped_y``) and it walks along +y at ``ped_vy``. ``last_estimate``
-    names the source of the AV's pedestrian estimate on the last step:
-    "sensor", "v2v", or None when it had none. ``occluder`` holds the
-    stopped transmitter's footprint as its bounds (min_x, max_x, min_y,
-    max_y). A collision latches ``collision_time_s``.
+    """Mutable state of one simulation run; it holds only what the next
+    step reads. The AV drives along +x at ``av_speed`` (m/s) with its
+    center at (``av_x``, ``av_y``); its lane never changes. The
+    pedestrian's center is (0, ``ped_y``) and it walks along +y at
+    ``ped_vy``. ``occluder`` holds the stopped transmitter's footprint as
+    its bounds (min_x, max_x, min_y, max_y).
 
     The pedestrian is active, has stepped out and begun crossing, once
     ``t_s >= ped_entry_time_s - _T_EPS``. Before then there is nothing for
@@ -94,12 +93,6 @@ class WorldState:
     in_flight: deque[V2VMessage] = field(default_factory=deque)
     latest_ped_info: V2VMessage | None = None
     next_send_s: float = 0.0
-    detected_time_s: float | None = None
-    first_ttc_s: TtcOutcome = None
-    collision_time_s: float | None = None
-    last_ttc_s: TtcOutcome = None
-    last_pressure_bar: float = 0.0
-    last_estimate: str | None = None
 
 
 def los_occluded(sensor_x: float, sensor_y: float, target_x: float, target_y: float,
@@ -204,15 +197,17 @@ def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
             world.latest_ped_info = in_flight.popleft()
 
 
-def compute_control(world: WorldState, policy: BrakePolicy) -> tuple[TtcOutcome, float]:
+def compute_control(world: WorldState,
+                    policy: BrakePolicy) -> tuple[TtcOutcome, float, str | None]:
     """One control evaluation: pick the pedestrian estimate, compute the
-    TTC, and derive the pressure command.
+    TTC, and derive the pressure command. Returns (TTC, pressure, source),
+    where source is "sensor", "v2v", or None when the AV has no estimate;
+    the world is only read.
 
     The AV's own observation is preferred over V2V when both exist; a run
     without the relay never steps the channel, so it has no V2V estimate.
     A V2V estimate is extrapolated at constant velocity over its age. With
-    no estimate at all the AV holds speed. The first step with any
-    estimate fixes detected_time and the TTC recorded at that instant.
+    no estimate at all the AV holds speed.
     """
     # The AV's own sensor, at its front-center, sees the pedestrian only
     # once active and on the roadway: it flags roadway intruders, not
@@ -224,54 +219,50 @@ def compute_control(world: WorldState, policy: BrakePolicy) -> tuple[TtcOutcome,
         y = sense(world.av_x + AV_RADIUS_M, world.av_y, world.av_sensor_range_m,
                   world.av_sensor_cos_fov, ped_y, world.occluder)
     if y is not None:
-        world.last_estimate = "sensor"
+        source = "sensor"
         vy = world.ped_vy
     elif world.latest_ped_info is not None:
-        world.last_estimate = "v2v"
+        source = "v2v"
         msg = world.latest_ped_info
         vy = msg.ped_vy
         y = msg.ped_y + vy * (world.t_s - msg.sent_at_s)
     else:
-        world.last_estimate = None
-        return None, 0.0
+        return None, 0.0, None
 
     # Relative to the AV, which moves along +x only; the pedestrian is on
     # the walk line, x = 0, and does not move along it.
     outcome = ttc(0.0 - world.av_x, y - world.av_y, 0.0 - world.av_speed, vy, R_SUM_M)
-    if world.detected_time_s is None:
-        world.detected_time_s = world.t_s
-        world.first_ttc_s = outcome
-    return outcome, brake_pressure(outcome, policy)
+    return outcome, brake_pressure(outcome, policy), source
 
 
 def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelModel,
-         v2v_enabled: bool, braking: bool = True) -> None:
-    """Advance the world by one timestep.
+         v2v_enabled: bool, braking: bool = True) -> tuple[TtcOutcome, float, str | None, bool]:
+    """Advance the world by one timestep and return what it observed:
+    (TTC, pressure, estimate source, contact), as :func:`compute_control`
+    returns them plus whether the discs overlapped at the step's start.
 
-    Order per tick: collision latch on current positions, transmitter
+    Order per tick: contact test on current positions, transmitter
     broadcast and message delivery, AV control, deceleration, semi-implicit
     AV position integration, pedestrian advance, then the clock; the
-    transmitter is stopped. The latch runs first so the controller still
-    evaluates the contact state: the step on which the discs meet records
-    a full-pressure decision instead of ending silently. ``braking=False``
-    computes but discards the pressure command (used to verify that the
-    calibrated scenario collides without mitigation).
+    transmitter is stopped. Contact is tested before anything moves, so
+    the step on which the discs meet still reports the controller's
+    decision. Nothing is latched: a caller that steps past a contact sees
+    it reported again while the discs overlap.
+    ``braking=False`` reports and applies 0.0 in place of the pressure
+    command (used to verify that the calibrated scenario collides without
+    mitigation).
 
     Without the relay nothing reads the channel, and the seeded generator
     feeds only the channel, so the channel is not stepped at all.
     """
-    if (world.collision_time_s is None
-            and math.hypot(0.0 - world.av_x, world.ped_y - world.av_y) <= R_SUM_M):
-        world.collision_time_s = world.t_s
+    contact = math.hypot(0.0 - world.av_x, world.ped_y - world.av_y) <= R_SUM_M
 
     if v2v_enabled:
         channel_step(world, channel, dt)
 
-    outcome, pressure = compute_control(world, policy)
+    outcome, pressure, source = compute_control(world, policy)
     if not braking:
         pressure = 0.0
-    world.last_ttc_s = outcome
-    world.last_pressure_bar = pressure
 
     # Longitudinal kinematics: brake, clamp at standstill, then move with
     # the new velocity. The AV never re-accelerates once a threat clears.
@@ -288,3 +279,4 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelMode
         world.ped_y += world.ped_vy * dt
 
     world.t_s += dt
+    return outcome, pressure, source, contact

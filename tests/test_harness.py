@@ -18,8 +18,8 @@ from occlusim.harness import (
     write_results_csv,
     write_trace_csv,
 )
-from occlusim.scenario import (AV_RADIUS_M, ConfigError, ScenarioConfig, SimResult, build_world,
-                               config_for)
+from occlusim.scenario import (AV_RADIUS_M, CLEARANCE_TAIL_S, ConfigError, ScenarioConfig,
+                               SimResult, build_world, config_for)
 from occlusim.world import R_SUM_M
 
 
@@ -105,6 +105,59 @@ class TestRunScenario:
             )
             assert all(r.ttc_s >= NO_TTC_SENTINEL_S for r in trace[tail:])
             assert all(r.pressure_bar == 0.0 for r in trace[tail:])
+
+    def test_detected_time_is_start_of_first_detected_step(self, sweep_runs):
+        # The detection is timed at the world's time before its step: the
+        # t_s of the row before the first detected row, 0.0 on the first
+        # row. Its TTC is that step's, and later steps never move either.
+        for result, trace in sweep_runs.values():
+            first = next(i for i, row in enumerate(trace) if row.detected)
+            assert result.detected_time_s == (trace[first - 1].t_s if first else 0.0)
+            ttc_s = trace[first].ttc_s
+            assert result.first_ttc_s == (None if ttc_s >= NO_TTC_SENTINEL_S else ttc_s)
+
+    def test_first_contact_ends_the_run(self):
+        # Stepping by hand, the first step that reports contact is the
+        # run's last, and the collision is timed at that step's start.
+        # The world latches nothing: the next step reports it again.
+        cfg = config_for(ScenarioConfig(), 45.0, False)
+        result, trace = run_scenario(cfg)
+        w = build_world(cfg)
+        policy, channel = cfg.policy(), cfg.channel()
+        starts = []
+        while True:
+            starts.append(w.t_s)
+            if world_mod.step(w, cfg.dt_s, policy, channel, cfg.v2v)[3]:
+                break
+        assert len(trace) == len(starts)
+        assert result.collision is True
+        assert result.collision_time_s == starts[-1] == trace[-2].t_s
+        assert world_mod.step(w, cfg.dt_s, policy, channel, cfg.v2v)[3] is True
+
+    @pytest.mark.parametrize("v2v", [True, False])
+    def test_step_returns_match_trace_rows(self, sweep_runs, v2v):
+        _, trace = sweep_runs[(45.0, v2v)]
+        cfg = config_for(ScenarioConfig(), 45.0, v2v)
+        w = build_world(cfg)
+        policy, channel = cfg.policy(), cfg.channel()
+        for row in trace:
+            ttc_s, pressure, source, _ = world_mod.step(w, cfg.dt_s, policy, channel, v2v)
+            assert (NO_TTC_SENTINEL_S if ttc_s is None else ttc_s) == row.ttc_s
+            assert pressure == row.pressure_bar
+            assert (source is not None) == row.detected
+            assert source in (("sensor", "v2v", None) if v2v else ("sensor", None))
+
+    def test_clearance_tail_ends_on_its_boundary(self):
+        # At dt_s = 1/64 every time is exact in binary, so the last row
+        # falls exactly on clearance + tail; a run that ran on to the next
+        # step would end 1/64 s later.
+        cfg = config_for(ScenarioConfig(dt_s=1 / 64), 45.0, True)
+        result, trace = run_scenario(cfg)
+        assert result.collision is False
+        cleared = next(row.t_s for row in trace if row.ped_y_m > cfg.av_lane_y + R_SUM_M)
+        assert (cleared, len(trace)) == (25.03125, 1922)
+        assert trace[-1].t_s == cleared + CLEARANCE_TAIL_S
+        assert trace[-2].t_s < cleared + CLEARANCE_TAIL_S
 
 
 class TestAllocation:

@@ -149,8 +149,8 @@ def test_finite_config_is_rejected_by_name_or_steps_finitely(base, extreme, v2v)
         return
     policy, channel = cfg.policy(), cfg.channel()
     for _ in range(200):
-        world_mod.step(w, cfg.dt_s, policy, channel, cfg.v2v)
+        ttc_s, pressure, _, _ = world_mod.step(w, cfg.dt_s, policy, channel, cfg.v2v)
         for value in (w.av_x, w.av_y, w.av_speed, w.ped_y):
             assert math.isfinite(value)
-        assert w.last_ttc_s is None or (math.isfinite(w.last_ttc_s) and w.last_ttc_s >= 0.0)
-        assert 0.0 <= w.last_pressure_bar <= cfg.p_max_bar
+        assert ttc_s is None or (math.isfinite(ttc_s) and ttc_s >= 0.0)
+        assert 0.0 <= pressure <= cfg.p_max_bar

@@ -1,5 +1,7 @@
+import copy
 import math
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from _oracle import los_occluded_loop
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import ActorState, Vec2
+from occlusim.ttc import ttc
 from occlusim.world import (
     AV_RADIUS_M,
     R_SUM_M,
@@ -260,13 +263,16 @@ class TestChannel:
         assert run(7) != run(8)
 
 
+def world_slots(w: WorldState) -> dict:
+    """Every WorldState slot by value; the generator by its state."""
+    return {f.name: w.rng.getstate() if f.name == "rng" else copy.deepcopy(getattr(w, f.name))
+            for f in fields(WorldState)}
+
+
 class TestComputeControl:
     def test_no_estimate_no_brake(self):
         w = make_world(entry=100.0)
-        outcome, pressure = compute_control(w, POLICY)
-        assert outcome is None
-        assert pressure == 0.0
-        assert w.detected_time_s is None
+        assert compute_control(w, POLICY) == (None, 0.0, None)
 
     def test_v2v_estimate_six_second_ttc_gives_80_bar(self):
         # Head-on V2V geometry engineered to a 6 s TTC.
@@ -276,24 +282,30 @@ class TestComputeControl:
         # Occluded from the AV: inject the relay estimate directly.
         channel_step(w, IDEAL, 0.02)
         w.av_sensor_range_m = 1.0
-        outcome, pressure = compute_control(w, POLICY)
+        outcome, pressure, source = compute_control(w, POLICY)
+        assert source == "v2v"
         assert outcome == pytest.approx(6.0, rel=1e-12)
         assert pressure == pytest.approx(80.0, rel=1e-12)
 
     def test_own_sensor_preferred_over_v2v(self):
-        w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288))
+        w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288), tx_range=300.0)
         channel_step(w, IDEAL, 0.02)
-        compute_control(w, POLICY)
-        assert w.last_estimate == "sensor"
+        assert w.latest_ped_info is not None
+        # Put the relayed pedestrian 1 m short of the true one, so the TTC
+        # tells the two estimates apart.
+        w.latest_ped_info.ped_y -= 1.0
+        outcome, _, source = compute_control(w, POLICY)
+        assert source == "sensor"
+        relative = (0.0 - w.av_x, w.ped_y - w.av_y, 0.0 - w.av_speed, w.ped_vy, R_SUM_M)
+        assert outcome == ttc(*relative)
+        assert outcome != ttc(relative[0], relative[1] - 1.0, *relative[2:])
 
     def test_shoulder_pedestrian_is_relayed_not_sensed(self):
         # In range and in clear view, but off the roadway (y < 0).
         w = make_world(av_pos=(-30.0, 5.4864), ped_y=-1.0, tx_pos=(-100.0, 1.8288))
         assert sense(w.av_x + AV_RADIUS_M, w.av_y, w.av_sensor_range_m, w.av_sensor_cos_fov,
                      w.ped_y, w.occluder) is not None
-        outcome, pressure = compute_control(w, POLICY)
-        assert outcome is None and pressure == 0.0
-        assert w.last_estimate is None
+        assert compute_control(w, POLICY) == (None, 0.0, None)
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is not None
         assert w.latest_ped_info.ped_y == w.ped_y
@@ -307,8 +319,8 @@ class TestComputeControl:
         w.in_flight.append(V2VMessage(0.0, 5.4864 - 3.0, 2.0))
         w.t_s = 0.5
         channel_step(w, IDEAL, 0.02)
-        outcome, _ = compute_control(w, POLICY)
-        assert w.last_estimate == "v2v"
+        outcome, _, source = compute_control(w, POLICY)
+        assert source == "v2v"
 
         def first_contact(y):
             # Smaller root of |X + V t| = R_SUM_M for X = (40, y), V = (-20, 2).
@@ -319,14 +331,21 @@ class TestComputeControl:
         assert outcome == pytest.approx(first_contact((5.4864 - 2.0) - 5.4864), rel=1e-12)
         assert abs(outcome - first_contact(-3.0)) > 0.01
 
-    def test_detected_time_latches_once(self):
-        w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288))
-        compute_control(w, POLICY)
-        first = w.detected_time_s
-        assert first is not None
-        w.t_s += 0.5
-        compute_control(w, POLICY)
-        assert w.detected_time_s == first
+    @pytest.mark.parametrize("sensed, source", [(True, "sensor"), (False, "v2v")])
+    def test_world_is_only_read(self, sensed, source):
+        # A delivered message and one still in flight, with the pedestrian
+        # in the AV's view or out of its sensor range.
+        w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288), tx_range=300.0,
+                       sensor_range=150.0 if sensed else 10.0)
+        channel_step(w, IDEAL, 0.02)
+        w.in_flight.append(V2VMessage(5.0, 4.0, 1.0))
+        w.t_s = 0.5
+        before = world_slots(w)
+        msg = w.latest_ped_info
+        outcome, pressure, got = compute_control(w, POLICY)
+        assert got == source and outcome is not None and pressure > 0.0
+        assert world_slots(w) == before
+        assert w.latest_ped_info is msg
 
 
 class TestStep:
@@ -334,20 +353,18 @@ class TestStep:
         w = make_world(av_pos=(-100.0, 5.4864), av_speed=20.0, ped_y=5.4864, ped_vy=0.0)
         # Overlapping estimate: full pressure this step.
         w.av_x = -1.0
-        step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
-        assert w.last_pressure_bar == 200.0
+        _, pressure, _, _ = step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
+        assert pressure == 200.0
         assert w.av_speed == pytest.approx(20.0 - 8.0 * 0.02, rel=1e-12)
 
     def test_v2v_disabled_ignores_relay(self):
         # Out of the AV's sensor range, the pedestrian is known only
         # through the relay, which a run without V2V never reads.
         relayed = make_world(av_pos=(-120.0, 5.4864), sensor_range=10.0)
-        step(relayed, 0.02, POLICY, IDEAL, v2v_enabled=True)
-        assert relayed.last_estimate == "v2v"
+        assert step(relayed, 0.02, POLICY, IDEAL, v2v_enabled=True)[2] == "v2v"
         w = make_world(av_pos=(-120.0, 5.4864), sensor_range=10.0)
-        step(w, 0.02, POLICY, IDEAL, v2v_enabled=False)
-        assert w.last_estimate is None and w.latest_ped_info is None
-        assert w.last_ttc_s is None and w.last_pressure_bar == 0.0
+        assert step(w, 0.02, POLICY, IDEAL, v2v_enabled=False) == (None, 0.0, None, False)
+        assert w.latest_ped_info is None
 
     def test_channel_not_stepped_without_relay(self):
         # Nothing reads the channel then, and its drop draws are the only
@@ -375,18 +392,6 @@ class TestStep:
         w = make_world(entry=5.0)
         step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
         assert w.ped_y == 2.0
-
-    def test_collision_latch_is_monotone(self):
-        w = make_world(av_pos=(-2.0, 5.4864), av_speed=30.0, ped_y=5.4864, ped_vy=1.2192)
-        for _ in range(200):
-            step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
-            if w.collision_time_s is not None:
-                break
-        t_hit = w.collision_time_s
-        assert t_hit is not None
-        for _ in range(50):
-            step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
-        assert w.collision_time_s == t_hit
 
     def test_speed_never_increases(self):
         w = make_world(av_pos=(-80.0, 5.4864), av_speed=15.0)
