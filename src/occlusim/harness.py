@@ -121,7 +121,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     sight = (w.av_y, w.occluder)
 
     while True:
-        ttc_s, pressure, source, contact = step(w, dt, policy, channel, v2v, braking=braking)
+        ttc_s, pressure, source, contact = step(w, dt, policy, channel, v2v, braking)
 
         if source is not None and detected_at is None:
             detected_at = t_s
@@ -132,9 +132,10 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
             max_pressure = pressure
         # Fields in StepRecord order; no valid TTC is stored as the
         # sentinel, and the occluded cell is left to write_trace_csv.
+        t_next = w.t_s
         ped_y = w.ped_y
         record(new_row(StepRecord, (
-            w.t_s, w.av_x, w.av_speed, ped_y,
+            t_next, w.av_x, w.av_speed, ped_y,
             NO_TTC_SENTINEL_S if ttc_s is None else ttc_s, pressure,
             source is not None, sight,
         )))
@@ -142,7 +143,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
         if contact:  # the first contact ends the run, after its row
             collision_at = t_s
             break
-        t_s = w.t_s
+        t_s = t_next
         if cleared_at is None and ped_y > clearance_y:
             cleared_at = t_s
         if cleared_at is not None and t_s >= cleared_at + CLEARANCE_TAIL_S:

@@ -156,12 +156,11 @@ def sense(sensor_x: float, sensor_y: float, range_m: float, cos_fov: float,
     dist_sq = dx * dx + dy * dy
     if dist_sq > range_m * range_m:
         return None
-    if dist_sq > 0.0:
-        cos_bearing = dx / math.sqrt(dist_sq)
-        # Clamp against rounding before comparing with the FOV cosine.
-        cos_bearing = max(-1.0, min(1.0, cos_bearing))
-        if cos_bearing < cos_fov:
-            return None
+    # A full-circle sensor (cos_fov == -1) sees every bearing, even one
+    # that rounding puts just below -1. Any narrower one needs no clamp:
+    # a bearing rounded past +-1 falls on the same side of cos_fov.
+    if dist_sq > 0.0 and cos_fov > -1.0 and dx / math.sqrt(dist_sq) < cos_fov:
+        return None
     return None if los_occluded(sensor_x, sensor_y, 0.0, target_y, occluder) else target_y
 
 
@@ -180,15 +179,19 @@ def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
     in_flight = world.in_flight
     if t_s >= world.ped_entry_time_s - _T_EPS:
         tx = world.transmitter
-        dx = 0.0 - (tx.pos.x + tx.radius)
-        dy = world.ped_y - tx.pos.y
+        tx_pos = tx.pos
+        tx_x = tx_pos.x
+        tx_y = tx_pos.y
+        ped_y = world.ped_y
+        dx = 0.0 - (tx_x + tx.radius)
+        dy = ped_y - tx_y
         tracked = dx * dx + dy * dy <= world.tx_sensor_range_m * world.tx_sensor_range_m
         if tracked and t_s >= world.next_send_s - _T_EPS:
             world.next_send_s = t_s + channel.period_s
-            in_range = math.hypot(world.av_x - tx.pos.x, world.av_y - tx.pos.y) <= channel.range_m
+            in_range = math.hypot(world.av_x - tx_x, world.av_y - tx_y) <= channel.range_m
             dropped = channel.drop_prob > 0.0 and world.rng.random() < channel.drop_prob
             if in_range and not dropped:
-                in_flight.append(V2VMessage(t_s, world.ped_y, world.ped_vy))
+                in_flight.append(V2VMessage(t_s, ped_y, world.ped_vy))
 
     if in_flight:
         latency_s = channel.latency_s
@@ -255,7 +258,11 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelMode
     Without the relay nothing reads the channel, and the seeded generator
     feeds only the channel, so the channel is not stepped at all.
     """
-    contact = math.hypot(0.0 - world.av_x, world.ped_y - world.av_y) <= R_SUM_M
+    # Neither the channel nor the control moves the actors or the clock.
+    av_x = world.av_x
+    ped_y = world.ped_y
+    t_s = world.t_s
+    contact = math.hypot(0.0 - av_x, ped_y - world.av_y) <= R_SUM_M
 
     if v2v_enabled:
         channel_step(world, channel, dt)
@@ -273,10 +280,10 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelMode
         if speed <= 0.0:
             speed = 0.0
         world.av_speed = speed
-    world.av_x += speed * dt
+    world.av_x = av_x + speed * dt
 
-    if world.t_s >= world.ped_entry_time_s - _T_EPS:
-        world.ped_y += world.ped_vy * dt
+    if t_s >= world.ped_entry_time_s - _T_EPS:
+        world.ped_y = ped_y + world.ped_vy * dt
 
-    world.t_s += dt
+    world.t_s = t_s + dt
     return outcome, pressure, source, contact

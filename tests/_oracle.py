@@ -10,9 +10,15 @@ solver.
 ``los_occluded_loop`` is the sight-line test in its loop form, one pass
 per slab; ``occlusim.world.los_occluded`` writes the same clip out once
 per axis and must return the same boolean.
+
+``sense_clamped`` is the sensor check with its bearing cosine clamped to
+[-1, 1] before the field-of-view test; ``occlusim.world.sense`` gates the
+field of view without the clamp and must return the same observation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -93,3 +99,24 @@ def los_occluded_loop(sensor_x: float, sensor_y: float, target_x: float, target_
             return False
     # Endpoint-only grazes do not block (open segment).
     return t0 < t1 and t1 > 0.0 and t0 < 1.0
+
+
+def sense_clamped(sensor_x: float, sensor_y: float, range_m: float, cos_fov: float,
+                  target_y: float, occluder: tuple[float, float, float, float]) -> float | None:
+    """Ground-truth observation of a target on the walk line, at
+    (0, *target_y*): its y, or None when out of range, outside the field
+    of view, or occluded. The sensor faces +x, the direction of travel,
+    and *cos_fov* is the cosine of its half-angle. The range boundary is
+    inclusive: a target exactly at range is still seen."""
+    dx = 0.0 - sensor_x
+    dy = target_y - sensor_y
+    dist_sq = dx * dx + dy * dy
+    if dist_sq > range_m * range_m:
+        return None
+    if dist_sq > 0.0:
+        cos_bearing = dx / math.sqrt(dist_sq)
+        # Clamp against rounding before comparing with the FOV cosine.
+        cos_bearing = max(-1.0, min(1.0, cos_bearing))
+        if cos_bearing < cos_fov:
+            return None
+    return None if los_occluded_loop(sensor_x, sensor_y, 0.0, target_y, occluder) else target_y

@@ -43,6 +43,18 @@ def test_sweep_default_is_full_table(tmp_path):
     assert len(out.read_text().splitlines()) == 27  # header + 26 rows
 
 
+def test_seed_has_no_effect_on_the_ideal_channel(tmp_path):
+    # With no drops the seeded generator is never drawn from.
+    outputs = []
+    for seed in (0, 987654321):
+        cfg = tmp_path / f"seed{seed}.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        out = tmp_path / f"seed{seed}.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_calibrate_prints_entry_time(capsys):
     assert main(["calibrate"]) == EXIT_OK
     value = float(capsys.readouterr().out.strip())

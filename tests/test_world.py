@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracle import los_occluded_loop
+from _oracle import los_occluded_loop, sense_clamped
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import ActorState, Vec2
 from occlusim.ttc import ttc
@@ -74,6 +74,18 @@ def rectangles(draw) -> tuple[float, float, float, float]:
 
 # A 4 x 2 box with its corner on the origin, for exact boundary cases.
 BOX = (0.0, 4.0, 0.0, 2.0)
+
+# Field-of-view cosines at and just inside the full circle, where a
+# bearing cosine rounded below -1 meets the gate, and the rest of [-1, 1].
+COS_FOV = st.one_of(
+    st.just(-1.0),
+    st.sampled_from([math.nextafter(-1.0, 0.0), -1.0 + 1e-12, 0.0, COS_45, 1.0]),
+    st.floats(-1.0, 1.0),
+)
+# Offsets down to 1e-160 and below: a squared offset is subnormal from
+# about 1.5e-154 down, and 0 under about 2e-162.
+TINY = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(-166, -150))
+SENSE_COORD = st.one_of(COORD, TINY)
 
 IDEAL = ChannelModel(latency_s=0.0, drop_prob=0.0, range_m=300.0, period_s=0.02)
 POLICY = BrakePolicy()
@@ -168,6 +180,26 @@ class TestSense:
         # mirror of that sensor, it is 12 m across and outside.
         assert sense(-10, 3.0, 150.0, COS_45, 9.0, CLEAR) == 9.0
         assert sense(-10, -3.0, 150.0, COS_45, 9.0, CLEAR) is None
+
+    def test_full_circle_sees_a_bearing_rounded_below_minus_one(self):
+        # 1e-160 behind the target, dx * dx is subnormal and the bearing
+        # cosine reads -1.0000056; a full-circle sensor still sees it.
+        dx = 0.0 - 1e-160
+        assert dx / math.sqrt(dx * dx) < -1.0
+        assert sense(1e-160, 0.0, 1.0, -1.0, 0.0, CLEAR) == 0.0
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(sx=SENSE_COORD, dy=st.one_of(st.just(0.0), SENSE_COORD), ty=SENSE_COORD,
+           range_m=st.one_of(st.just(150.0), st.floats(1e-300, 200.0)),
+           cos_fov=COS_FOV, occluder=st.one_of(st.just(CLEAR), rectangles()))
+    @example(sx=1e-160, dy=0.0, ty=0.0, range_m=1.0, cos_fov=-1.0, occluder=CLEAR)
+    @example(sx=1e-160, dy=0.0, ty=0.0, range_m=1.0, cos_fov=math.nextafter(-1.0, 0.0),
+             occluder=CLEAR)
+    def test_fov_gate_matches_clamped_form(self, sx, dy, ty, range_m, cos_fov, occluder):
+        # The sensor's lane is drawn as an offset from the target's y, so
+        # tiny and zero offsets come up at every y.
+        args = (sx, ty - dy, range_m, cos_fov, ty, occluder)
+        assert sense(*args) == sense_clamped(*args)
 
 
 class TestChannel:
