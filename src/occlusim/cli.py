@@ -37,7 +37,7 @@ def _load_base_config(path: str | None) -> ScenarioConfig:
         # utf-8-sig drops the byte-order mark some editors write.
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return load_config(text)
 

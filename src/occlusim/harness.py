@@ -97,7 +97,6 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     """
     w = build_world(cfg)
     policy = cfg.policy()
-    channel = cfg.channel()
     clearance_y = cfg.av_lane_y + R_SUM_M
 
     trace: list[StepRecord] = []
@@ -121,7 +120,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     sight = (w.av_y, w.occluder)
 
     while True:
-        ttc_s, pressure, source, contact = step(w, dt, policy, channel, v2v, braking)
+        ttc_s, pressure, source, contact = step(w, dt, policy, cfg, v2v, braking)
 
         if source is not None and detected_at is None:
             detected_at = t_s

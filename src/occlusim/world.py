@@ -14,7 +14,8 @@ for message drops), so runs with identical inputs are bit-identical.
 The run's fixed sensing geometry, the occluder's bounds and the sensor's
 envelope, is worked out once when the world is built and held as floats.
 Everything here is built from a :class:`ScenarioConfig`, which validates
-every value once; nothing below checks it again.
+every value once; nothing below checks it again. The V2V channel reads
+its keys straight from it.
 """
 
 from __future__ import annotations
@@ -24,11 +25,15 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from dataclasses import replace  # noqa: F401  perfbench/tracer.py counts world.replace calls
+from typing import TYPE_CHECKING
 
 from .braking import BrakePolicy, brake_pressure, deceleration_for
 from .geometry import ActorState
 from .ttc import TtcOutcome, ttc
 from .units import to_si
+
+if TYPE_CHECKING:  # scenario imports this module
+    from .scenario import ScenarioConfig
 
 # Disc radii: half the subject car's body length, and the pedestrian's
 # reach envelope (7.3 ft and 5 ft); the discs touch at their sum.
@@ -38,17 +43,6 @@ R_SUM_M = AV_RADIUS_M + PED_RADIUS_M
 
 # Guard for timestamp comparisons on the accumulated time grid.
 _T_EPS = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class ChannelModel:
-    """V2V channel knobs: delivery delay, drop probability, radio range,
-    and broadcast period."""
-
-    latency_s: float
-    drop_prob: float
-    range_m: float
-    period_s: float
 
 
 @dataclass(slots=True)
@@ -83,7 +77,6 @@ class WorldState:
     av_sensor_cos_fov: float
     transmitter: ActorState
     occluder: tuple[float, float, float, float]
-    tx_sensor_range_m: float
     ped_y: float
     ped_vy: float
     ped_entry_time_s: float
@@ -164,16 +157,16 @@ def sense(sensor_x: float, sensor_y: float, range_m: float, cos_fov: float,
     return None if los_occluded(sensor_x, sensor_y, 0.0, target_y, occluder) else target_y
 
 
-def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
-    """Broadcast and delivery for one step.
+def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
+    """Broadcast and delivery for one step; *channel* is the run's config.
 
-    While the crossing pedestrian is within the transmitter's tracking
-    range it emits one message per channel period. The tracker sits at the
-    transmitter's front-center and sees all around, past any occluder; its
-    range boundary is inclusive. A message is enqueued only if the AV is
-    within radio range at send time and the seeded drop draw passes; the
-    send slot is consumed either way. Messages are delivered once their
-    send time plus latency has elapsed; the newest delivered message wins.
+    While the crossing pedestrian is within ``tx_sensor_range_m`` of the
+    transmitter's tracker, at its front-center, it sends every
+    ``bsm_period_s``; the tracker sees all around, past any occluder, and
+    its range boundary is inclusive. A message is enqueued only if the AV
+    is within ``v2v_range_m`` at send time and the seeded ``drop_prob``
+    draw passes; the send slot is consumed either way. A message is
+    delivered ``latency_s`` after its send; the newest delivered wins.
     """
     t_s = world.t_s
     in_flight = world.in_flight
@@ -185,10 +178,10 @@ def channel_step(world: WorldState, channel: ChannelModel, dt: float) -> None:
         ped_y = world.ped_y
         dx = 0.0 - (tx_x + tx.radius)
         dy = ped_y - tx_y
-        tracked = dx * dx + dy * dy <= world.tx_sensor_range_m * world.tx_sensor_range_m
-        if tracked and t_s >= world.next_send_s - _T_EPS:
-            world.next_send_s = t_s + channel.period_s
-            in_range = math.hypot(world.av_x - tx_x, world.av_y - tx_y) <= channel.range_m
+        tx_range_m = channel.tx_sensor_range_m
+        if dx * dx + dy * dy <= tx_range_m * tx_range_m and t_s >= world.next_send_s - _T_EPS:
+            world.next_send_s = t_s + channel.bsm_period_s
+            in_range = math.hypot(world.av_x - tx_x, world.av_y - tx_y) <= channel.v2v_range_m
             dropped = channel.drop_prob > 0.0 and world.rng.random() < channel.drop_prob
             if in_range and not dropped:
                 in_flight.append(V2VMessage(t_s, ped_y, world.ped_vy))
@@ -238,7 +231,7 @@ def compute_control(world: WorldState,
     return outcome, brake_pressure(outcome, policy), source
 
 
-def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ChannelModel,
+def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ScenarioConfig,
          v2v_enabled: bool, braking: bool = True) -> tuple[TtcOutcome, float, str | None, bool]:
     """Advance the world by one timestep and return what it observed:
     (TTC, pressure, estimate source, contact), as :func:`compute_control`

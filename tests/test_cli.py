@@ -79,6 +79,16 @@ def test_bad_config_path_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "calibrate"])
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"av_speed_mph = 20\xff\n")
+    out = [] if command == "calibrate" else ["--out", str(tmp_path / "r.csv")]
+    assert main([command, "--config", str(cfg), *out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_unknown_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("speed = 45\n")

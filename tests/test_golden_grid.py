@@ -2,8 +2,10 @@
 
 The byte golden in test_golden.py covers only the default config. These
 sha256 digests of results.csv pin the sweep at other step sizes, a full
-circle sensor, a late channel and a lossy channel, so a change that moves
-outputs off the default path still fails here. Regenerate the JSON with
+circle sensor, a late channel, a lossy channel, and a shorter radio
+range, broadcast period and tracker range, so a change that moves outputs
+off the default path, or reads one channel key in place of another, still
+fails here. Regenerate the JSON with
 ``PYTHONPATH=src python tests/test_golden_grid.py`` only when an output
 change is intended and explained.
 """
@@ -29,6 +31,9 @@ GRID = {
     "drop_prob=0.5,seed=0": {"drop_prob": 0.5, "seed": 0},
     "drop_prob=0.5,seed=1": {"drop_prob": 0.5, "seed": 1},
     "drop_prob=0.5,seed=2": {"drop_prob": 0.5, "seed": 2},
+    "v2v_range_m=100": {"v2v_range_m": 100.0},
+    "bsm_period_s=0.1": {"bsm_period_s": 0.1},
+    "tx_sensor_range_m=10": {"tx_sensor_range_m": 10.0},
 }
 
 

@@ -123,25 +123,25 @@ class TestRunScenario:
         cfg = config_for(ScenarioConfig(), 45.0, False)
         result, trace = run_scenario(cfg)
         w = build_world(cfg)
-        policy, channel = cfg.policy(), cfg.channel()
+        policy = cfg.policy()
         starts = []
         while True:
             starts.append(w.t_s)
-            if world_mod.step(w, cfg.dt_s, policy, channel, cfg.v2v)[3]:
+            if world_mod.step(w, cfg.dt_s, policy, cfg, cfg.v2v)[3]:
                 break
         assert len(trace) == len(starts)
         assert result.collision is True
         assert result.collision_time_s == starts[-1] == trace[-2].t_s
-        assert world_mod.step(w, cfg.dt_s, policy, channel, cfg.v2v)[3] is True
+        assert world_mod.step(w, cfg.dt_s, policy, cfg, cfg.v2v)[3] is True
 
     @pytest.mark.parametrize("v2v", [True, False])
     def test_step_returns_match_trace_rows(self, sweep_runs, v2v):
         _, trace = sweep_runs[(45.0, v2v)]
         cfg = config_for(ScenarioConfig(), 45.0, v2v)
         w = build_world(cfg)
-        policy, channel = cfg.policy(), cfg.channel()
+        policy = cfg.policy()
         for row in trace:
-            ttc_s, pressure, source, _ = world_mod.step(w, cfg.dt_s, policy, channel, v2v)
+            ttc_s, pressure, source, _ = world_mod.step(w, cfg.dt_s, policy, cfg, v2v)
             assert (NO_TTC_SENTINEL_S if ttc_s is None else ttc_s) == row.ttc_s
             assert pressure == row.pressure_bar
             assert (source is not None) == row.detected

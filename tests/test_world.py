@@ -1,7 +1,7 @@
 import copy
 import math
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from _oracle import los_occluded_loop, sense_clamped
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import ActorState, Vec2
+from occlusim.scenario import ScenarioConfig
 from occlusim.ttc import ttc
 from occlusim.world import (
     AV_RADIUS_M,
     R_SUM_M,
-    ChannelModel,
     V2VMessage,
     WorldState,
     channel_step,
@@ -38,8 +38,7 @@ COS_45 = math.cos(math.pi / 4)
 
 
 def make_world(av_pos=(-50.0, 5.4864), av_speed=20.0, ped_y=2.0, ped_vy=1.2192,
-               tx_pos=(-2.2, 1.8288), entry=0.0, sensor_range=150.0, tx_range=150.0,
-               seed=0) -> WorldState:
+               tx_pos=(-2.2, 1.8288), entry=0.0, sensor_range=150.0, seed=0) -> WorldState:
     """A hand-built three-actor world for targeted checks; the pedestrian
     is on the walk line, x = 0."""
     return WorldState(
@@ -50,7 +49,6 @@ def make_world(av_pos=(-50.0, 5.4864), av_speed=20.0, ped_y=2.0, ped_vy=1.2192,
         av_sensor_cos_fov=math.cos(math.pi / 2),
         transmitter=ActorState(Vec2(*tx_pos), Vec2(0.0, 0.0), 2.22504),
         occluder=rect(*tx_pos),
-        tx_sensor_range_m=tx_range,
         ped_y=ped_y,
         ped_vy=ped_vy,
         ped_entry_time_s=entry,
@@ -87,7 +85,8 @@ COS_FOV = st.one_of(
 TINY = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(-166, -150))
 SENSE_COORD = st.one_of(COORD, TINY)
 
-IDEAL = ChannelModel(latency_s=0.0, drop_prob=0.0, range_m=300.0, period_s=0.02)
+# The channel is the run's config: ideal apart from a 300 m radio range.
+IDEAL = ScenarioConfig(v2v_range_m=300.0)
 POLICY = BrakePolicy()
 
 
@@ -214,14 +213,14 @@ class TestChannel:
     # walk line.
 
     def test_tracker_relays_pedestrian_beside_it(self):
-        w = make_world(tx_pos=(-2.22504, 0.0), ped_y=-10.0, tx_range=10.0)
-        channel_step(w, IDEAL, 0.02)
+        w = make_world(tx_pos=(-2.22504, 0.0), ped_y=-10.0)
+        channel_step(w, replace(IDEAL, tx_sensor_range_m=10.0), 0.02)
         assert w.latest_ped_info is not None
         assert w.latest_ped_info.ped_y == w.ped_y
 
     def test_tracker_ignores_pedestrian_beyond_range(self):
-        w = make_world(tx_pos=(-2.22504, 0.0), ped_y=-10.0, tx_range=9.99)
-        channel_step(w, IDEAL, 0.02)
+        w = make_world(tx_pos=(-2.22504, 0.0), ped_y=-10.0)
+        channel_step(w, replace(IDEAL, tx_sensor_range_m=9.99), 0.02)
         assert w.latest_ped_info is None
         assert not w.in_flight
         assert w.next_send_s == 0.0  # no send slot consumed
@@ -230,25 +229,25 @@ class TestChannel:
         # The tracker sits at (0, 5): a pedestrian at y = 15 is 10 m from
         # it and relayed, one at y = -5 is 10 m from it and, at a 9.99 m
         # range, not.
-        w = make_world(tx_pos=(-2.22504, 5.0), ped_y=15.0, tx_range=10.0)
-        channel_step(w, IDEAL, 0.02)
+        w = make_world(tx_pos=(-2.22504, 5.0), ped_y=15.0)
+        channel_step(w, replace(IDEAL, tx_sensor_range_m=10.0), 0.02)
         assert w.latest_ped_info is not None
         assert w.latest_ped_info.ped_y == 15.0
-        w = make_world(tx_pos=(-2.22504, 5.0), ped_y=-5.0, tx_range=9.99)
-        channel_step(w, IDEAL, 0.02)
+        w = make_world(tx_pos=(-2.22504, 5.0), ped_y=-5.0)
+        channel_step(w, replace(IDEAL, tx_sensor_range_m=9.99), 0.02)
         assert w.latest_ped_info is None
         assert not w.in_flight
 
     def test_drop_prob_one_never_delivers(self):
         w = make_world()
-        lossy = ChannelModel(latency_s=0.0, drop_prob=1.0, range_m=300.0, period_s=0.02)
+        lossy = replace(IDEAL, drop_prob=1.0)
         for _ in range(50):
             step(w, 0.02, POLICY, lossy, v2v_enabled=True)
         assert w.latest_ped_info is None
 
     def test_latency_delays_delivery_five_steps(self):
         w = make_world()
-        delayed = ChannelModel(latency_s=0.1, drop_prob=0.0, range_m=300.0, period_s=0.02)
+        delayed = replace(IDEAL, latency_s=0.1)
         deliveries = []
         for k in range(10):
             channel_step(w, delayed, 0.02)
@@ -259,9 +258,9 @@ class TestChannel:
         assert deliveries[5] is True
 
     def test_out_of_range_messages_not_sent(self):
+        # The AV is about 498 m from the transmitter, past the 300 m range.
         w = make_world(av_pos=(-500.0, 5.4864))
-        short = ChannelModel(latency_s=0.0, drop_prob=0.0, range_m=300.0, period_s=0.02)
-        channel_step(w, short, 0.02)
+        channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is None
         assert not w.in_flight
 
@@ -272,7 +271,7 @@ class TestChannel:
 
     def test_period_limits_send_rate(self):
         w = make_world()
-        slow = ChannelModel(latency_s=10.0, drop_prob=0.0, range_m=300.0, period_s=0.1)
+        slow = replace(IDEAL, latency_s=10.0, bsm_period_s=0.1)
         for _ in range(10):
             channel_step(w, slow, 0.02)
             w.t_s += 0.02
@@ -280,7 +279,7 @@ class TestChannel:
         assert len(w.in_flight) == 2
 
     def test_seeded_drops_reproducible(self):
-        lossy = ChannelModel(latency_s=0.0, drop_prob=0.5, range_m=300.0, period_s=0.02)
+        lossy = replace(IDEAL, drop_prob=0.5)
 
         def run(seed):
             w = make_world(seed=seed)
@@ -320,8 +319,8 @@ class TestComputeControl:
         assert pressure == pytest.approx(80.0, rel=1e-12)
 
     def test_own_sensor_preferred_over_v2v(self):
-        w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288), tx_range=300.0)
-        channel_step(w, IDEAL, 0.02)
+        w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288))
+        channel_step(w, replace(IDEAL, tx_sensor_range_m=300.0), 0.02)
         assert w.latest_ped_info is not None
         # Put the relayed pedestrian 1 m short of the true one, so the TTC
         # tells the two estimates apart.
@@ -367,9 +366,9 @@ class TestComputeControl:
     def test_world_is_only_read(self, sensed, source):
         # A delivered message and one still in flight, with the pedestrian
         # in the AV's view or out of its sensor range.
-        w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288), tx_range=300.0,
+        w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288),
                        sensor_range=150.0 if sensed else 10.0)
-        channel_step(w, IDEAL, 0.02)
+        channel_step(w, replace(IDEAL, tx_sensor_range_m=300.0), 0.02)
         w.in_flight.append(V2VMessage(5.0, 4.0, 1.0))
         w.t_s = 0.5
         before = world_slots(w)
@@ -402,7 +401,7 @@ class TestStep:
         # Nothing reads the channel then, and its drop draws are the only
         # use of the seeded generator.
         w = make_world()
-        lossy = ChannelModel(latency_s=0.0, drop_prob=0.5, range_m=300.0, period_s=0.02)
+        lossy = replace(IDEAL, drop_prob=0.5)
         rng_state = w.rng.getstate()
         for _ in range(10):
             step(w, 0.02, POLICY, lossy, v2v_enabled=False)
