@@ -5,7 +5,9 @@ sha256 digests of results.csv pin the sweep at other step sizes, a full
 circle sensor, a late channel, a lossy channel, and a shorter radio
 range, broadcast period and tracker range, so a change that moves outputs
 off the default path, or reads one channel key in place of another, still
-fails here. Regenerate the JSON with
+fails here. One more digest pins every results and trace CSV of the
+unbraked runs with the relay on, the runs that stage the collision
+premise. Regenerate the JSON with
 ``PYTHONPATH=src python tests/test_golden_grid.py`` only when an output
 change is intended and explained.
 """
@@ -18,9 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from occlusim import ScenarioConfig, SweepSpec, sweep, write_results_csv
+from occlusim import ScenarioConfig, SweepSpec, run_scenario, sweep, write_results_csv
+from occlusim.harness import write_trace_csv
 
 GOLDEN = Path(__file__).resolve().with_name("golden_grid_sha256.json")
+UNBRAKED = "unbraked,with_v2v"
 
 GRID = {
     "dt_s=0.005": {"dt_s": 0.005},
@@ -42,12 +46,28 @@ def results_digest(overrides: dict) -> str:
     return hashlib.sha256(write_results_csv(sweep(spec)).encode()).hexdigest()
 
 
+def unbraked_digest() -> str:
+    """One digest over the results CSV of the unbraked default speeds with
+    the relay on, followed by each run's trace CSV in speed order."""
+    runs = [run_scenario(cfg, braking=False) for cfg in SweepSpec().configs if cfg.v2v]
+    h = hashlib.sha256(write_results_csv([result for result, _ in runs]).encode())
+    for _, trace in runs:
+        h.update(write_trace_csv(trace).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("label", GRID)
 def test_sweep_results_match_stored_digest(label):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert results_digest(GRID[label]) == golden[label]
 
 
+def test_unbraked_runs_match_stored_digest():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert unbraked_digest() == golden[UNBRAKED]
+
+
 if __name__ == "__main__":
     digests = {label: results_digest(overrides) for label, overrides in GRID.items()}
+    digests[UNBRAKED] = unbraked_digest()
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
