@@ -19,11 +19,15 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import world as world_mod
+from .braking import BrakePolicy
 from .scenario import (CLEARANCE_TAIL_S, ConfigError, ScenarioConfig, SimResult, build_world,
                        config_for)
 from .world import AV_RADIUS_M, R_SUM_M, los_occluded
 
 NO_TTC_SENTINEL_S = 10000.0
+
+# A TTC is None or nonnegative, so none is at or below this law's threshold.
+_UNBRAKED = BrakePolicy(tau_max_s=-1.0)
 
 DEFAULT_SWEEP_SPEEDS_MPH: tuple[float, ...] = tuple(float(s) for s in range(10, 75, 5))
 
@@ -91,12 +95,12 @@ def speed_label(mph: float) -> str:
 def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, list[StepRecord]]:
     """Run one scenario to completion and return its result row and trace.
 
-    ``braking=False`` runs the same world with the pressure command
-    discarded; it exists so tests can verify that the calibrated scenario
-    collides when unmitigated.
+    ``braking=False`` runs the same world under a brake law that no TTC
+    engages, so every step commands and applies 0.0; tests use it to verify
+    that the calibrated scenario collides when unmitigated.
     """
     w = build_world(cfg)
-    policy = cfg.policy()
+    policy = cfg if braking else _UNBRAKED
     clearance_y = cfg.av_lane_y + R_SUM_M
 
     trace: list[StepRecord] = []
@@ -120,7 +124,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     sight = (w.av_y, w.occluder)
 
     while True:
-        ttc_s, pressure, source, contact = step(w, dt, policy, cfg, v2v, braking)
+        ttc_s, pressure, source, contact = step(w, dt, policy, cfg, v2v)
 
         if source is not None and detected_at is None:
             detected_at = t_s

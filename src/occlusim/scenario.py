@@ -24,7 +24,6 @@ import math
 import random
 from dataclasses import dataclass, fields, replace
 
-from .braking import BrakePolicy
 from .geometry import ActorState, Vec2
 from .units import mph_to_mps, to_si
 from .world import AV_RADIUS_M, R_SUM_M, WorldState
@@ -185,13 +184,6 @@ class ScenarioConfig:
         frac = (hi - av_speed_mps) / (hi - lo)
         return fast + (slow - fast) * frac
 
-    def policy(self) -> BrakePolicy:
-        return BrakePolicy(
-            ttc_threshold_s=self.tau_max_s,
-            max_pressure_bar=self.p_max_bar,
-            max_decel_mps2=self.d_max_mps2,
-        )
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -255,22 +247,6 @@ def load_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(**data)
 
 
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """Render a config as parseable text; load_config(serialize_config(c))
-    reproduces c exactly."""
-    lines = []
-    for name, kind in _KEY_TYPES.items():
-        value = getattr(cfg, name)
-        if kind is bool:
-            rendered = "on" if value else "off"
-        elif kind is int:
-            rendered = str(value)
-        else:
-            rendered = repr(float(value))
-        lines.append(f"{name} = {rendered}")
-    return "\n".join(lines) + "\n"
-
-
 def calibrate_entry(cfg: ScenarioConfig) -> float:
     """Time at which the pedestrian starts walking; the last config rule.
 
@@ -282,17 +258,19 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
     fixes. Raises :class:`ConfigError` naming a key when the contact lies
     out of the discs' reach, when the pedestrian starts past it or cannot
     reach it within the approach window, and when the run would take over
-    MAX_RUN_STEPS. Where two keys could be at fault, it names the first
-    one unless the config would pass with that key at its default.
+    MAX_RUN_STEPS. Where several keys could be at fault, it names the
+    first one whose default would let the check pass, else a fallback key.
     """
     v = cfg.av_speed_mps
-    contact_y = cfg.sightline_edge_y() + cfg.reveal_margin_for(v) * cfg.ped_speed_mps
+    edge_y = cfg.sightline_edge_y()
+    contact_y = edge_y + cfg.reveal_margin_for(v) * cfg.ped_speed_mps
     dy = cfg.av_lane_y - contact_y
     if not (0.0 < dy < R_SUM_M):
-        key = "reveal_margin_slow_s" if v <= mph_to_mps(cfg.reveal_knee_lo_mph) else "reveal_margin_s"
-        margin = cfg.reveal_margin_for(v, **{key: getattr(ScenarioConfig, key)})
-        if not (0.0 < cfg.av_lane_y - (cfg.sightline_edge_y() + margin * cfg.ped_speed_mps)
-                < R_SUM_M):
+        for key in ("reveal_margin_s", "reveal_margin_slow_s"):
+            margin = cfg.reveal_margin_for(v, **{key: getattr(ScenarioConfig, key)})
+            if 0.0 < cfg.av_lane_y - (edge_y + margin * cfg.ped_speed_mps) < R_SUM_M:
+                break
+        else:
             key = "lane_width_ft"
         raise ConfigError(f"{key}: contact out of reach: the pedestrian's offset from the AV's "
                           f"lane center {dy:.4g} m must lie in (0, {R_SUM_M:.4g})")

@@ -14,8 +14,8 @@ for message drops), so runs with identical inputs are bit-identical.
 The run's fixed sensing geometry, the occluder's bounds and the sensor's
 envelope, is worked out once when the world is built and held as floats.
 Everything here is built from a :class:`ScenarioConfig`, which validates
-every value once; nothing below checks it again. The V2V channel reads
-its keys straight from it.
+every value once; nothing below checks it again. The V2V channel and
+the brake law read their keys straight from it.
 """
 
 from __future__ import annotations
@@ -193,8 +193,8 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
             world.latest_ped_info = in_flight.popleft()
 
 
-def compute_control(world: WorldState,
-                    policy: BrakePolicy) -> tuple[TtcOutcome, float, str | None]:
+def compute_control(world: WorldState, policy: BrakePolicy | ScenarioConfig
+                    ) -> tuple[TtcOutcome, float, str | None]:
     """One control evaluation: pick the pedestrian estimate, compute the
     TTC, and derive the pressure command. Returns (TTC, pressure, source),
     where source is "sensor", "v2v", or None when the AV has no estimate;
@@ -231,8 +231,8 @@ def compute_control(world: WorldState,
     return outcome, brake_pressure(outcome, policy), source
 
 
-def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ScenarioConfig,
-         v2v_enabled: bool, braking: bool = True) -> tuple[TtcOutcome, float, str | None, bool]:
+def step(world: WorldState, dt: float, policy: BrakePolicy | ScenarioConfig,
+         channel: ScenarioConfig, v2v_enabled: bool) -> tuple[TtcOutcome, float, str | None, bool]:
     """Advance the world by one timestep and return what it observed:
     (TTC, pressure, estimate source, contact), as :func:`compute_control`
     returns them plus whether the discs overlapped at the step's start.
@@ -244,9 +244,6 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ScenarioCon
     the step on which the discs meet still reports the controller's
     decision. Nothing is latched: a caller that steps past a contact sees
     it reported again while the discs overlap.
-    ``braking=False`` reports and applies 0.0 in place of the pressure
-    command (used to verify that the calibrated scenario collides without
-    mitigation).
 
     Without the relay nothing reads the channel, and the seeded generator
     feeds only the channel, so the channel is not stepped at all.
@@ -261,8 +258,6 @@ def step(world: WorldState, dt: float, policy: BrakePolicy, channel: ScenarioCon
         channel_step(world, channel, dt)
 
     outcome, pressure, source = compute_control(world, policy)
-    if not braking:
-        pressure = 0.0
 
     # Longitudinal kinematics: brake, clamp at standstill, then move with
     # the new velocity. The AV never re-accelerates once a threat clears.

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from occlusim.braking import BrakePolicy, brake_pressure, deceleration_for
+from occlusim.scenario import ScenarioConfig
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ class TestBrakePressure:
         prev = None
         for tau in taus:
             p = brake_pressure(tau, policy)
-            assert 0.0 <= p <= policy.max_pressure_bar
+            assert 0.0 <= p <= policy.p_max_bar
             assert p == pytest.approx(200.0 - 20.0 * tau, abs=1e-9)
             if prev is not None:
                 assert p <= prev + 1e-12
@@ -45,7 +46,7 @@ class TestBrakePressure:
     def test_bounded_for_all_inputs(self, policy):
         for tau in (None, 0.0, 1e-9, 5.0, 9.999, 10.0, 50.0, 1e9):
             p = brake_pressure(tau, policy)
-            assert 0.0 <= p <= policy.max_pressure_bar
+            assert 0.0 <= p <= policy.p_max_bar
 
 
 class TestDeceleration:
@@ -66,6 +67,23 @@ class TestDeceleration:
 
 class TestPolicyValidation:
     def test_defaults(self, policy):
-        assert policy.ttc_threshold_s == 10.0
-        assert policy.max_pressure_bar == 200.0
-        assert policy.max_decel_mps2 == 8.0
+        assert policy.tau_max_s == 10.0
+        assert policy.p_max_bar == 200.0
+        assert policy.d_max_mps2 == 8.0
+
+
+class TestConfigAsPolicy:
+    """A run's config drives the law exactly as a BrakePolicy holding the
+    same three keys does."""
+
+    @pytest.mark.parametrize("keys", [{}, {"tau_max_s": 5.0, "p_max_bar": 120.0,
+                                           "d_max_mps2": 6.0}])
+    def test_same_pressure_and_deceleration(self, keys):
+        cfg = ScenarioConfig(**keys)
+        policy = BrakePolicy(**keys)
+        assert (policy.tau_max_s, policy.p_max_bar, policy.d_max_mps2) == (
+            cfg.tau_max_s, cfg.p_max_bar, cfg.d_max_mps2)
+        for tau in (None, 0.0, 2.5, 6.0, 10.0, 12.0):
+            assert brake_pressure(tau, cfg) == brake_pressure(tau, policy)
+        for pressure in (0.0, 80.0, 200.0):
+            assert deceleration_for(pressure, cfg) == deceleration_for(pressure, policy)

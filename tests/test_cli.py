@@ -162,6 +162,8 @@ def test_sweep_calibration_error_names_speed_before_any_run(tmp_path, capsys, mo
     ("lane_width_ft = 2", "lane_width_ft"),
     ("reveal_margin_s = 4.0", "reveal_margin_s"),
     ("av_speed_mph = 10\nreveal_margin_slow_s = 4.0", "reveal_margin_slow_s"),
+    ("av_speed_mph = 12.5\nreveal_margin_s = 10.0", "reveal_margin_s"),
+    ("av_speed_mph = 12.5\nreveal_margin_slow_s = 10.0", "reveal_margin_slow_s"),
     ("ped_start_offset_m = -60", "ped_start_offset_m"),
     ("ped_start_offset_m = -1e300", "ped_start_offset_m"),
     ("ped_start_offset_m = 10", "ped_start_offset_m"),

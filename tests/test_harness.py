@@ -123,25 +123,23 @@ class TestRunScenario:
         cfg = config_for(ScenarioConfig(), 45.0, False)
         result, trace = run_scenario(cfg)
         w = build_world(cfg)
-        policy = cfg.policy()
         starts = []
         while True:
             starts.append(w.t_s)
-            if world_mod.step(w, cfg.dt_s, policy, cfg, cfg.v2v)[3]:
+            if world_mod.step(w, cfg.dt_s, cfg, cfg, cfg.v2v)[3]:
                 break
         assert len(trace) == len(starts)
         assert result.collision is True
         assert result.collision_time_s == starts[-1] == trace[-2].t_s
-        assert world_mod.step(w, cfg.dt_s, policy, cfg, cfg.v2v)[3] is True
+        assert world_mod.step(w, cfg.dt_s, cfg, cfg, cfg.v2v)[3] is True
 
     @pytest.mark.parametrize("v2v", [True, False])
     def test_step_returns_match_trace_rows(self, sweep_runs, v2v):
         _, trace = sweep_runs[(45.0, v2v)]
         cfg = config_for(ScenarioConfig(), 45.0, v2v)
         w = build_world(cfg)
-        policy = cfg.policy()
         for row in trace:
-            ttc_s, pressure, source, _ = world_mod.step(w, cfg.dt_s, policy, cfg, v2v)
+            ttc_s, pressure, source, _ = world_mod.step(w, cfg.dt_s, cfg, cfg, v2v)
             assert (NO_TTC_SENTINEL_S if ttc_s is None else ttc_s) == row.ttc_s
             assert pressure == row.pressure_bar
             assert (source is not None) == row.detected
@@ -158,6 +156,35 @@ class TestRunScenario:
         assert (cleared, len(trace)) == (25.03125, 1922)
         assert trace[-1].t_s == cleared + CLEARANCE_TAIL_S
         assert trace[-2].t_s < cleared + CLEARANCE_TAIL_S
+
+    @pytest.mark.parametrize("mph,v2v", [(45.0, True), (10.0, False)])
+    def test_unbraked_run_commands_and_applies_no_pressure(self, monkeypatch, mph, v2v):
+        calls = []
+        decelerate = world_mod.deceleration_for
+
+        def counted(*args):
+            calls.append(args)
+            return decelerate(*args)
+
+        monkeypatch.setattr(world_mod, "deceleration_for", counted)
+        cfg = config_for(ScenarioConfig(), mph, v2v)
+        result, trace = run_scenario(cfg, braking=False)
+        assert all(row.pressure_bar == 0.0 for row in trace)
+        assert result.max_pressure_bar == 0.0
+        assert calls == []
+        # The braked run of the same config does reach the counter.
+        run_scenario(cfg)
+        assert calls
+
+    @pytest.mark.parametrize("dt_s", [0.005, 0.01, 0.02, 0.05, 0.1])
+    def test_collision_pattern_holds_at_every_step_size(self, dt_s):
+        # Criteria 3 and 9: the relay avoids at every speed, the run without
+        # it avoids at 10 mph and collides from 15 mph on, and every
+        # unbraked run collides.
+        spec = SweepSpec(base=ScenarioConfig(dt_s=dt_s))
+        for cfg, result in zip(spec.configs, sweep(spec), strict=True):
+            assert result.collision is (not cfg.v2v and cfg.av_speed_mph >= 15.0), cfg
+            assert run_scenario(cfg, braking=False)[0].collision is True, cfg
 
 
 class TestAllocation:

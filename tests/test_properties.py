@@ -147,9 +147,8 @@ def test_finite_config_is_rejected_by_name_or_steps_finitely(base, extreme, v2v)
     except ConfigError as exc:
         assert KEY_PREFIX.match(str(exc)), str(exc)
         return
-    policy = cfg.policy()
     for _ in range(200):
-        ttc_s, pressure, _, _ = world_mod.step(w, cfg.dt_s, policy, cfg, cfg.v2v)
+        ttc_s, pressure, _, _ = world_mod.step(w, cfg.dt_s, cfg, cfg, cfg.v2v)
         for value in (w.av_x, w.av_y, w.av_speed, w.ped_y):
             assert math.isfinite(value)
         assert ttc_s is None or (math.isfinite(ttc_s) and ttc_s >= 0.0)

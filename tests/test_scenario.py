@@ -19,15 +19,21 @@ from occlusim.scenario import (
     config_for,
     load_config,
     run_length_s,
-    serialize_config,
 )
 from occlusim.harness import run_scenario
 
 FLOAT_KEYS = [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)]
 
-# Bounds that only ScenarioConfig enforces (the policy, sensor and channel
-# records built from it do not check), plus every float key at each
-# non-finite value.
+
+def config_text(cfg: ScenarioConfig) -> str:
+    """*cfg* as config text: bools as on/off, numbers by repr."""
+    pairs = ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+    return "".join(f"{k} = {('off', 'on')[v] if isinstance(v, bool) else repr(v)}\n"
+                   for k, v in pairs)
+
+
+# Bounds that only ScenarioConfig enforces (nothing that reads it checks
+# again), plus every float key at each non-finite value.
 OUT_OF_BOUNDS = [
     ("tau_max_s", 0.0), ("p_max_bar", -5.0), ("d_max_mps2", 0.0),
     ("av_sensor_range_m", 0.0),
@@ -143,16 +149,16 @@ class TestLoadConfig:
     def test_round_trip_identity(self):
         cfg = ScenarioConfig(av_speed_mph=37.5, v2v=False, seed=99,
                              drop_prob=0.125, latency_s=0.06)
-        assert load_config(serialize_config(cfg)) == cfg
+        assert load_config(config_text(cfg)) == cfg
 
     def test_round_trip_of_defaults(self):
         cfg = ScenarioConfig()
-        assert load_config(serialize_config(cfg)) == cfg
+        assert load_config(config_text(cfg)) == cfg
 
     @settings(derandomize=True, database=None)
     @given(valid_configs())
     def test_round_trip_of_any_valid_config(self, cfg):
-        assert load_config(serialize_config(cfg)) == cfg
+        assert load_config(config_text(cfg)) == cfg
 
 
 class TestValidation:
