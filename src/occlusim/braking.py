@@ -10,7 +10,7 @@ law reads these keys from a run's :class:`ScenarioConfig` or from a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .ttc import TtcOutcome
@@ -19,19 +19,15 @@ if TYPE_CHECKING:  # scenario imports world, which imports this module
     from .scenario import ScenarioConfig
 
 
-@dataclass(frozen=True, slots=True)
-class BrakePolicy:
-    """The braking law's keys outside a config, with the config's names
-    and defaults.
+BrakePolicy = namedtuple("BrakePolicy", "tau_max_s p_max_bar d_max_mps2",
+                         defaults=(10.0, 200.0, 8.0))
+BrakePolicy.__doc__ = """The braking law's keys outside a config, with the config's names
+and defaults.
 
-    tau_max_s: TTC at or below which braking engages (seconds).
-    p_max_bar: pressure commanded at TTC 0 (bars).
-    d_max_mps2: deceleration produced by ``p_max_bar`` (m/s^2).
-    """
-
-    tau_max_s: float = 10.0
-    p_max_bar: float = 200.0
-    d_max_mps2: float = 8.0
+tau_max_s: TTC at or below which braking engages (seconds).
+p_max_bar: pressure commanded at TTC 0 (bars).
+d_max_mps2: deceleration produced by ``p_max_bar`` (m/s^2).
+"""
 
 
 def brake_pressure(t: TtcOutcome, policy: BrakePolicy | ScenarioConfig) -> float:

@@ -7,45 +7,49 @@ run; the moving AV and pedestrian are plain floats in the world state, and
 :mod:`occlusim.ttc` takes their relative state as floats. Nothing in the
 package calls :func:`relative_state` any more. The records check no
 values: the config boundary bounds every speed, step and run length, so
-none overflows.
+none overflows. No record is a dataclass, whose import would slow every CLI start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True, slots=True)
 class Vec2:
     """A 2D vector in meters (or m/s when used as a velocity)."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        self.x = x
+        self.y = y
+
+    def __eq__(self, other: object) -> bool:
+        return (self.x, self.y) == (other.x, other.y) if other.__class__ is Vec2 else NotImplemented
 
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True, slots=True)
 class ActorState:
     """Position, velocity, and bounding-disc radius of one road user."""
 
-    pos: Vec2
-    vel: Vec2
-    radius: float
+    __slots__ = ("pos", "vel", "radius")
+
+    def __init__(self, pos: Vec2, vel: Vec2, radius: float) -> None:
+        self.pos = pos
+        self.vel = vel
+        self.radius = radius
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ActorState:
+            return NotImplemented
+        return all(getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
-@dataclass(frozen=True, slots=True)
-class RelativeState:
-    """Pairwise state: position/velocity of one actor seen from another.
-
-    r_sum is the sum of the two disc radii; the pair touches exactly when
-    the relative position has norm r_sum.
-    """
-
-    x_rel: Vec2
-    v_rel: Vec2
-    r_sum: float
+RelativeState = namedtuple("RelativeState", "x_rel v_rel r_sum")
+RelativeState.__doc__ = """One actor's position and velocity seen from another; the pair
+touches exactly when x_rel has norm r_sum, the sum of the disc radii."""
 
 
 def relative_state(ped: ActorState, av: ActorState) -> RelativeState:

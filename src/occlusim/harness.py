@@ -15,8 +15,7 @@ sentinel; elsewhere in the package the absence of a TTC is always None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import world as world_mod
 from .braking import BrakePolicy
@@ -44,45 +43,35 @@ _TRACE_ROW_NO_TTC = "%.4f,%.4f,%.4f,0.0000,%.4f,10000,%.4f,%s,%s"
 _BOOL_TEXT = ("false", "true")
 
 
-class StepRecord(NamedTuple):
-    """One trace row, recorded after every step from values the step has
-    already produced. ``ttc_s`` holds the 10000 s sentinel when there was
-    no valid TTC. ``sight`` is the run's (sensor lane y, occluder bounds),
-    one tuple shared by every row of a run: the ``occluded`` column is
-    worked out from it by :func:`write_trace_csv`, only when a trace is
-    written. The pedestrian's x is the walk line's, 0, in every row."""
-
-    t_s: float
-    av_x_m: float
-    av_speed_mps: float
-    ped_y_m: float
-    ttc_s: float
-    pressure_bar: float
-    detected: bool
-    sight: tuple[float, tuple[float, float, float, float]]
+StepRecord = namedtuple("StepRecord",
+                        "t_s av_x_m av_speed_mps ped_y_m ttc_s pressure_bar detected sight")
+StepRecord.__doc__ = """One trace row, recorded after every step from values the step has
+already produced. ``ttc_s`` holds the 10000 s sentinel when there was
+no valid TTC. ``sight`` is the run's (sensor lane y, occluder bounds),
+one tuple shared by every row of a run: the ``occluded`` column is
+worked out from it by :func:`write_trace_csv`, only when a trace is
+written. The pedestrian's x is the walk line's, 0, in every row."""
 
 
-@dataclass(frozen=True)
 class SweepSpec:
     """Speeds and base configuration of a sweep; both strategies run at
     every speed with identical seeds so the pair is directly comparable.
     ``configs`` holds every run's config, ordered by speed and then
-    strategy (with_v2v before without_v2v)."""
+    strategy (with_v2v before without_v2v). No base means the default one."""
 
-    speeds_mph: tuple[float, ...] = DEFAULT_SWEEP_SPEEDS_MPH
-    base: ScenarioConfig = field(default_factory=ScenarioConfig)
-    configs: tuple[ScenarioConfig, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.speeds_mph:
+    def __init__(self, speeds_mph: tuple[float, ...] = DEFAULT_SWEEP_SPEEDS_MPH,
+                 base: ScenarioConfig | None = None) -> None:
+        if not speeds_mph:
             raise ConfigError("speeds_mph must not be empty")
+        self.speeds_mph = speeds_mph
+        self.base = base = ScenarioConfig() if base is None else base
         configs = []
-        for s in self.speeds_mph:
+        for s in speeds_mph:
             try:
-                configs += (config_for(self.base, s, v2v) for v2v in (True, False))
+                configs += (config_for(base, s, v2v) for v2v in (True, False))
             except ConfigError as exc:
                 raise ConfigError(f"{speed_label(s)} mph: {exc}") from None
-        object.__setattr__(self, "configs", tuple(configs))
+        self.configs = tuple(configs)
 
 
 def speed_label(mph: float) -> str:

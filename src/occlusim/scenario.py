@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 
 from .geometry import ActorState, Vec2
 from .units import mph_to_mps, to_si
@@ -43,13 +43,12 @@ class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
 
 
-@dataclass(frozen=True)
 class ScenarioConfig:
     """One experiment's inputs, in the units used at the file boundary.
 
-    Construction validates every key and calibrates the pedestrian's
-    entry, kept as ``ped_entry_time_s``; that is not a field, so it is
-    not a config key.
+    Its keys, listed in ``KEYS``, are the annotated defaults below. It is
+    built by keyword and read-only. Construction validates every key and
+    calibrates the pedestrian's entry, kept as ``ped_entry_time_s``.
     """
 
     av_speed_mph: float = 45.0
@@ -79,14 +78,19 @@ class ScenarioConfig:
     dt_s: float = 0.02
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        # Every parameter is validated here and nowhere below. Not through
-        # vars(): on CPython 3.11 it builds the instance __dict__, and then
-        # every read of the config, on each channel step too, costs ~5x.
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(self, **values: object) -> None:
+        # Each key is set once, in order, so all configs share one layout.
+        # Never through vars() or __dict__: on CPython 3.11 that builds the
+        # instance dict, and every later read of the config costs ~5x.
+        for key in self.KEYS:
+            object.__setattr__(self, key, values.pop(key, getattr(ScenarioConfig, key)))
+        if values:
+            raise TypeError(f"ScenarioConfig: unknown keys {', '.join(map(repr, values))}")
+        # Every parameter is validated here and nowhere below.
+        for key in self.KEYS:
+            value = getattr(self, key)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name}: must be finite, got {value}")
+                raise ConfigError(f"{key}: must be finite, got {value}")
         positive = (
             "av_speed_mph", "lane_width_ft", "ped_speed_ftps", "approach_time_s",
             "reveal_margin_s", "reveal_margin_slow_s", "tau_max_s", "p_max_bar",
@@ -137,6 +141,19 @@ class ScenarioConfig:
         # Last, the config must stage the conflict within the run-length cap.
         object.__setattr__(self, "ped_entry_time_s", calibrate_entry(self))
 
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"ScenarioConfig is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ScenarioConfig:
+            return NotImplemented
+        return all(getattr(self, key) == getattr(other, key) for key in self.KEYS)
+
+    def __repr__(self) -> str:
+        return f"ScenarioConfig({', '.join(f'{k}={getattr(self, k)!r}' for k in self.KEYS)})"
+
     # Derived SI quantities.
 
     @property
@@ -185,24 +202,16 @@ class ScenarioConfig:
         return fast + (slow - fast) * frac
 
 
-@dataclass(frozen=True)
-class SimResult:
-    """One output row of an experiment run."""
+ScenarioConfig.KEYS = tuple(ScenarioConfig.__annotations__)  # the config keys, in order
 
-    av_speed_mph: float
-    strategy: str
-    detected_time_s: float | None
-    first_ttc_s: float | None
-    min_ttc_s: float | None
-    collision: bool
-    collision_time_s: float | None
-    max_pressure_bar: float
-
+SimResult = namedtuple("SimResult", "av_speed_mph strategy detected_time_s first_ttc_s min_ttc_s "
+                                    "collision collision_time_s max_pressure_bar")
+SimResult.__doc__ = "One output row of an experiment run."
 
 # Config file grammar: one "key = value" per line, '#' comments, strict keys.
 
 # Each key's type is that of its default: bool, int or float.
-_KEY_TYPES: dict[str, type] = {f.name: type(f.default) for f in fields(ScenarioConfig)}
+_KEY_TYPES = {key: type(getattr(ScenarioConfig, key)) for key in ScenarioConfig.KEYS}
 
 _TRUE_WORDS = {"on", "true", "yes", "1"}
 _FALSE_WORDS = {"off", "false", "no", "0"}
@@ -337,6 +346,11 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         road_width_m=cfg.road_width_m,
         rng=random.Random(cfg.seed),
     )
+
+
+def replace(cfg: ScenarioConfig, **changes: object) -> ScenarioConfig:
+    """A copy of *cfg* with *changes* to its keys, validated and calibrated anew."""
+    return ScenarioConfig(**{key: getattr(cfg, key) for key in cfg.KEYS} | changes)
 
 
 def config_for(base: ScenarioConfig, av_speed_mph: float, v2v: bool) -> ScenarioConfig:

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from dataclasses import replace  # noqa: F401  perfbench/tracer.py counts world.replace calls
 from typing import TYPE_CHECKING
 
 from .braking import BrakePolicy, brake_pressure, deceleration_for
@@ -45,18 +43,23 @@ R_SUM_M = AV_RADIUS_M + PED_RADIUS_M
 _T_EPS = 1e-9
 
 
-@dataclass(slots=True)
 class V2VMessage:
     """Pedestrian position and velocity across the road, relayed by the
-    transmitter. Not frozen: one is built per broadcast, and a frozen
-    dataclass costs several times as much to build."""
+    transmitter. Mutable and slotted: one is built per broadcast."""
 
-    sent_at_s: float
-    ped_y: float
-    ped_vy: float
+    __slots__ = ("sent_at_s", "ped_y", "ped_vy")
+
+    def __init__(self, sent_at_s: float, ped_y: float, ped_vy: float) -> None:
+        self.sent_at_s = sent_at_s
+        self.ped_y = ped_y
+        self.ped_vy = ped_vy
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not V2VMessage:
+            return NotImplemented
+        return all(getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
-@dataclass(slots=True)
 class WorldState:
     """Mutable state of one simulation run; it holds only what the next
     step reads. The AV drives along +x at ``av_speed`` (m/s) with its
@@ -70,22 +73,31 @@ class WorldState:
     either vehicle to detect, and it does not move.
     """
 
-    av_x: float
-    av_y: float
-    av_speed: float
-    av_sensor_range_m: float
-    av_sensor_cos_fov: float
-    transmitter: ActorState
-    occluder: tuple[float, float, float, float]
-    ped_y: float
-    ped_vy: float
-    ped_entry_time_s: float
-    road_width_m: float
-    rng: random.Random
-    t_s: float = 0.0
-    in_flight: deque[V2VMessage] = field(default_factory=deque)
-    latest_ped_info: V2VMessage | None = None
-    next_send_s: float = 0.0
+    __slots__ = ("av_x", "av_y", "av_speed", "av_sensor_range_m", "av_sensor_cos_fov",
+                 "transmitter", "occluder", "ped_y", "ped_vy", "ped_entry_time_s",
+                 "road_width_m", "rng", "t_s", "in_flight", "latest_ped_info", "next_send_s")
+
+    def __init__(self, av_x: float, av_y: float, av_speed: float, av_sensor_range_m: float,
+                 av_sensor_cos_fov: float, transmitter: ActorState,
+                 occluder: tuple[float, float, float, float], ped_y: float, ped_vy: float,
+                 ped_entry_time_s: float, road_width_m: float, rng: random.Random) -> None:
+        self.av_x, self.av_y, self.av_speed = av_x, av_y, av_speed
+        self.av_sensor_range_m, self.av_sensor_cos_fov = av_sensor_range_m, av_sensor_cos_fov
+        self.transmitter, self.occluder = transmitter, occluder
+        self.ped_y, self.ped_vy, self.ped_entry_time_s = ped_y, ped_vy, ped_entry_time_s
+        self.road_width_m, self.rng = road_width_m, rng
+        self.t_s = self.next_send_s = 0.0
+        self.in_flight: deque[V2VMessage] = deque()
+        self.latest_ped_info: V2VMessage | None = None
+
+
+def __getattr__(name: str) -> object:
+    # world.replace, counted by perfbench/tracer.py and called by nothing,
+    # imports dataclasses only when looked up. It goes with ROADMAP item 1.
+    if name != "replace":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from dataclasses import replace
+    return replace
 
 
 def los_occluded(sensor_x: float, sensor_y: float, target_x: float, target_y: float,

@@ -15,13 +15,13 @@ change is intended and explained.
 import hashlib
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from occlusim import ScenarioConfig, SweepSpec, run_scenario, sweep, write_results_csv
 from occlusim.harness import write_trace_csv
+from occlusim.scenario import replace
 
 GOLDEN = Path(__file__).resolve().with_name("golden_grid_sha256.json")
 UNBRAKED = "unbraked,with_v2v"

@@ -19,7 +19,7 @@ from occlusim.harness import (
     write_trace_csv,
 )
 from occlusim.scenario import (AV_RADIUS_M, CLEARANCE_TAIL_S, ConfigError, ScenarioConfig,
-                               SimResult, build_world, config_for)
+                               SimResult, build_world, config_for, replace)
 from occlusim.world import R_SUM_M
 
 
@@ -78,15 +78,11 @@ class TestRunScenario:
         assert first == second
 
     def test_lossy_channel_runs_are_seed_deterministic(self):
-        from dataclasses import replace
-
         cfg = replace(config_for(ScenarioConfig(), 45.0, True),
                       latency_s=0.1, drop_prob=0.3, seed=42)
         assert run_scenario(cfg) == run_scenario(cfg)
 
     def test_fully_lossy_channel_degenerates_to_no_relay(self, sweep_runs):
-        from dataclasses import replace
-
         cfg = replace(config_for(ScenarioConfig(), 45.0, True), drop_prob=1.0)
         relayless, _ = run_scenario(cfg)
         without, _ = sweep_runs[(45.0, False)]

@@ -1,9 +1,10 @@
 """Hypothesis properties of whole runs.
 
 Metamorphic relations between runs: the channel knobs cannot touch a run
-without the relay, the relay can only bring detection forward, and a late
-or lossy relay can only push it back. Trace invariants of every calibrated
-run: time strictly increases, the AV never speeds up, the pressure stays
+without the relay, the relay can only bring detection forward, a late or
+lossy relay can only push it back, and on one seed a channel no later and
+no lossier than another never detects later. Trace invariants of every
+calibrated run: time strictly increases, the AV never speeds up, the pressure stays
 within [0, p_max], there is one row per step, the pedestrian never
 leaves the walk line, and the written occluded column is the loop-form
 sight-line check of the row's values. The staging premise:
@@ -14,7 +15,6 @@ error naming a key, or steps with finite state and bounded commands.
 
 import math
 import re
-from dataclasses import fields, replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +23,7 @@ from _oracle import los_occluded_loop
 from occlusim import ScenarioConfig, run_scenario, write_results_csv
 from occlusim import world as world_mod
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH, TRACE_HEADER, write_trace_csv
-from occlusim.scenario import ConfigError, build_world, config_for
+from occlusim.scenario import ConfigError, build_world, config_for, replace
 from occlusim.world import AV_RADIUS_M
 
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
@@ -40,8 +40,8 @@ CHANNEL_KEYS = {
     "seed": st.integers(),
 }
 
-FLOAT_KEYS = [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)]
-KEY_PREFIX = re.compile(rf"^({'|'.join(f.name for f in fields(ScenarioConfig))}): ")
+FLOAT_KEYS = [k for k in ScenarioConfig.KEYS if isinstance(getattr(ScenarioConfig, k), float)]
+KEY_PREFIX = re.compile(rf"^({'|'.join(ScenarioConfig.KEYS)}): ")
 
 # A staging whose conflict falls inside the first 200 steps, so the TTC
 # and the brake law run on the relayed estimate.
@@ -134,6 +134,27 @@ def test_late_or_lossy_relay_never_detects_earlier(sweep_runs, speed, late):
     # its first estimate.
     assert ideal.detected_time_s is not None
     assert lossy.detected_time_s is None or lossy.detected_time_s >= ideal.detected_time_s
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(speed=st.sampled_from(DEFAULT_SWEEP_SPEEDS_MPH), seed=st.integers(0, 2**32),
+       latency=st.floats(0.0, 1.0), more_latency=st.floats(0.0, 1.0),
+       drop=st.floats(0.0, 1.0), more_drop=st.floats(0.0, 1.0))
+def test_better_channel_on_the_same_seed_never_detects_later(speed, seed, latency, more_latency,
+                                                             drop, more_drop):
+    # Same-seed coupling (metamorphic testing; Chen et al., ACM CSUR 51(1),
+    # 2018). Each send slot draws its number whatever the drop probability,
+    # so on one seed the channel with the lower drop probability drops only
+    # messages the other drops too, and the lower latency delivers each one
+    # no later. Both runs drive the same path until the first estimate.
+    def detected(latency_s, drop_prob):
+        cfg = ScenarioConfig(av_speed_mph=speed, latency_s=latency_s, drop_prob=drop_prob,
+                             seed=seed)
+        return run_scenario(cfg)[0].detected_time_s
+
+    better = detected(latency, drop)
+    worse = detected(latency + more_latency, min(1.0, drop + more_drop))
+    assert worse is None or (better is not None and better <= worse)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -18,16 +17,17 @@ from occlusim.scenario import (
     calibrate_entry,
     config_for,
     load_config,
+    replace,
     run_length_s,
 )
 from occlusim.harness import run_scenario
 
-FLOAT_KEYS = [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)]
+FLOAT_KEYS = [k for k in ScenarioConfig.KEYS if isinstance(getattr(ScenarioConfig, k), float)]
 
 
 def config_text(cfg: ScenarioConfig) -> str:
     """*cfg* as config text: bools as on/off, numbers by repr."""
-    pairs = ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+    pairs = ((key, getattr(cfg, key)) for key in cfg.KEYS)
     return "".join(f"{k} = {('off', 'on')[v] if isinstance(v, bool) else repr(v)}\n"
                    for k, v in pairs)
 
@@ -70,15 +70,15 @@ STAGED = {
 @st.composite
 def valid_configs(draw) -> ScenarioConfig:
     kwargs = {name: draw(strategy) for name, strategy in STAGED.items()}
-    for f in fields(ScenarioConfig):
-        if f.name in kwargs:
+    for key in ScenarioConfig.KEYS:
+        if key in kwargs:
             continue
-        if f.name in BOUNDED:
-            kwargs[f.name] = draw(BOUNDED[f.name])
-        elif f.name in SIGNED_KEYS:
-            kwargs[f.name] = draw(FINITE)
-        elif isinstance(f.default, float):
-            kwargs[f.name] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+        if key in BOUNDED:
+            kwargs[key] = draw(BOUNDED[key])
+        elif key in SIGNED_KEYS:
+            kwargs[key] = draw(FINITE)
+        elif isinstance(getattr(ScenarioConfig, key), float):
+            kwargs[key] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
     knees = draw(st.lists(FINITE, min_size=2, max_size=2, unique=True))
     kwargs["reveal_knee_lo_mph"], kwargs["reveal_knee_hi_mph"] = sorted(knees)
     tx_lane = draw(st.integers(0, 3))
@@ -121,7 +121,7 @@ class TestLoadConfig:
         section = readme.split("\n## Config file\n", 1)[1]
         block = section.split("```\n", 2)[1]
         pairs = re.findall(r"(\w+) = (\S+)", block)
-        assert [key for key, _ in pairs] == [f.name for f in fields(ScenarioConfig)]
+        assert [key for key, _ in pairs] == list(ScenarioConfig.KEYS)
         assert load_config("\n".join(f"{k} = {v}" for k, v in pairs)) == ScenarioConfig()
 
     def test_invariant_violation_names_field(self):
@@ -339,3 +339,36 @@ class TestConfigFor:
         assert derived.av_speed_mph == 60.0
         assert derived.v2v is False
         assert replace(derived, av_speed_mph=base.av_speed_mph, v2v=base.v2v) == base
+
+
+class TestConfigRecord:
+    def test_unknown_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError, match="'av_sped_mph'"):
+            ScenarioConfig(av_sped_mph=45.0)
+        with pytest.raises(TypeError, match="'t_end_s'"):
+            replace(ScenarioConfig(), t_end_s=30.0)
+
+    def test_config_refuses_assignment_and_deletion(self):
+        cfg = ScenarioConfig()
+        with pytest.raises(AttributeError, match="read-only"):
+            cfg.dt_s = 0.01
+        with pytest.raises(AttributeError, match="read-only"):
+            del cfg.seed
+        assert cfg == ScenarioConfig()
+
+    def test_keys_are_the_annotated_defaults_in_order(self):
+        cfg = ScenarioConfig(seed=7)
+        assert ScenarioConfig.KEYS[:2] == ("av_speed_mph", "v2v")
+        assert ScenarioConfig.KEYS[-2:] == ("dt_s", "seed")
+        assert len(ScenarioConfig.KEYS) == 26
+        assert repr(cfg) == "ScenarioConfig(" + ", ".join(
+            f"{key}={getattr(cfg, key)!r}" for key in ScenarioConfig.KEYS) + ")"
+        assert "ped_entry_time_s" not in repr(cfg)
+
+    def test_replace_changes_only_the_named_keys_and_recalibrates(self):
+        base = ScenarioConfig()
+        derived = replace(base, approach_time_s=25.0)
+        assert [k for k in ScenarioConfig.KEYS
+                if getattr(derived, k) != getattr(base, k)] == ["approach_time_s"]
+        assert derived.ped_entry_time_s == calibrate_entry(derived) != base.ped_entry_time_s
+        assert replace(derived, approach_time_s=20.0) == base

@@ -1,6 +1,9 @@
-"""The simulator imports nothing outside the standard library."""
+"""The simulator imports nothing outside the standard library, and its
+CLI imports no module that only costs start-up time."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +34,16 @@ def test_check_sees_a_third_party_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import numpy as np\nfrom . import world\nfrom math import pi\n")
     assert imported_roots(module) == {"numpy", "occlusim", "math"}
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Every CLI call pays for its imports: dataclasses, and the inspect
+    # module it pulls in, cost more start-up than a default sweep takes to
+    # run. -S keeps site-packages' .pth files out of the check.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = ("import sys, occlusim.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,6 @@
 import copy
 import math
 import random
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from _oracle import los_occluded_loop, sense_clamped
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import ActorState, Vec2
-from occlusim.scenario import ScenarioConfig
+from occlusim.scenario import ScenarioConfig, replace
 from occlusim.ttc import ttc
 from occlusim.world import (
     AV_RADIUS_M,
@@ -296,8 +295,8 @@ class TestChannel:
 
 def world_slots(w: WorldState) -> dict:
     """Every WorldState slot by value; the generator by its state."""
-    return {f.name: w.rng.getstate() if f.name == "rng" else copy.deepcopy(getattr(w, f.name))
-            for f in fields(WorldState)}
+    return {name: w.rng.getstate() if name == "rng" else copy.deepcopy(getattr(w, name))
+            for name in WorldState.__slots__}
 
 
 class TestComputeControl:
