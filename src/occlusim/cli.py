@@ -7,6 +7,7 @@ cannot stage the conflict included), 2 simulation or output error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -116,7 +117,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="occlusim",
         description=(

@@ -9,13 +9,20 @@ time before the step, and one trace row per step for any plotting tool. A
 sweep builds, and so validates and calibrates, every run's config before
 the first run starts.
 
+A trace row is a plain tuple, recorded after every step from values the
+step has already produced:
+``(t_s, av_x_m, av_speed_mps, ped_y_m, ttc_s, pressure_bar, detected, sight)``.
+``sight`` is the run's (sensor lane y, occluder bounds), one tuple shared
+by every row of a run: the trace CSV's occluded column is worked out from
+it by :func:`write_trace_csv`, only when a trace is written. The
+pedestrian's x is the walk line's, 0, in every row. Rows are exact tuples,
+not a tuple subclass, so the cyclic garbage collector stops scanning them.
+
 Serialized TTC and a trace row's TTC use 10000 seconds as the no-valid-TTC
 sentinel; elsewhere in the package the absence of a TTC is always None.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 from . import world as world_mod
 from .braking import BrakePolicy
@@ -41,16 +48,6 @@ TRACE_HEADER = "t_s,av_x_m,av_speed_mps,ped_x_m,ped_y_m,ttc_s,pressure_bar,detec
 _TRACE_ROW = "%.4f,%.4f,%.4f,0.0000,%.4f,%.4f,%.4f,%s,%s"
 _TRACE_ROW_NO_TTC = "%.4f,%.4f,%.4f,0.0000,%.4f,10000,%.4f,%s,%s"
 _BOOL_TEXT = ("false", "true")
-
-
-StepRecord = namedtuple("StepRecord",
-                        "t_s av_x_m av_speed_mps ped_y_m ttc_s pressure_bar detected sight")
-StepRecord.__doc__ = """One trace row, recorded after every step from values the step has
-already produced. ``ttc_s`` holds the 10000 s sentinel when there was
-no valid TTC. ``sight`` is the run's (sensor lane y, occluder bounds),
-one tuple shared by every row of a run: the ``occluded`` column is
-worked out from it by :func:`write_trace_csv`, only when a trace is
-written. The pedestrian's x is the walk line's, 0, in every row."""
 
 
 class SweepSpec:
@@ -81,8 +78,9 @@ def speed_label(mph: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, list[StepRecord]]:
-    """Run one scenario to completion and return its result row and trace.
+def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, list[tuple]]:
+    """Run one scenario to completion and return its result row and its
+    trace: one plain-tuple row per step, laid out as the module says.
 
     ``braking=False`` runs the same world under a brake law that no TTC
     engages, so every step commands and applies 0.0; tests use it to verify
@@ -92,7 +90,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     policy = cfg if braking else _UNBRAKED
     clearance_y = cfg.av_lane_y + R_SUM_M
 
-    trace: list[StepRecord] = []
+    trace: list[tuple] = []
     detected_at: float | None = None
     first_ttc: float | None = None
     min_ttc: float | None = None
@@ -103,11 +101,9 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
 
     # Bound once per run: what the loop calls and what never changes
     # during a run. world.step is looked up here, so a wrapper installed
-    # on it before the run still sees every step. A row is built the way
-    # namedtuple's _make builds one, without its Python frame.
+    # on it before the run still sees every step.
     step = world_mod.step
     record = trace.append
-    new_row = tuple.__new__
     dt = cfg.dt_s
     v2v = cfg.v2v
     sight = (w.av_y, w.occluder)
@@ -122,15 +118,13 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
             min_ttc = ttc_s
         if pressure > max_pressure:
             max_pressure = pressure
-        # Fields in StepRecord order; no valid TTC is stored as the
-        # sentinel, and the occluded cell is left to write_trace_csv.
+        # Fields in the documented row order; no valid TTC is stored as
+        # the sentinel, and the occluded cell is left to write_trace_csv.
         t_next = w.t_s
         ped_y = w.ped_y
-        record(new_row(StepRecord, (
-            t_next, w.av_x, w.av_speed, ped_y,
-            NO_TTC_SENTINEL_S if ttc_s is None else ttc_s, pressure,
-            source is not None, sight,
-        )))
+        record((t_next, w.av_x, w.av_speed, ped_y,
+                NO_TTC_SENTINEL_S if ttc_s is None else ttc_s, pressure,
+                source is not None, sight))
 
         if contact:  # the first contact ends the run, after its row
             collision_at = t_s
@@ -190,8 +184,9 @@ def write_results_csv(results: list[SimResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_csv(trace: list[StepRecord]) -> str:
-    """Per-step trace as CSV text. The ped_x_m column keeps the trace's
+def write_trace_csv(trace: list[tuple]) -> str:
+    """Per-step trace as CSV text, from rows in the order
+    :func:`run_scenario` records them. The ped_x_m column keeps the trace's
     layout: the pedestrian crosses at x = 0, so it is always 0.0000. The
     occluded column is the sight line from the AV's front-center sensor
     to the pedestrian, checked against the row's occluder."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import namedtuple
 
 import pytest
 
@@ -12,6 +13,15 @@ from occlusim.scenario import config_for
 
 SWEEP_SPEEDS = tuple(float(s) for s in range(10, 75, 5))
 
+# A named view of one trace row, for tests to read fields by name;
+# run_scenario records each row as a plain tuple in this order.
+StepRecord = namedtuple("StepRecord",
+                        "t_s av_x_m av_speed_mps ped_y_m ttc_s pressure_bar detected sight")
+
+
+def named_rows(trace: list[tuple]) -> list[StepRecord]:
+    return [StepRecord._make(row) for row in trace]
+
 
 @pytest.fixture(scope="session")
 def default_spec() -> SweepSpec:
@@ -20,11 +30,12 @@ def default_spec() -> SweepSpec:
 
 @pytest.fixture(scope="session")
 def sweep_runs(default_spec):
-    """All 26 default runs with traces, keyed by (speed_mph, v2v)."""
+    """All 26 default runs with traces, keyed by (speed_mph, v2v); each
+    trace row is a StepRecord."""
     runs = [run_scenario(c) for c in default_spec.configs]
     keyed = {}
     for result, trace in runs:
-        keyed[(result.av_speed_mph, result.strategy == "with_v2v")] = (result, trace)
+        keyed[(result.av_speed_mph, result.strategy == "with_v2v")] = (result, named_rows(trace))
     return keyed
 
 

@@ -69,3 +69,21 @@ def test_bytes_mode_names_the_first_run_that_differs(tmp_path, trees):
     # The braked 45 mph run with the relay clears, so its tail shows.
     differs, _ = ab.first_difference(parent, changed, runs)
     assert differs == "default 45 mph with_v2v braked"
+
+
+def test_trace_workload_runs_and_writes_every_trace_of_the_grid(trees):
+    parent = trees(ROOT, "occlusim_ab_test_trace_parent")
+    change = trees(ROOT, "occlusim_ab_test_trace_change")
+    base, measure = ab.WORKLOADS["default traces"]
+    written = []
+    write = change.harness.write_trace_csv
+
+    def counting(trace):
+        written.append(len(trace))
+        return write(trace)
+
+    change.harness.write_trace_csv = counting
+    # One pair, as the timing mode runs it.
+    assert measure(parent, base) > 0.0
+    assert measure(change, base) > 0.0
+    assert len(written) == 26 and sum(written) == 32_800

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from occlusim import harness
-from occlusim.cli import EXIT_CONFIG, EXIT_OK, MAX_RANGE_SPEEDS, _parse_speeds, main
+from occlusim.cli import (EXIT_CONFIG, EXIT_OK, MAX_RANGE_SPEEDS, _parse_speeds, build_parser,
+                          main)
 from occlusim.harness import RESULTS_HEADER, TRACE_HEADER
 from occlusim.scenario import ConfigError, ScenarioConfig
 
@@ -183,6 +184,21 @@ def test_unstageable_config_exits_1_naming_key(tmp_path, capsys, lines, key):
 
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == EXIT_CONFIG
+
+
+def test_calls_in_one_process_share_the_parser_and_nothing_else(tmp_path, capsys):
+    # The parser is built once per process; no call's arguments may leak
+    # into the next call's.
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("av_speed_mph = 20\nv2v = on\n")
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["run", "--speed", "fast"]) == EXIT_CONFIG
+    assert main(["run", "--config", str(cfg), "--speed", "30", "--v2v", "off",
+                 "--out", str(first)]) == EXIT_OK
+    assert main(["run", "--config", str(cfg), "--out", str(second)]) == EXIT_OK
+    assert first.read_text().splitlines()[1].startswith("30,without_v2v,")
+    assert second.read_text().splitlines()[1].startswith("20,with_v2v,")
+    assert build_parser() is build_parser()
 
 
 def test_parse_speeds_forms():

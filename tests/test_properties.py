@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import los_occluded_loop
+from conftest import named_rows
 from occlusim import ScenarioConfig, run_scenario, write_results_csv
 from occlusim import world as world_mod
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH, TRACE_HEADER, write_trace_csv
@@ -96,6 +97,7 @@ def test_every_trace_keeps_its_invariants(keys):
         _, trace = run_scenario(cfg)
     finally:
         world_mod.step = original
+    trace = named_rows(trace)
     assert len(trace) == steps
     for earlier, later in zip(trace, trace[1:]):
         assert later.t_s > earlier.t_s

@@ -13,12 +13,13 @@ at the default config, at ``dt_s`` 0.005, 0.1 and 1/64, and over four
 seeded lossy channels. It prints the first run whose output differs and
 exits 1, or prints one sha256 over all outputs and exits 0.
 
-timing: alternates in-process sweeps of the two trees, the change first on
-every other pair, for the default config and one lossy channel. It prints
-per workload the median change/parent time ratio, the interquartile range
-of the ratios and the pairs the change won. Each side is labelled by a
-sha256 of its ``src/occlusim/*.py``. Start-up, CLI and memory figures stay
-with ``perfbench/run.py``.
+timing: alternates in-process passes of the two trees, the change first on
+every other pair, over three workloads: a sweep of the default config, a
+sweep of one lossy channel, and every run of the default grid with its
+trace CSV written to text. It prints per workload the median change/parent
+time ratio, the interquartile range of the ratios and the pairs the change
+won. Each side is labelled by a sha256 of its ``src/occlusim/*.py``.
+Start-up, CLI and memory figures stay with ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ def first_difference(parent: ModuleType, change: ModuleType, runs) -> tuple[str 
 
 
 def _sweep_seconds(pkg: ModuleType, base: str) -> float:
+    """Time one sweep of *base*, its configs' building included."""
     cfg = pkg.scenario.load_config(base)
     gc.collect()
     start = time.perf_counter()
@@ -134,18 +136,40 @@ def _sweep_seconds(pkg: ModuleType, base: str) -> float:
     return time.perf_counter() - start
 
 
-def timing(parent: ModuleType, change: ModuleType, base: str, pairs: int) -> dict[str, float]:
-    """Alternating in-process sweeps of *base*: change/parent time ratios."""
-    _sweep_seconds(parent, base)
-    _sweep_seconds(change, base)
+def _trace_seconds(pkg: ModuleType, base: str) -> float:
+    """Time every run of *base*'s sweep grid with its trace CSV written to
+    text: run_scenario and write_trace_csv, the path a traced run takes."""
+    harness = pkg.harness
+    configs = harness.SweepSpec(base=pkg.scenario.load_config(base)).configs
+    gc.collect()
+    start = time.perf_counter()
+    for cfg in configs:
+        harness.write_trace_csv(harness.run_scenario(cfg)[1])
+    return time.perf_counter() - start
+
+
+# Timing workloads: printed label -> (config text, timed pass).
+WORKLOADS = {
+    "default sweep": (BASES["default"], _sweep_seconds),
+    "lossy0 sweep": (BASES["lossy0"], _sweep_seconds),
+    "default traces": (BASES["default"], _trace_seconds),
+}
+
+
+def timing(parent: ModuleType, change: ModuleType, base: str, pairs: int,
+           measure) -> dict[str, float]:
+    """Alternating in-process passes of *measure* over *base*: change/parent
+    time ratios."""
+    measure(parent, base)
+    measure(change, base)
     ratios, parent_s, change_s = [], [], []
     for i in range(pairs):
         if i % 2:
-            b = _sweep_seconds(change, base)
-            a = _sweep_seconds(parent, base)
+            b = measure(change, base)
+            a = measure(parent, base)
         else:
-            a = _sweep_seconds(parent, base)
-            b = _sweep_seconds(change, base)
+            a = measure(parent, base)
+            b = measure(change, base)
         parent_s.append(a)
         change_s.append(b)
         ratios.append(b / a)
@@ -161,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent tree")
     parser.add_argument("change", type=Path, help="checkout of the changed tree")
     parser.add_argument("--timing", type=int, metavar="PAIRS",
-                        help="time PAIRS alternating sweep pairs instead of comparing bytes")
+                        help="time PAIRS alternating pairs per workload instead of comparing bytes")
     args = parser.parse_args(argv)
     if args.timing is not None and args.timing < 2:
         parser.error("--timing needs at least 2 pairs")
@@ -181,9 +205,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"same bytes: {detail}")
         return 0
 
-    for label in ("default", "lossy0"):
-        t = timing(parent, change, BASES[label], args.timing)
-        print(f"{label} sweep: parent {t['parent_ms']:.2f} ms, change {t['change_ms']:.2f} ms, "
+    for label, (base, measure) in WORKLOADS.items():
+        t = timing(parent, change, base, args.timing, measure)
+        print(f"{label}: parent {t['parent_ms']:.2f} ms, change {t['change_ms']:.2f} ms, "
               f"ratio median {t['ratio']:.4f} (IQR {t['q1']:.4f}-{t['q3']:.4f}), "
               f"change won {t['won']}/{t['pairs']}")
     return 0
