@@ -3,13 +3,16 @@ sensing, the V2V relay, proportional braking, and contact detection.
 
 One :class:`WorldState` is owned by exactly one run and stepped
 sequentially; it holds only what the next step reads, and distinct runs
-share nothing mutable. :func:`step` returns what it observed (TTC,
-pressure, estimate source, contact); the caller keeps what it needs. The
-AV and the pedestrian are plain floats, so a step builds no vector or
-actor records; the stopped transmitter is a record built once per run.
-The pedestrian crosses on the walk line, x = 0, so only its y moves. All
-randomness comes from the seeded generator held by the world (used only
-for message drops), so runs with identical inputs are bit-identical.
+share nothing mutable. Per tick, :func:`step` tests contact; then, only
+once the pedestrian is active, steps the V2V channel, advances the
+pedestrian and tests the AV's sensor; then makes the control decision and
+moves the AV. It returns what it observed (TTC, pressure, estimate source,
+contact); the caller keeps what it needs. The AV and the pedestrian are
+plain floats, so a step builds no vector or actor records; the stopped
+transmitter is a record built once per run. The pedestrian crosses on the
+walk line, x = 0, so only its y moves. All randomness comes from the
+seeded generator held by the world (used only for message drops), so runs
+with identical inputs are bit-identical.
 
 The run's fixed sensing geometry, the occluder's bounds and the sensor's
 envelope, is worked out once when the world is built and held as floats.
@@ -172,34 +175,42 @@ def sense(sensor_x: float, sensor_y: float, range_m: float, cos_fov: float,
 def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
     """Broadcast and delivery for one step; *channel* is the run's config.
 
+    Precondition: the pedestrian is active. :func:`step` calls this only
+    then, so before entry nothing is sent and nothing is in flight.
+
     While the crossing pedestrian is within ``tx_sensor_range_m`` of the
     transmitter's tracker, at its front-center, it sends every
     ``bsm_period_s``; the tracker sees all around, past any occluder, and
     its range boundary is inclusive. A message is enqueued only if the AV
     is within ``v2v_range_m`` at send time and the seeded ``drop_prob``
     draw passes; the send slot is consumed either way. A message is
-    delivered ``latency_s`` after its send; the newest delivered wins.
+    delivered ``latency_s`` after its send; the newest delivered wins. With
+    zero latency and nothing in flight a new message is due at once, so it
+    is delivered without passing through the queue.
     """
     t_s = world.t_s
     in_flight = world.in_flight
-    if t_s >= world.ped_entry_time_s - _T_EPS:
-        tx = world.transmitter
-        tx_pos = tx.pos
-        tx_x = tx_pos.x
-        tx_y = tx_pos.y
-        ped_y = world.ped_y
-        dx = 0.0 - (tx_x + tx.radius)
-        dy = ped_y - tx_y
-        tx_range_m = channel.tx_sensor_range_m
-        if dx * dx + dy * dy <= tx_range_m * tx_range_m and t_s >= world.next_send_s - _T_EPS:
-            world.next_send_s = t_s + channel.bsm_period_s
-            in_range = math.hypot(world.av_x - tx_x, world.av_y - tx_y) <= channel.v2v_range_m
-            dropped = channel.drop_prob > 0.0 and world.rng.random() < channel.drop_prob
-            if in_range and not dropped:
-                in_flight.append(V2VMessage(t_s, ped_y, world.ped_vy))
+    latency_s = channel.latency_s
+    tx = world.transmitter
+    tx_pos = tx.pos
+    tx_x = tx_pos.x
+    tx_y = tx_pos.y
+    ped_y = world.ped_y
+    dx = 0.0 - (tx_x + tx.radius)
+    dy = ped_y - tx_y
+    tx_range_m = channel.tx_sensor_range_m
+    if dx * dx + dy * dy <= tx_range_m * tx_range_m and t_s >= world.next_send_s - _T_EPS:
+        world.next_send_s = t_s + channel.bsm_period_s
+        in_range = math.hypot(world.av_x - tx_x, world.av_y - tx_y) <= channel.v2v_range_m
+        dropped = channel.drop_prob > 0.0 and world.rng.random() < channel.drop_prob
+        if in_range and not dropped:
+            msg = V2VMessage(t_s, ped_y, world.ped_vy)
+            if latency_s == 0.0 and not in_flight:
+                world.latest_ped_info = msg
+                return
+            in_flight.append(msg)
 
     if in_flight:
-        latency_s = channel.latency_s
         due_s = t_s + _T_EPS
         while in_flight and in_flight[0].sent_at_s + latency_s <= due_s:
             world.latest_ped_info = in_flight.popleft()
@@ -211,6 +222,10 @@ def compute_control(world: WorldState, policy: BrakePolicy | ScenarioConfig
     TTC, and derive the pressure command. Returns (TTC, pressure, source),
     where source is "sensor", "v2v", or None when the AV has no estimate;
     the world is only read.
+
+    Nothing in the package calls this: :func:`step` makes the same
+    decision inline. It is the reference the tests compare ``step``
+    against, run on the world as the step's channel left it.
 
     The AV's own observation is preferred over V2V when both exist; a run
     without the relay never steps the channel, so it has no V2V estimate.
@@ -243,47 +258,81 @@ def compute_control(world: WorldState, policy: BrakePolicy | ScenarioConfig
     return outcome, brake_pressure(outcome, policy), source
 
 
+# What a step without a pedestrian estimate returns, indexed by contact.
+_NO_ESTIMATE = ((None, 0.0, None, False), (None, 0.0, None, True))
+
+
 def step(world: WorldState, dt: float, policy: BrakePolicy | ScenarioConfig,
          channel: ScenarioConfig, v2v_enabled: bool) -> tuple[TtcOutcome, float, str | None, bool]:
     """Advance the world by one timestep and return what it observed:
-    (TTC, pressure, estimate source, contact), as :func:`compute_control`
-    returns them plus whether the discs overlapped at the step's start.
+    (TTC, pressure, estimate source, contact), the control decision as
+    :func:`compute_control` makes it plus whether the discs overlapped at
+    the step's start.
 
-    Order per tick: contact test on current positions, transmitter
-    broadcast and message delivery, AV control, deceleration, semi-implicit
-    AV position integration, pedestrian advance, then the clock; the
-    transmitter is stopped. Contact is tested before anything moves, so
-    the step on which the discs meet still reports the controller's
-    decision. Nothing is latched: a caller that steps past a contact sees
-    it reported again while the discs overlap.
+    Order per tick: contact test on current positions; then, only once the
+    pedestrian is active, transmitter broadcast and message delivery (with
+    the relay), the pedestrian's advance and the AV sensor's roadway gate;
+    then the AV's control, deceleration, semi-implicit AV position
+    integration, and the clock. The transmitter is stopped. The channel
+    and the sensor see the world as it was at the step's start. Contact is
+    tested before anything moves, so the step on which the discs meet
+    still reports the controller's decision. Nothing is latched: a caller
+    that steps past a contact sees it reported again while the discs
+    overlap.
 
     Without the relay nothing reads the channel, and the seeded generator
-    feeds only the channel, so the channel is not stepped at all.
+    feeds only the channel, so the channel is not stepped at all. Before
+    the pedestrian is active it sends nothing, so nothing can be in flight
+    or delivered, and the channel is not stepped either.
     """
-    # Neither the channel nor the control moves the actors or the clock.
     av_x = world.av_x
+    av_y = world.av_y
     ped_y = world.ped_y
     t_s = world.t_s
-    contact = math.hypot(0.0 - av_x, ped_y - world.av_y) <= R_SUM_M
+    # hypot(a, b) >= |b|: discs farther apart across the road cannot touch.
+    dy = ped_y - av_y
+    contact = -R_SUM_M <= dy <= R_SUM_M and math.hypot(0.0 - av_x, dy) <= R_SUM_M
 
-    if v2v_enabled:
-        channel_step(world, channel, dt)
+    # The AV's own sensor, at its front-center, sees the pedestrian only
+    # once active and on the roadway: it flags roadway intruders, not
+    # people on the shoulder, while the transmitter holds the pedestrian
+    # it yielded to wherever it walks.
+    y = None
+    if t_s >= world.ped_entry_time_s - _T_EPS:
+        if v2v_enabled:
+            channel_step(world, channel, dt)
+        vy = world.ped_vy
+        world.ped_y = ped_y + vy * dt
+        if 0.0 <= ped_y <= world.road_width_m:
+            y = sense(av_x + AV_RADIUS_M, av_y, world.av_sensor_range_m,
+                      world.av_sensor_cos_fov, ped_y, world.occluder)
 
-    outcome, pressure, source = compute_control(world, policy)
+    speed = world.av_speed
+    if y is not None:
+        source = "sensor"
+    else:
+        msg = world.latest_ped_info
+        if msg is None:  # no estimate: hold speed
+            world.av_x = av_x + speed * dt
+            world.t_s = t_s + dt
+            return _NO_ESTIMATE[contact]
+        source = "v2v"
+        vy = msg.ped_vy
+        y = msg.ped_y + vy * (t_s - msg.sent_at_s)
+
+    # Relative to the AV, which moves along +x only; the pedestrian is on
+    # the walk line, x = 0, and does not move along it.
+    outcome = ttc(0.0 - av_x, y - av_y, 0.0 - speed, vy, R_SUM_M)
+    pressure = brake_pressure(outcome, policy)
 
     # Longitudinal kinematics: brake, clamp at standstill, then move with
     # the new velocity. The AV never re-accelerates once a threat clears.
     # Zero pressure leaves the speed as it is (v - 0.0 * dt == v).
-    speed = world.av_speed
     if pressure != 0.0:
         speed -= deceleration_for(pressure, policy) * dt
         if speed <= 0.0:
             speed = 0.0
         world.av_speed = speed
     world.av_x = av_x + speed * dt
-
-    if t_s >= world.ped_entry_time_s - _T_EPS:
-        world.ped_y = ped_y + world.ped_vy * dt
-
     world.t_s = t_s + dt
     return outcome, pressure, source, contact

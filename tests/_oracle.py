@@ -14,6 +14,11 @@ per axis and must return the same boolean.
 ``sense_clamped`` is the sensor check with its bearing cosine clamped to
 [-1, 1] before the field-of-view test; ``occlusim.world.sense`` gates the
 field of view without the clamp and must return the same observation.
+
+``step_composed`` is one world step composed from the package's reference
+pieces: ``channel_step``, then ``compute_control`` on the world as the
+channel left it, then the kinematics. ``occlusim.world.step`` makes the
+control decision inline and must return the same and leave the same world.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from occlusim import world as world_mod
 
 FINE_DT = 1e-5
 _CHUNK = 2_000_000
@@ -120,3 +127,26 @@ def sense_clamped(sensor_x: float, sensor_y: float, range_m: float, cos_fov: flo
         if cos_bearing < cos_fov:
             return None
     return None if los_occluded_loop(sensor_x, sensor_y, 0.0, target_y, occluder) else target_y
+
+
+def step_composed(world, dt: float, policy, channel, v2v_enabled: bool):
+    """Advance *world* one step as :func:`occlusim.world.step` documents it,
+    with the control from :func:`occlusim.world.compute_control`; returns
+    (TTC, pressure, source, contact)."""
+    av_x, ped_y, t_s = world.av_x, world.ped_y, world.t_s
+    contact = math.hypot(0.0 - av_x, ped_y - world.av_y) <= world_mod.R_SUM_M
+    active = t_s >= world.ped_entry_time_s - world_mod._T_EPS
+    if v2v_enabled and active:
+        world_mod.channel_step(world, channel, dt)
+    outcome, pressure, source = world_mod.compute_control(world, policy)
+    speed = world.av_speed
+    if pressure != 0.0:
+        speed -= world_mod.deceleration_for(pressure, policy) * dt
+        if speed <= 0.0:
+            speed = 0.0
+        world.av_speed = speed
+    world.av_x = av_x + speed * dt
+    if active:
+        world.ped_y = ped_y + world.ped_vy * dt
+    world.t_s = t_s + dt
+    return outcome, pressure, source, contact

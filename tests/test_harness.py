@@ -152,6 +152,27 @@ class TestRunScenario:
         assert result.collision_time_s == starts[-1] == trace[-2].t_s
         assert world_mod.step(w, cfg.dt_s, cfg, cfg, cfg.v2v)[3] is True
 
+    @pytest.mark.parametrize("v2v,channel", [
+        (True, {}),
+        (False, {}),
+        (True, {"latency_s": 0.3, "drop_prob": 0.5, "seed": 7}),
+    ])
+    def test_one_world_step_call_per_trace_row(self, monkeypatch, v2v, channel):
+        # perfbench/run.py divides a pass's time by the steps it counts
+        # through occlusim.world.step, and checks that count against the
+        # rows built: a run calls the module's step once per row.
+        calls = []
+        step = world_mod.step
+
+        def counted(*args):
+            calls.append(args[0])
+            return step(*args)
+
+        monkeypatch.setattr(world_mod, "step", counted)
+        _, trace = run_scenario(replace(config_for(ScenarioConfig(), 45.0, v2v), **channel))
+        assert len(calls) == len(trace) > 0
+        assert len(set(map(id, calls))) == 1  # one world, stepped every time
+
     @pytest.mark.parametrize("v2v", [True, False])
     def test_step_returns_match_trace_rows(self, sweep_runs, v2v):
         _, trace = sweep_runs[(45.0, v2v)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracle import los_occluded_loop, sense_clamped
+from _oracle import los_occluded_loop, sense_clamped, step_composed
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import ActorState, Vec2
 from occlusim.scenario import ScenarioConfig, replace
@@ -206,6 +206,17 @@ class TestChannel:
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is not None
         assert (w.latest_ped_info.ped_y, w.latest_ped_info.ped_vy) == (w.ped_y, w.ped_vy)
+        assert not w.in_flight  # due at once, so never queued
+
+    def test_zero_latency_send_leaves_nothing_queued_before_it(self):
+        # An older message still in flight is due too; the new one is
+        # delivered after it and wins.
+        w = make_world()
+        w.t_s = 0.5
+        w.in_flight.append(V2VMessage(0.4, 1.0, 1.0))
+        channel_step(w, IDEAL, 0.02)
+        assert not w.in_flight
+        assert w.latest_ped_info == V2VMessage(0.5, w.ped_y, w.ped_vy)
 
     # With the transmitter at x = -radius its tracker, at the front-center,
     # sits on the origin; the pedestrian stands 10 m from it along the
@@ -264,9 +275,16 @@ class TestChannel:
         assert not w.in_flight
 
     def test_no_broadcast_before_pedestrian_entry(self):
-        w = make_world(entry=1.0)
-        channel_step(w, IDEAL, 0.02)
-        assert w.latest_ped_info is None
+        # The step steps the channel only once the pedestrian is active:
+        # until then nothing is sent and no send slot is consumed.
+        w = make_world(entry=0.1)
+        for _ in range(5):
+            step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
+        assert w.latest_ped_info is None and not w.in_flight
+        assert w.next_send_s == 0.0
+        step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
+        assert w.latest_ped_info is not None
+        assert w.latest_ped_info.sent_at_s == pytest.approx(0.1)
 
     def test_period_limits_send_rate(self):
         w = make_world()
@@ -341,14 +359,16 @@ class TestComputeControl:
         assert w.latest_ped_info.ped_y == w.ped_y
 
     def test_v2v_extrapolates_stale_messages(self):
-        # Pedestrian not yet active, so no fresh broadcast overwrites the
-        # queued stale message. Sent at t = 0 from 3 m short of the AV's
-        # lane at 2 m/s and read at t = 0.5, it puts the pedestrian 1 m
-        # further across, 2 m short of the lane.
-        w = make_world(av_pos=(-40.0, 5.4864), av_speed=20.0, entry=100.0)
+        # Every fresh broadcast is dropped, so none overwrites the queued
+        # stale message, and the pedestrian stands inside the occluder,
+        # hidden from the AV. Sent at t = 0 from 3 m short of the AV's
+        # lane at 2 m/s and read at t = 0.5, the message puts the
+        # pedestrian 1 m further across, 2 m short of the lane.
+        w = make_world(av_pos=(-40.0, 5.4864), av_speed=20.0)
         w.in_flight.append(V2VMessage(0.0, 5.4864 - 3.0, 2.0))
         w.t_s = 0.5
-        channel_step(w, IDEAL, 0.02)
+        channel_step(w, replace(IDEAL, drop_prob=1.0), 0.02)
+        assert not w.in_flight and w.latest_ped_info.sent_at_s == 0.0
         outcome, _, source = compute_control(w, POLICY)
         assert source == "v2v"
 
@@ -378,7 +398,85 @@ class TestComputeControl:
         assert w.latest_ped_info is msg
 
 
+# The channels the step's differential property draws: ideal, late,
+# lossy, and one that drops every broadcast. A brake law no TTC engages.
+CHANNELS = (IDEAL, replace(IDEAL, latency_s=0.1), replace(IDEAL, drop_prob=0.5),
+            replace(IDEAL, drop_prob=1.0))
+UNBRAKED = BrakePolicy(tau_max_s=-1.0)
+
+
+@st.composite
+def pre_step_worlds(draw):
+    """A world before a step, with the step's arguments and the estimate
+    source the step must report: the AV sees the pedestrian itself
+    ("sensor"), knows it only from a delivered message ("v2v"), or has no
+    estimate (None); the pedestrian active or not, the law braked or not."""
+    source = draw(st.sampled_from(("sensor", "v2v", None)))
+    t_s = draw(st.floats(0.0, 20.0))
+    if source == "sensor" or draw(st.booleans()):
+        entry = t_s - draw(st.floats(0.0, 5.0))
+    else:
+        entry = t_s + draw(st.floats(0.02, 5.0))
+    if source == "sensor":
+        # On the roadway, in range and in view, with the occluder behind the AV.
+        av_x = draw(st.floats(-140.0, -5.0))
+        ped_y = draw(st.floats(0.0, 14.6304))
+        tx_pos, sensor_range = (-200.0, 1.8288), 150.0
+    else:
+        # The AV's sensor reaches nothing; the transmitter relays nearby.
+        av_x = draw(st.floats(-140.0, 5.0))
+        ped_y = draw(st.floats(-5.0, 20.0))
+        tx_pos, sensor_range = (-2.2, 1.8288), 0.01
+    w = make_world(av_pos=(av_x, draw(st.floats(0.0, 10.0))), av_speed=draw(st.floats(0.0, 30.0)),
+                   ped_y=ped_y, ped_vy=draw(st.floats(0.0, 2.0)), tx_pos=tx_pos, entry=entry,
+                   sensor_range=sensor_range, seed=draw(st.integers(0, 3)))
+    w.t_s = t_s
+    active = t_s >= entry
+    if source == "v2v":
+        w.latest_ped_info = V2VMessage(t_s - draw(st.floats(0.0, 2.0)),
+                                       draw(st.floats(-5.0, 20.0)), draw(st.floats(0.0, 2.0)))
+    if source is not None and active:  # nothing is in flight before entry
+        sent = sorted(draw(st.lists(st.floats(t_s - 1.0, t_s), max_size=2)))
+        w.in_flight.extend(V2VMessage(s_at, ped_y, w.ped_vy) for s_at in sent)
+    channel = CHANNELS[-1] if source is None else draw(st.sampled_from(CHANNELS))
+    args = (draw(st.sampled_from((0.005, 0.02, 0.1))), draw(st.sampled_from((POLICY, UNBRAKED))),
+            channel, draw(st.booleans()))
+    return w, args, source
+
+
 class TestStep:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(case=pre_step_worlds())
+    def test_step_matches_control_on_the_channel_stepped_world(self, case):
+        # The reference steps the channel on a copy of the world, runs
+        # compute_control on it, then moves the actors; the step must
+        # return the same and leave the same world.
+        w, args, source = case
+        ref = copy.deepcopy(w)
+        expected = step_composed(ref, *args)
+        assert expected[2] == source
+        assert step(w, *args) == expected
+        assert world_slots(w) == world_slots(ref)
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(a=st.floats(allow_nan=False, allow_infinity=False),
+           b=st.floats(allow_nan=False, allow_infinity=False))
+    @example(a=5e-324, b=5e-324)
+    @example(a=1e308, b=-1e308)
+    @example(a=1e-200, b=R_SUM_M)
+    def test_hypot_is_never_below_a_leg(self, a, b):
+        # The step's contact test takes the root only when the gap across
+        # the road is within R_SUM_M, which this makes exact.
+        assert math.hypot(a, b) >= abs(b)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_contact_at_exactly_the_radius_sum_across_the_road(self, sign):
+        w = make_world(av_pos=(0.0, 0.0), ped_y=sign * R_SUM_M, entry=100.0)
+        assert step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)[3] is True
+        w = make_world(av_pos=(0.0, 0.0), ped_y=sign * math.nextafter(R_SUM_M, math.inf),
+                       entry=100.0)
+        assert step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)[3] is False
+
     def test_full_brake_euler_arithmetic(self):
         w = make_world(av_pos=(-100.0, 5.4864), av_speed=20.0, ped_y=5.4864, ped_vy=0.0)
         # Overlapping estimate: full pressure this step.
