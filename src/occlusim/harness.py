@@ -18,6 +18,15 @@ it by :func:`write_trace_csv`, only when a trace is written. The
 pedestrian's x is the walk line's, 0, in every row. Rows are exact tuples,
 not a tuple subclass, so the cyclic garbage collector stops scanning them.
 
+A trace's CSV body is made by one ``%`` over the whole trace: each row
+adds one of eight row formats, which bake in the TTC sentinel and the two
+boolean cells, and its values. A speed or pressure cell is formatted only
+when the row's float is not the very object the row before held: the
+world reassigns the AV's speed only on braked steps, and zero pressure is
+one shared constant, so most rows reuse both texts. Reuse is keyed on
+identity because the same object always prints the same text, whereas
+equal floats need not: ``0.0 == -0.0``, but they print differently.
+
 Serialized TTC and a trace row's TTC use 10000 seconds as the no-valid-TTC
 sentinel; elsewhere in the package the absence of a TTC is always None.
 """
@@ -43,11 +52,15 @@ RESULTS_HEADER = (
 )
 
 TRACE_HEADER = "t_s,av_x_m,av_speed_mps,ped_x_m,ped_y_m,ttc_s,pressure_bar,detected,occluded"
-# One trace row in TRACE_HEADER's column order; ped_x_m is always 0, and
-# the no-valid-TTC sentinel prints bare.
-_TRACE_ROW = "%.4f,%.4f,%.4f,0.0000,%.4f,%.4f,%.4f,%s,%s"
-_TRACE_ROW_NO_TTC = "%.4f,%.4f,%.4f,0.0000,%.4f,10000,%.4f,%s,%s"
 _BOOL_TEXT = ("false", "true")
+# One trace row in TRACE_HEADER's column order, indexed by
+# [TTC is the sentinel][detected][occluded]. ped_x_m is always 0, the
+# no-valid-TTC sentinel prints bare, and the speed and pressure cells
+# arrive as text already made with "%.4f".
+_TRACE_ROWS = tuple(
+    tuple(tuple(f"%.4f,%.4f,%s,0.0000,%.4f,{ttc},%s,{det},{occ}\n" for occ in _BOOL_TEXT)
+          for det in _BOOL_TEXT)
+    for ttc in ("%.4f", "10000"))
 
 
 class SweepSpec:
@@ -189,21 +202,36 @@ def write_trace_csv(trace: list[tuple]) -> str:
     :func:`run_scenario` records them. The ped_x_m column keeps the trace's
     layout: the pedestrian crosses at x = 0, so it is always 0.0000. The
     occluded column is the sight line from the AV's front-center sensor
-    to the pedestrian, checked against the row's occluder."""
+    to the pedestrian, checked against the row's own sight.
+
+    The body is one ``%`` over the whole trace, the header joined on after
+    it. "%.4f" prints exactly what f"{x:.4f}" does. A speed or pressure
+    text is made again only when the row's float is not the previous row's
+    object: the same object always prints the same text, while a test on
+    ``==`` would merge 0.0 with -0.0."""
     if not trace:
         raise ValueError("no trace rows to serialize")
-    lines = [TRACE_HEADER]
-    append = lines.append
-    for t_s, av_x, speed, ped_y, ttc_s, pressure, detected, (sensor_y, occluder) in trace:
+    ttc_rows, sentinel_rows = _TRACE_ROWS
+    formats: list[str] = []
+    values: list = []
+    add_format = formats.append
+    add_values = values.extend
+    speed = pressure = speed_text = pressure_text = None
+    for t_s, av_x, v, ped_y, ttc_s, p, detected, (sensor_y, occluder) in trace:
+        if v is not speed:
+            speed = v
+            speed_text = "%.4f" % v
+        if p is not pressure:
+            pressure = p
+            pressure_text = "%.4f" % p
         occluded = los_occluded(av_x + AV_RADIUS_M, sensor_y, 0.0, ped_y, occluder)
-        # One format per row; %.4f prints exactly what f"{x:.4f}" does.
         if ttc_s >= NO_TTC_SENTINEL_S:
-            append(_TRACE_ROW_NO_TTC % (t_s, av_x, speed, ped_y, pressure,
-                                        _BOOL_TEXT[detected], _BOOL_TEXT[occluded]))
+            add_format(sentinel_rows[detected][occluded])
+            add_values((t_s, av_x, speed_text, ped_y, pressure_text))
         else:
-            append(_TRACE_ROW % (t_s, av_x, speed, ped_y, ttc_s, pressure,
-                                 _BOOL_TEXT[detected], _BOOL_TEXT[occluded]))
-    return "\n".join(lines) + "\n"
+            add_format(ttc_rows[detected][occluded])
+            add_values((t_s, av_x, speed_text, ped_y, ttc_s, pressure_text))
+    return TRACE_HEADER + "\n" + "".join(formats) % tuple(values)
 
 
 def save_text(path: str, text: str) -> None:

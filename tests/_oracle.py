@@ -19,6 +19,12 @@ field of view without the clamp and must return the same observation.
 pieces: ``channel_step``, then ``compute_control`` on the world as the
 channel left it, then the kinematics. ``occlusim.world.step`` makes the
 control decision inline and must return the same and leave the same world.
+
+``write_trace_csv_rowwise`` is the trace writer in its per-row form: one
+format and one ``%`` per row, every float cell formatted in its row.
+``occlusim.harness.write_trace_csv`` formats the whole trace in one ``%``
+and reuses a speed or pressure text while the float object repeats, and
+must return the same text.
 """
 
 from __future__ import annotations
@@ -28,9 +34,17 @@ import math
 import numpy as np
 
 from occlusim import world as world_mod
+from occlusim.harness import NO_TTC_SENTINEL_S, TRACE_HEADER
+from occlusim.world import AV_RADIUS_M, los_occluded
 
 FINE_DT = 1e-5
 _CHUNK = 2_000_000
+
+# One trace row in TRACE_HEADER's column order; ped_x_m is always 0, and
+# the no-valid-TTC sentinel prints bare.
+_TRACE_ROW = "%.4f,%.4f,%.4f,0.0000,%.4f,%.4f,%.4f,%s,%s"
+_TRACE_ROW_NO_TTC = "%.4f,%.4f,%.4f,0.0000,%.4f,10000,%.4f,%s,%s"
+_BOOL_TEXT = ("false", "true")
 
 
 def brute_force_ttc(x: float, y: float, vx: float, vy: float, r: float,
@@ -150,3 +164,26 @@ def step_composed(world, dt: float, policy, channel, v2v_enabled: bool):
         world.ped_y = ped_y + world.ped_vy * dt
     world.t_s = t_s + dt
     return outcome, pressure, source, contact
+
+
+def write_trace_csv_rowwise(trace: list[tuple]) -> str:
+    """Per-step trace as CSV text, from rows in the order
+    :func:`occlusim.harness.run_scenario` records them. The ped_x_m column
+    keeps the trace's layout: the pedestrian crosses at x = 0, so it is
+    always 0.0000. The occluded column is the sight line from the AV's
+    front-center sensor to the pedestrian, checked against the row's
+    occluder."""
+    if not trace:
+        raise ValueError("no trace rows to serialize")
+    lines = [TRACE_HEADER]
+    append = lines.append
+    for t_s, av_x, speed, ped_y, ttc_s, pressure, detected, (sensor_y, occluder) in trace:
+        occluded = los_occluded(av_x + AV_RADIUS_M, sensor_y, 0.0, ped_y, occluder)
+        # One format per row; %.4f prints exactly what f"{x:.4f}" does.
+        if ttc_s >= NO_TTC_SENTINEL_S:
+            append(_TRACE_ROW_NO_TTC % (t_s, av_x, speed, ped_y, pressure,
+                                        _BOOL_TEXT[detected], _BOOL_TEXT[occluded]))
+        else:
+            append(_TRACE_ROW % (t_s, av_x, speed, ped_y, ttc_s, pressure,
+                                 _BOOL_TEXT[detected], _BOOL_TEXT[occluded]))
+    return "\n".join(lines) + "\n"

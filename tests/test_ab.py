@@ -74,7 +74,7 @@ def test_bytes_mode_names_the_first_run_that_differs(tmp_path, trees):
 def test_trace_workload_runs_and_writes_every_trace_of_the_grid(trees):
     parent = trees(ROOT, "occlusim_ab_test_trace_parent")
     change = trees(ROOT, "occlusim_ab_test_trace_change")
-    base, measure = ab.WORKLOADS["default traces"]
+    base, prepare, measure = ab.WORKLOADS["default traces"]
     written = []
     write = change.harness.write_trace_csv
 
@@ -84,6 +84,33 @@ def test_trace_workload_runs_and_writes_every_trace_of_the_grid(trees):
 
     change.harness.write_trace_csv = counting
     # One pair, as the timing mode runs it.
-    assert measure(parent, base) > 0.0
-    assert measure(change, base) > 0.0
+    assert measure(parent, prepare(parent, base)) > 0.0
+    assert measure(change, prepare(change, base)) > 0.0
     assert len(written) == 26 and sum(written) == 32_800
+
+
+def test_trace_text_workload_times_the_writer_alone_over_built_rows(trees):
+    parent = trees(ROOT, "occlusim_ab_test_text_parent")
+    change = trees(ROOT, "occlusim_ab_test_text_change")
+    base, prepare, measure = ab.WORKLOADS["trace text"]
+    traces = {pkg: prepare(pkg, base) for pkg in (parent, change)}
+    for rows in traces.values():
+        assert len(rows) == 26 and sum(map(len, rows)) == 32_800
+    written = []
+    write = change.harness.write_trace_csv
+
+    def counting(trace):
+        written.append(trace)
+        return write(trace)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the timed pass must not run a scenario")
+
+    change.harness.write_trace_csv = counting
+    for pkg in (parent, change):
+        pkg.harness.run_scenario = no_run
+    # One pair, as the timing mode runs it.
+    assert measure(parent, traces[parent]) > 0.0
+    assert measure(change, traces[change]) > 0.0
+    assert len(written) == 26
+    assert all(a is b for a, b in zip(written, traces[change]))

@@ -1,11 +1,15 @@
 import gc
 import math
 import platform
+import struct
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracle import write_trace_csv_rowwise
 from conftest import StepRecord, named_rows
 from occlusim import harness
 from occlusim import world as world_mod
@@ -298,6 +302,57 @@ class TestSweep:
             SweepSpec(speeds_mph=(10.0, 15.0, 20.0), base=base)
 
 
+# The default run's sight and one whose sensor lane and occluder both
+# differ, so a row can be hidden under one and in the open under the other.
+_DEFAULT_WORLD = build_world(ScenarioConfig())
+SIGHTS = ((_DEFAULT_WORLD.av_y, _DEFAULT_WORLD.occluder), (1.8, (-12.0, -8.0, -1.0, 5.0)))
+
+# Float cells: signed zeros, the extremes of the range drawn, values that
+# tie at the 4th decimal, and any float in between.
+CELL_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e7, -1e7, 0.00005, -0.00005, 0.00015, 1.00025, 2.5)),
+    st.floats(-1e7, 1e7))
+# TTCs at, just below and just above the sentinel, and ordinary ones.
+TTCS = st.one_of(
+    st.sampled_from((NO_TTC_SENTINEL_S, math.nextafter(NO_TTC_SENTINEL_S, 0.0),
+                     math.nextafter(NO_TTC_SENTINEL_S, math.inf), 1e7, 0.0, 0.00005)),
+    st.floats(0.0, 2e4))
+
+
+def _twin(x: float) -> float:
+    """A float equal to *x*, sign of zero included, that is not *x*."""
+    return struct.unpack("<d", struct.pack("<d", x))[0]
+
+
+@st.composite
+def _next_cell(draw, previous: float | None) -> float:
+    """The next row's speed or pressure: the previous row's very object, an
+    equal but distinct object, its negation (0.0 then -0.0), or a new draw."""
+    how = "new" if previous is None else draw(st.sampled_from(("same", "twin", "negate", "new")))
+    if how == "same":
+        return previous
+    if how == "twin":
+        twin = _twin(previous)
+        assert twin is not previous
+        return twin
+    if how == "negate":
+        return -previous
+    return draw(CELL_FLOATS)
+
+
+@st.composite
+def _traces(draw) -> list[tuple]:
+    rows = []
+    speed = pressure = None
+    for _ in range(draw(st.integers(1, 12))):
+        speed = draw(_next_cell(speed))
+        pressure = draw(_next_cell(pressure))
+        rows.append((draw(CELL_FLOATS), draw(st.one_of(st.floats(-60.0, 10.0), CELL_FLOATS)),
+                     speed, draw(st.one_of(st.floats(-3.0, 9.0), CELL_FLOATS)), draw(TTCS),
+                     pressure, draw(st.booleans()), draw(st.sampled_from(SIGHTS))))
+    return rows
+
+
 class TestSerialization:
     def _result(self, **overrides):
         base = dict(
@@ -352,11 +407,13 @@ class TestSerialization:
 
     def test_sight_line_checked_only_when_a_trace_is_written(self, monkeypatch):
         calls = 0
+        seen = []
         original = harness.los_occluded
 
         def counting(*args):
             nonlocal calls
             calls += 1
+            seen.append(args)
             return original(*args)
 
         monkeypatch.setattr(harness, "los_occluded", counting)
@@ -367,9 +424,28 @@ class TestSerialization:
         write_trace_csv(trace)
         assert calls == len(trace)
 
+        def own_sight_lines(rows):
+            return [(av_x + AV_RADIUS_M, sensor_y, 0.0, ped_y, occluder)
+                    for _, av_x, _, ped_y, _, _, _, (sensor_y, occluder) in rows]
+
+        # Each call gets its own row's sensor, pedestrian and occluder, the
+        # sight too: the second half of the mixed trace carries another one.
+        assert seen == own_sight_lines(trace)
+        half = len(trace) // 2
+        mixed = trace[:half] + [row[:7] + (SIGHTS[1],) for row in trace[half:]]
+        assert mixed[0][7] == SIGHTS[0] != SIGHTS[1]
+        seen.clear()
+        write_trace_csv(mixed)
+        assert seen == own_sight_lines(mixed)
+
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             write_trace_csv([])
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(trace=_traces())
+    def test_trace_csv_matches_the_rowwise_writer(self, trace):
+        assert write_trace_csv(trace) == write_trace_csv_rowwise(trace)
 
     def test_csv_bytes_stable_across_invocations(self):
         spec = SweepSpec(speeds_mph=(15.0,), base=ScenarioConfig())

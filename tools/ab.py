@@ -14,12 +14,14 @@ seeded lossy channels. It prints the first run whose output differs and
 exits 1, or prints one sha256 over all outputs and exits 0.
 
 timing: alternates in-process passes of the two trees, the change first on
-every other pair, over three workloads: a sweep of the default config, a
-sweep of one lossy channel, and every run of the default grid with its
-trace CSV written to text. It prints per workload the median change/parent
-time ratio, the interquartile range of the ratios and the pairs the change
-won. Each side is labelled by a sha256 of its ``src/occlusim/*.py``.
-Start-up, CLI and memory figures stay with ``perfbench/run.py``.
+every other pair, over four workloads: a sweep of the default config, a
+sweep of one lossy channel, every run of the default grid with its trace
+CSV written to text, and the trace CSV writer alone over the default
+grid's traces, which each tree runs once before timing. It prints per
+workload the median change/parent time ratio, the interquartile range of
+the ratios and the pairs the change won. Each side is labelled by a sha256
+of its ``src/occlusim/*.py``. Start-up, CLI and memory figures stay with
+``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -127,20 +129,34 @@ def first_difference(parent: ModuleType, change: ModuleType, runs) -> tuple[str 
     return None, f"{count} runs, sha256 {h.hexdigest()}"
 
 
-def _sweep_seconds(pkg: ModuleType, base: str) -> float:
-    """Time one sweep of *base*, its configs' building included."""
-    cfg = pkg.scenario.load_config(base)
+def _base_config(pkg: ModuleType, base: str):
+    """The config that *pkg* loads from the text *base*."""
+    return pkg.scenario.load_config(base)
+
+
+def _grid_configs(pkg: ModuleType, base: str) -> tuple:
+    """Every run's config of *base*'s sweep grid, built by *pkg*."""
+    return pkg.harness.SweepSpec(base=_base_config(pkg, base)).configs
+
+
+def _grid_traces(pkg: ModuleType, base: str) -> list[list[tuple]]:
+    """The trace of every run of *base*'s sweep grid, run by *pkg*."""
+    return [pkg.harness.run_scenario(cfg)[1] for cfg in _grid_configs(pkg, base)]
+
+
+def _sweep_seconds(pkg: ModuleType, cfg) -> float:
+    """Time one sweep of the base config *cfg*, its runs' configs' building
+    included."""
     gc.collect()
     start = time.perf_counter()
     pkg.harness.sweep(pkg.harness.SweepSpec(base=cfg))
     return time.perf_counter() - start
 
 
-def _trace_seconds(pkg: ModuleType, base: str) -> float:
-    """Time every run of *base*'s sweep grid with its trace CSV written to
-    text: run_scenario and write_trace_csv, the path a traced run takes."""
+def _trace_seconds(pkg: ModuleType, configs: tuple) -> float:
+    """Time every run of *configs* with its trace CSV written to text:
+    run_scenario and write_trace_csv, the path a traced run takes."""
     harness = pkg.harness
-    configs = harness.SweepSpec(base=pkg.scenario.load_config(base)).configs
     gc.collect()
     start = time.perf_counter()
     for cfg in configs:
@@ -148,28 +164,44 @@ def _trace_seconds(pkg: ModuleType, base: str) -> float:
     return time.perf_counter() - start
 
 
-# Timing workloads: printed label -> (config text, timed pass).
+def _text_seconds(pkg: ModuleType, traces: list[list[tuple]]) -> float:
+    """Time write_trace_csv alone over *traces*, so that a writer change's
+    ratio is not diluted by run_scenario."""
+    write = pkg.harness.write_trace_csv
+    gc.collect()
+    start = time.perf_counter()
+    for trace in traces:
+        write(trace)
+    return time.perf_counter() - start
+
+
+# Timing workloads: printed label -> (config text, untimed preparation of
+# a tree's input from the config text, timed pass over that input).
 WORKLOADS = {
-    "default sweep": (BASES["default"], _sweep_seconds),
-    "lossy0 sweep": (BASES["lossy0"], _sweep_seconds),
-    "default traces": (BASES["default"], _trace_seconds),
+    "default sweep": (BASES["default"], _base_config, _sweep_seconds),
+    "lossy0 sweep": (BASES["lossy0"], _base_config, _sweep_seconds),
+    "default traces": (BASES["default"], _grid_configs, _trace_seconds),
+    "trace text": (BASES["default"], _grid_traces, _text_seconds),
 }
 
 
 def timing(parent: ModuleType, change: ModuleType, base: str, pairs: int,
-           measure) -> dict[str, float]:
-    """Alternating in-process passes of *measure* over *base*: change/parent
+           prepare, measure) -> dict[str, float]:
+    """Alternating in-process passes of *measure*, each tree over its own
+    input that *prepare* made of *base* once before timing: change/parent
     time ratios."""
-    measure(parent, base)
-    measure(change, base)
+    a_input = prepare(parent, base)
+    b_input = prepare(change, base)
+    measure(parent, a_input)
+    measure(change, b_input)
     ratios, parent_s, change_s = [], [], []
     for i in range(pairs):
         if i % 2:
-            b = measure(change, base)
-            a = measure(parent, base)
+            b = measure(change, b_input)
+            a = measure(parent, a_input)
         else:
-            a = measure(parent, base)
-            b = measure(change, base)
+            a = measure(parent, a_input)
+            b = measure(change, b_input)
         parent_s.append(a)
         change_s.append(b)
         ratios.append(b / a)
@@ -205,8 +237,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"same bytes: {detail}")
         return 0
 
-    for label, (base, measure) in WORKLOADS.items():
-        t = timing(parent, change, base, args.timing, measure)
+    for label, (base, prepare, measure) in WORKLOADS.items():
+        t = timing(parent, change, base, args.timing, prepare, measure)
         print(f"{label}: parent {t['parent_ms']:.2f} ms, change {t['change_ms']:.2f} ms, "
               f"ratio median {t['ratio']:.4f} (IQR {t['q1']:.4f}-{t['q3']:.4f}), "
               f"change won {t['won']}/{t['pairs']}")
