@@ -3,11 +3,11 @@
 A run steps the world from t=0 until a collision, or until the pedestrian
 has cleared the AV's lane plus a 5-second tail; the pedestrian walks at
 constant speed from the entry its config calibrated, so every run ends one
-of those two ways. From what each step returns the run keeps its first
-detection with that step's TTC and its collision, each timed at the world
-time before the step, and one trace row per step for any plotting tool. A
-sweep builds, and so validates and calibrates, every run's config before
-the first run starts.
+of those two ways; a sweep's run ends sooner, once its result is settled.
+From what each step returns the run keeps its first detection with that
+step's TTC and its collision, each timed at the world time before the step,
+and one trace row per step for any plotting tool. A sweep builds, and so
+validates and calibrates, every run's config before the first run starts.
 
 A trace row is a plain tuple, recorded after every step from values the
 step has already produced:
@@ -98,10 +98,18 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     ``braking=False`` runs the same world under a brake law that no TTC
     engages, so every step commands and applies 0.0; tests use it to verify
     that the calibrated scenario collides when unmitigated.
+
+    A run that clears keeps from ``cfg.tail_s`` to CLEARANCE_TAIL_S after
+    clearance. It ends in between once it has detected and the pedestrian
+    is a step's walk past the AV's lane: then the discs part for good and no
+    TTC is valid, since a V2V estimate, extrapolated at the pedestrian's own
+    velocity, misses its y by some ulps per step of age, far below that walk.
     """
     w = build_world(cfg)
     policy = cfg if braking else _UNBRAKED
     clearance_y = cfg.av_lane_y + R_SUM_M
+    settled_y = clearance_y + w.ped_vy * cfg.dt_s
+    tail_s = cfg.tail_s
 
     trace: list[tuple] = []
     detected_at: float | None = None
@@ -145,7 +153,9 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
         t_s = t_next
         if cleared_at is None and ped_y > clearance_y:
             cleared_at = t_s
-        if cleared_at is not None and t_s >= cleared_at + CLEARANCE_TAIL_S:
+        if cleared_at is not None and t_s >= cleared_at + tail_s and (
+                t_s >= cleared_at + CLEARANCE_TAIL_S
+                or detected_at is not None and ped_y >= settled_y):
             break
 
     result = SimResult(
@@ -162,9 +172,9 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
 
 
 def sweep(spec: SweepSpec) -> list[SimResult]:
-    """One result per config of *spec*, in its order. Each run's trace is
-    dropped as soon as the run ends."""
-    return [run_scenario(cfg)[0] for cfg in spec.configs]
+    """One result per config of *spec*, in its order. Each run skips the
+    tail that only a trace shows, and its trace is dropped when it ends."""
+    return [run_scenario(cfg.results_only())[0] for cfg in spec.configs]
 
 
 def _fmt_time(value: float | None) -> str:

@@ -140,6 +140,15 @@ class ScenarioConfig:
             )
         # Last, the config must stage the conflict within the run-length cap.
         object.__setattr__(self, "ped_entry_time_s", calibrate_entry(self))
+        object.__setattr__(self, "tail_s", CLEARANCE_TAIL_S)  # not a key: see run_scenario
+
+    def results_only(self) -> ScenarioConfig:
+        """This config without the clearance tail: a copy, set in __init__'s order."""
+        copy = object.__new__(ScenarioConfig)
+        for key in (*self.KEYS, "ped_entry_time_s"):
+            object.__setattr__(copy, key, getattr(self, key))
+        object.__setattr__(copy, "tail_s", 0.0)
+        return copy
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"ScenarioConfig is read-only: cannot change {name!r}")
@@ -310,7 +319,8 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
 
 def run_length_s(cfg: ScenarioConfig, entry: float) -> float:
     """Closed-form duration of a run without collision: the entry time,
-    the walk until the pedestrian clears the AV's lane, and the tail."""
+    the walk until the pedestrian clears the AV's lane, and the tail, which
+    the cap counts even though a sweep's run ends before it."""
     walk_s = (cfg.av_lane_y + R_SUM_M - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     return entry + walk_s + CLEARANCE_TAIL_S
 

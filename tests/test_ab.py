@@ -1,6 +1,8 @@
 """tools/ab.py loads two source trees side by side and tells their
-outputs apart."""
+outputs apart, and this tree's outputs over its byte matrix and its sweeps
+match stored digests."""
 
+import hashlib
 import importlib.util
 import shutil
 import sys
@@ -69,6 +71,57 @@ def test_bytes_mode_names_the_first_run_that_differs(tmp_path, trees):
     # The braked 45 mph run with the relay clears, so its tail shows.
     differs, _ = ab.first_difference(parent, changed, runs)
     assert differs == "default 45 mph with_v2v braked"
+
+
+def test_bytes_mode_reports_a_difference_only_a_sweep_shows(tmp_path, trees, monkeypatch,
+                                                             capsys):
+    mutated = tmp_path / "mutated"
+    shutil.copytree(ROOT / "src" / "occlusim", mutated / "src" / "occlusim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    harness = mutated / "src" / "occlusim" / "harness.py"
+    text = harness.read_text(encoding="utf-8")
+    call = "run_scenario(cfg.results_only())[0]"
+    assert text.count(call) == 1
+    # The sweep runs unbraked; a run called by itself is untouched.
+    harness.write_text(text.replace(call, "run_scenario(cfg.results_only(), False)[0]"),
+                       encoding="utf-8")
+
+    parent = trees(ROOT, "occlusim_ab_test_sweep_parent")
+    changed = trees(mutated, "occlusim_ab_test_sweep_changed")
+    runs = list(ab.matrix({"default": ""}, speeds=(45,)))
+    differs, _ = ab.first_difference(parent, changed, runs)
+    assert differs is None
+    differs, detail = ab.first_sweep_difference(parent, changed, {"default": ""})
+    assert differs == "sweep default" and detail.startswith("line 2: ")
+    # The command prints the runs' digest, then the sweep that differs.
+    monkeypatch.setattr(ab, "matrix", lambda: runs)
+    try:
+        assert ab.main([str(ROOT), str(mutated)]) == 1
+    finally:
+        ab.unload("occlusim_ab_parent")
+        ab.unload("occlusim_ab_change")
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("same bytes: 4 runs, sha256 ")
+    assert out[2].startswith("differs: sweep default: line 2: ")
+
+
+# The two sha256s tools/ab.py's bytes mode prints for this tree: one over
+# every run of its matrix, one over the sweeps of its eight bases. Change
+# them only with an output change that is intended and explained.
+MATRIX_SHA256 = "9e89c998df1bc83fc1d0092f72c9458335f2ff2128bd83a93141fdc9e717d644"
+SWEEPS_SHA256 = "8488c87f32d4c51f27a07b2e8131dddfa63bf9480d0682efad88fad0c9fc7efd"
+
+
+def test_byte_matrix_and_sweeps_match_their_stored_digests(trees):
+    pkg = trees(ROOT, "occlusim_ab_test_matrix")
+    runs = hashlib.sha256()
+    for _, base, speed, v2v, braked in ab.matrix():
+        runs.update(ab.run_output(pkg, base, speed, v2v, braked))
+    assert runs.hexdigest() == MATRIX_SHA256
+    sweeps = hashlib.sha256()
+    for base in ab.BASES.values():
+        sweeps.update(ab.sweep_output(pkg, base))
+    assert sweeps.hexdigest() == SWEEPS_SHA256
 
 
 def test_trace_workload_runs_and_writes_every_trace_of_the_grid(trees):

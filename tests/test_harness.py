@@ -202,6 +202,52 @@ class TestRunScenario:
         assert trace[-1].t_s == cleared + CLEARANCE_TAIL_S
         assert trace[-2].t_s < cleared + CLEARANCE_TAIL_S
 
+    def test_results_only_copy_differs_only_in_its_tail(self):
+        cfg = config_for(ScenarioConfig(), 30.0, False)
+        copy = cfg.results_only()
+        assert copy == cfg and copy.__class__ is ScenarioConfig
+        assert all(getattr(copy, k) is getattr(cfg, k)
+                   for k in (*ScenarioConfig.KEYS, "ped_entry_time_s"))
+        assert (cfg.tail_s, copy.tail_s) == (CLEARANCE_TAIL_S, 0.0)
+        with pytest.raises(AttributeError, match="read-only"):
+            copy.tail_s = CLEARANCE_TAIL_S
+
+    def test_results_only_run_ends_a_step_past_clearance(self, monkeypatch):
+        # Same exact time grid as the tail test above: the full run clears
+        # at 25.03125 s, and the results-only run stops at the first row a
+        # step's walk past the AV's lane.
+        cfg = config_for(ScenarioConfig(dt_s=1 / 64), 45.0, True)
+        full_result, full = run_scenario(cfg)
+        result, trace = run_scenario(cfg.results_only())
+        assert result == full_result and trace == full[:len(trace)]
+        settled_y = cfg.av_lane_y + R_SUM_M + cfg.ped_speed_mps * cfg.dt_s
+        rows = named_rows(trace)
+        assert rows[-1].ped_y_m >= settled_y > rows[-2].ped_y_m
+        assert rows[-2].t_s == 25.03125 and len(trace) == 1922 - 320 + 1
+        # A sweep takes the same steps; its run without the relay collides.
+        unrelayed = len(run_scenario(config_for(cfg, 45.0, False))[1])
+        steps = []
+        step = world_mod.step
+        monkeypatch.setattr(world_mod, "step", lambda *args: steps.append(1) or step(*args))
+        assert sweep(SweepSpec((45.0,), ScenarioConfig(dt_s=1 / 64)))[0] == result
+        assert len(steps) == len(trace) + unrelayed
+
+    def test_results_only_run_keeps_the_tail_until_it_has_detected(self, monkeypatch):
+        # With every estimate and contact hidden the AV drives through; the
+        # run could still detect in the tail, so it keeps all of it.
+        step = world_mod.step
+
+        def blind(*args):
+            step(*args)
+            return None, 0.0, None, False
+
+        monkeypatch.setattr(world_mod, "step", blind)
+        cfg = config_for(ScenarioConfig(), 45.0, True)
+        full_result, full = run_scenario(cfg)
+        result, trace = run_scenario(cfg.results_only())
+        assert result == full_result and result.detected_time_s is None
+        assert trace == full
+
     @pytest.mark.parametrize("mph,v2v", [(45.0, True), (10.0, False)])
     def test_unbraked_run_commands_and_applies_no_pressure(self, monkeypatch, mph, v2v):
         calls = []

@@ -8,7 +8,10 @@ calibrated run: time strictly increases, the AV never speeds up, the pressure st
 within [0, p_max], there is one row per step, the pedestrian never
 leaves the walk line, and the written occluded column is the loop-form
 sight-line check of the row's values. The staging premise:
-every calibrated run collides when the AV never brakes. And a robustness
+every calibrated run collides when the AV never brakes. A run without the
+clearance tail, as a sweep makes it, gives the full run's result and a
+prefix of its trace, and the relay never makes a collision that the run
+without it avoids. And a robustness
 property: any finite config is either rejected at load time by a config
 error naming a key, or steps with finite state and bounded commands.
 """
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 from _oracle import los_occluded_loop
 from conftest import named_rows
-from occlusim import ScenarioConfig, run_scenario, write_results_csv
+from occlusim import ScenarioConfig, SweepSpec, run_scenario, sweep, write_results_csv
 from occlusim import world as world_mod
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH, TRACE_HEADER, write_trace_csv
 from occlusim.scenario import ConfigError, build_world, config_for, replace
@@ -121,6 +124,34 @@ def test_every_trace_keeps_its_invariants(keys):
 @given(keys=CALIBRATED)
 def test_every_unbraked_calibrated_run_collides(keys):
     assert run_scenario(ScenarioConfig(**keys), braking=False)[0].collision
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(keys=CALIBRATED)
+def test_results_only_run_is_a_prefix_of_the_full_run_with_its_result(keys):
+    cfg = ScenarioConfig(**keys)
+    for braking in (True, False):
+        result, trace = run_scenario(cfg, braking)
+        short_result, short_trace = run_scenario(cfg.results_only(), braking)
+        assert short_result == result
+        assert trace[:len(short_trace)] == short_trace
+        # A detected run that clears ends before the full run's tail does.
+        if not result.collision and result.detected_time_s is not None:
+            assert len(short_trace) < len(trace)
+        else:
+            assert len(short_trace) == len(trace)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(keys=CALIBRATED)
+def test_relay_never_makes_a_collision_that_the_run_without_it_avoids(keys):
+    # The paper's headline as a metamorphic relation (Chen et al., ACM CSUR
+    # 51(1), 2018), checked through sweep(), which runs both strategies of
+    # the drawn config at its speed.
+    spec = SweepSpec((keys["av_speed_mph"],), ScenarioConfig(**keys))
+    relayed, unrelayed = sweep(spec)
+    assert (relayed.strategy, unrelayed.strategy) == ("with_v2v", "without_v2v")
+    assert unrelayed.collision or not relayed.collision
 
 
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)

@@ -10,8 +10,11 @@ relatively), so neither shadows the other or an installed ``occlusim``.
 bytes: runs a fixed matrix in both trees and compares every results and
 trace CSV: the 13 default speeds, both strategies, braked and unbraked,
 at the default config, at ``dt_s`` 0.005, 0.1 and 1/64, and over four
-seeded lossy channels. It prints the first run whose output differs and
-exits 1, or prints one sha256 over all outputs and exits 0.
+seeded lossy channels. Then it compares the results CSV of a sweep of each
+of those eight base configs, since a sweep's runs need not take the path
+of the matrix's runs. It prints the first run or sweep whose output differs
+and exits 1, or prints one sha256 over the runs' outputs and one over the
+sweeps' and exits 0.
 
 timing: alternates in-process passes of the two trees, the change first on
 every other pair, over four workloads: a sweep of the default config, a
@@ -109,6 +112,18 @@ def matrix(bases: dict[str, str] = BASES, speeds=SPEEDS_MPH):
                     yield label, base, speed, v2v, braked
 
 
+def sweep_output(pkg: ModuleType, base: str) -> bytes:
+    """Results CSV of a sweep of the base config text *base*, run by *pkg*."""
+    spec = pkg.harness.SweepSpec(base=pkg.scenario.load_config(base))
+    return pkg.harness.write_results_csv(pkg.harness.sweep(spec)).encode()
+
+
+def _first_line_difference(a: bytes, b: bytes) -> str:
+    lines = zip(a.decode().splitlines(), b.decode().splitlines())
+    return next((f"line {i}: {x!r} != {y!r}" for i, (x, y) in enumerate(lines, 1) if x != y),
+                "outputs differ in length")
+
+
 def first_difference(parent: ModuleType, change: ModuleType, runs) -> tuple[str | None, str]:
     """The first run of *runs* whose output differs between the trees, with
     its first differing line, or None and a sha256 over every output."""
@@ -117,16 +132,27 @@ def first_difference(parent: ModuleType, change: ModuleType, runs) -> tuple[str 
     for label, base, speed, v2v, braked in runs:
         a = run_output(parent, base, speed, v2v, braked)
         b = run_output(change, base, speed, v2v, braked)
-        name = (f"{label} {speed} mph {'with' if v2v else 'without'}_v2v "
-                f"{'braked' if braked else 'unbraked'}")
         if a != b:
-            lines = zip(a.decode().splitlines(), b.decode().splitlines())
-            where = next((f"line {i}: {x!r} != {y!r}" for i, (x, y) in enumerate(lines, 1)
-                          if x != y), "outputs differ in length")
-            return name, where
+            return (f"{label} {speed} mph {'with' if v2v else 'without'}_v2v "
+                    f"{'braked' if braked else 'unbraked'}"), _first_line_difference(a, b)
         h.update(a)
         count += 1
     return None, f"{count} runs, sha256 {h.hexdigest()}"
+
+
+def first_sweep_difference(parent: ModuleType, change: ModuleType,
+                           bases: dict[str, str] = BASES) -> tuple[str | None, str]:
+    """The first base of *bases* whose sweep output differs between the
+    trees, with its first differing line, or None and a sha256 over every
+    sweep's output."""
+    h = hashlib.sha256()
+    for label, base in bases.items():
+        a = sweep_output(parent, base)
+        b = sweep_output(change, base)
+        if a != b:
+            return f"sweep {label}", _first_line_difference(a, b)
+        h.update(a)
+    return None, f"{len(bases)} sweeps, sha256 {h.hexdigest()}"
 
 
 def _base_config(pkg: ModuleType, base: str):
@@ -230,11 +256,13 @@ def main(argv: list[str] | None = None) -> int:
     change = load_tree(args.change, "occlusim_ab_change")
 
     if args.timing is None:
-        differs, detail = first_difference(parent, change, matrix())
-        if differs is not None:
-            print(f"differs: {differs}: {detail}")
-            return 1
-        print(f"same bytes: {detail}")
+        for compare in (lambda: first_difference(parent, change, matrix()),
+                        lambda: first_sweep_difference(parent, change)):
+            differs, detail = compare()
+            if differs is not None:
+                print(f"differs: {differs}: {detail}")
+                return 1
+            print(f"same bytes: {detail}")
         return 0
 
     for label, (base, prepare, measure) in WORKLOADS.items():
