@@ -64,17 +64,17 @@ _TRACE_ROWS = tuple(
 
 
 class SweepSpec:
-    """Speeds and base configuration of a sweep; both strategies run at
-    every speed with identical seeds so the pair is directly comparable.
-    ``configs`` holds every run's config, ordered by speed and then
-    strategy (with_v2v before without_v2v). No base means the default one."""
+    """The runs of a sweep over speeds from a base configuration; both
+    strategies run at every speed with identical seeds so the pair is
+    directly comparable. ``configs`` holds every run's config, ordered by
+    speed and then strategy (with_v2v before without_v2v). No base means
+    the default one."""
 
     def __init__(self, speeds_mph: tuple[float, ...] = DEFAULT_SWEEP_SPEEDS_MPH,
                  base: ScenarioConfig | None = None) -> None:
         if not speeds_mph:
             raise ConfigError("speeds_mph must not be empty")
-        self.speeds_mph = speeds_mph
-        self.base = base = ScenarioConfig() if base is None else base
+        base = ScenarioConfig() if base is None else base
         configs = []
         for s in speeds_mph:
             try:

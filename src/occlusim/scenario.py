@@ -142,6 +142,7 @@ class ScenarioConfig:
         object.__setattr__(self, "ped_entry_time_s", calibrate_entry(self))
         object.__setattr__(self, "tail_s", CLEARANCE_TAIL_S)  # not a key: see run_scenario
 
+    # A copy, not a run_scenario flag: perfbench/tracer.py's hooks take exactly (cfg, braking=True).
     def results_only(self) -> ScenarioConfig:
         """This config without the clearance tail: a copy, set in __init__'s order."""
         copy = object.__new__(ScenarioConfig)

@@ -9,12 +9,14 @@ relatively), so neither shadows the other or an installed ``occlusim``.
 
 bytes: runs a fixed matrix in both trees and compares every results and
 trace CSV: the 13 default speeds, both strategies, braked and unbraked,
-at the default config, at ``dt_s`` 0.005, 0.1 and 1/64, and over four
-seeded lossy channels. Then it compares the results CSV of a sweep of each
-of those eight base configs, since a sweep's runs need not take the path
-of the matrix's runs. It prints the first run or sweep whose output differs
-and exits 1, or prints one sha256 over the runs' outputs and one over the
-sweeps' and exits 0.
+over 17 base configs: the default; ``dt_s`` 0.005, 0.1 and 1/64; four
+seeded lossy channels; ``dt_s`` 0.05; ``av_sensor_fov_half_rad`` pi;
+``latency_s`` 0.3; ``drop_prob`` 0.5 with seeds 0, 1 and 2;
+``v2v_range_m`` 100; ``bsm_period_s`` 0.1; and ``tx_sensor_range_m`` 10.
+Then it compares the results CSV of a sweep of each base config, since a
+sweep's runs need not take the path of the matrix's runs. It prints the
+first run or sweep whose output differs and exits 1, or prints one sha256
+over the runs' outputs and one over the sweeps' and exits 0.
 
 timing: alternates in-process passes of the two trees, the change first on
 every other pair, over four workloads: a sweep of the default config, a
@@ -52,13 +54,27 @@ def _lossy_base(index: int) -> str:
     return f"latency_s = {latency:.2f}\ndrop_prob = {drop}\nseed = {rng.randrange(2**31)}\n"
 
 
-# Config texts of the bytes matrix, by label.
+# Config texts of the bytes matrix, by label. Away from the default they
+# pin other step sizes, seeded lossy channels, a full-circle sensor, a late
+# channel, one lossy channel over three seeds, and a shorter radio range,
+# a sparser broadcast and a shorter tracker range, so a change that moves
+# outputs off the default path, or reads one channel key in place of
+# another, still differs somewhere. The default base's unbraked runs with
+# the relay on stage the collision premise. New bases go last, so the
+# digests over the earlier ones stay comparable.
 BASES = {
     "default": "",
     "dt_s=0.005": "dt_s = 0.005\n",
     "dt_s=0.1": "dt_s = 0.1\n",
     "dt_s=1/64": "dt_s = 0.015625\n",
     **{f"lossy{i}": _lossy_base(i) for i in range(4)},
+    "dt_s=0.05": "dt_s = 0.05\n",
+    "av_sensor_fov_half_rad=pi": "av_sensor_fov_half_rad = 3.141592653589793\n",
+    "latency_s=0.3": "latency_s = 0.3\n",
+    **{f"drop_prob=0.5,seed={i}": f"drop_prob = 0.5\nseed = {i}\n" for i in range(3)},
+    "v2v_range_m=100": "v2v_range_m = 100\n",
+    "bsm_period_s=0.1": "bsm_period_s = 0.1\n",
+    "tx_sensor_range_m=10": "tx_sensor_range_m = 10\n",
 }
 
 
