@@ -3,7 +3,8 @@
 The reference files under perfbench/reference are the benchmark's golden
 outputs; these tests only read them. A change that moves any value, even
 in the last printed digit, fails here. Configs other than the default are
-pinned by tests/test_ab.py, over tools/ab.py's byte matrix and sweeps.
+pinned by tests/test_golden_grid.py, and by tests/test_ab.py over
+tools/ab.py's byte matrix and sweeps.
 """
 
 import hashlib

@@ -7,7 +7,9 @@ range, broadcast period and tracker range, so a change that moves outputs
 off the default path, or reads one channel key in place of another, still
 fails here. One more digest pins every results and trace CSV of the
 unbraked runs with the relay on, the runs that stage the collision
-premise. Regenerate the JSON with
+premise. Every config here is also a base of tools/ab.py's byte matrix,
+whose digests in tests/test_ab.py pin its traces too. Regenerate the JSON
+with
 ``PYTHONPATH=src python tests/test_golden_grid.py`` only when an output
 change is intended and explained.
 """
