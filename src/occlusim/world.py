@@ -46,21 +46,11 @@ R_SUM_M = AV_RADIUS_M + PED_RADIUS_M
 _T_EPS = 1e-9
 
 
-class V2VMessage:
-    """Pedestrian position and velocity across the road, relayed by the
-    transmitter. Mutable and slotted: one is built per broadcast."""
-
-    __slots__ = ("sent_at_s", "ped_y", "ped_vy")
-
-    def __init__(self, sent_at_s: float, ped_y: float, ped_vy: float) -> None:
-        self.sent_at_s = sent_at_s
-        self.ped_y = ped_y
-        self.ped_vy = ped_vy
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not V2VMessage:
-            return NotImplemented
-        return all(getattr(self, key) == getattr(other, key) for key in self.__slots__)
+def V2VMessage(sent_at_s: float, ped_y: float, ped_vy: float) -> tuple[float, float, float]:
+    """One accepted broadcast of the pedestrian's position and velocity
+    across the road, as the plain tuple (sent_at_s, ped_y, ped_vy). Called
+    once per accepted broadcast: perfbench/tracer.py counts the calls."""
+    return sent_at_s, ped_y, ped_vy
 
 
 class WorldState:
@@ -90,17 +80,14 @@ class WorldState:
         self.ped_y, self.ped_vy, self.ped_entry_time_s = ped_y, ped_vy, ped_entry_time_s
         self.road_width_m, self.rng = road_width_m, rng
         self.t_s = self.next_send_s = 0.0
-        self.in_flight: deque[V2VMessage] = deque()
-        self.latest_ped_info: V2VMessage | None = None
+        self.in_flight: deque[tuple[float, float, float]] = deque()
+        self.latest_ped_info: tuple[float, float, float] | None = None
 
 
-def __getattr__(name: str) -> object:
-    # world.replace, counted by perfbench/tracer.py and called by nothing,
-    # imports dataclasses only when looked up. It goes with ROADMAP item 1.
-    if name != "replace":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from dataclasses import replace
-    return replace
+# Nothing calls this. perfbench/tracer.py counts calls to it as
+# geometry.actor_replace and tests/test_harness.py wraps it, so the name
+# stays until the benchmark stops counting it.
+replace = None
 
 
 def los_occluded(sensor_x: float, sensor_y: float, target_x: float, target_y: float,
@@ -183,10 +170,10 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
     ``bsm_period_s``; the tracker sees all around, past any occluder, and
     its range boundary is inclusive. A message is enqueued only if the AV
     is within ``v2v_range_m`` at send time and the seeded ``drop_prob``
-    draw passes; the send slot is consumed either way. A message is
-    delivered ``latency_s`` after its send; the newest delivered wins. With
-    zero latency and nothing in flight a new message is due at once, so it
-    is delivered without passing through the queue.
+    draw passes; the send slot is consumed either way. Every enqueued
+    message is delivered once ``latency_s`` has passed since its send, on
+    the step it was sent when the latency is zero; the newest delivered
+    wins.
     """
     t_s = world.t_s
     in_flight = world.in_flight
@@ -204,15 +191,11 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
         in_range = math.hypot(world.av_x - tx_x, world.av_y - tx_y) <= channel.v2v_range_m
         dropped = channel.drop_prob > 0.0 and world.rng.random() < channel.drop_prob
         if in_range and not dropped:
-            msg = V2VMessage(t_s, ped_y, world.ped_vy)
-            if latency_s == 0.0 and not in_flight:
-                world.latest_ped_info = msg
-                return
-            in_flight.append(msg)
+            in_flight.append(V2VMessage(t_s, ped_y, world.ped_vy))
 
     if in_flight:
         due_s = t_s + _T_EPS
-        while in_flight and in_flight[0].sent_at_s + latency_s <= due_s:
+        while in_flight and in_flight[0][0] + latency_s <= due_s:
             world.latest_ped_info = in_flight.popleft()
 
 
@@ -246,9 +229,8 @@ def compute_control(world: WorldState, policy: BrakePolicy | ScenarioConfig
         vy = world.ped_vy
     elif world.latest_ped_info is not None:
         source = "v2v"
-        msg = world.latest_ped_info
-        vy = msg.ped_vy
-        y = msg.ped_y + vy * (world.t_s - msg.sent_at_s)
+        sent_at_s, msg_y, vy = world.latest_ped_info
+        y = msg_y + vy * (world.t_s - sent_at_s)
     else:
         return None, 0.0, None
 
@@ -317,8 +299,8 @@ def step(world: WorldState, dt: float, policy: BrakePolicy | ScenarioConfig,
             world.t_s = t_s + dt
             return _NO_ESTIMATE[contact]
         source = "v2v"
-        vy = msg.ped_vy
-        y = msg.ped_y + vy * (t_s - msg.sent_at_s)
+        sent_at_s, msg_y, vy = msg
+        y = msg_y + vy * (t_s - sent_at_s)
 
     # Relative to the AV, which moves along +x only; the pedestrian is on
     # the walk line, x = 0, and does not move along it.

@@ -20,6 +20,12 @@ pieces: ``channel_step``, then ``compute_control`` on the world as the
 channel left it, then the kinematics. ``occlusim.world.step`` makes the
 control decision inline and must return the same and leave the same world.
 
+``run_reference`` is a whole run stepped by ``step_composed``, with its own
+copy of the bookkeeping and the stop rule that
+``occlusim.harness.run_scenario`` documents and its own unbraked law,
+sentinel and tail length, sharing none of the harness's constants.
+``run_scenario`` must return the same result and the same rows.
+
 ``write_trace_csv_rowwise`` is the trace writer in its per-row form: one
 format and one ``%`` per row, every float cell formatted in its row.
 ``occlusim.harness.write_trace_csv`` formats the whole trace in one ``%``
@@ -34,7 +40,9 @@ import math
 import numpy as np
 
 from occlusim import world as world_mod
+from occlusim.braking import BrakePolicy
 from occlusim.harness import NO_TTC_SENTINEL_S, TRACE_HEADER
+from occlusim.scenario import SimResult, build_world
 from occlusim.world import AV_RADIUS_M, los_occluded
 
 FINE_DT = 1e-5
@@ -164,6 +172,46 @@ def step_composed(world, dt: float, policy, channel, v2v_enabled: bool):
         world.ped_y = ped_y + world.ped_vy * dt
     world.t_s = t_s + dt
     return outcome, pressure, source, contact
+
+
+def run_reference(cfg, braking: bool = True) -> tuple[SimResult, list[tuple]]:
+    """Run *cfg* to its end with :func:`step_composed` and return the result
+    row and the trace rows :func:`occlusim.harness.run_scenario` documents.
+
+    The run ends after the first step whose start had contact, or once the
+    pedestrian has cleared the AV's lane by more than R_SUM_M and
+    ``cfg.tail_s`` has passed since, then either 5 s have passed or the run
+    has detected and the pedestrian is one step's walk past clearance. An
+    unbraked run uses a law whose threshold no TTC is at or below."""
+    w = build_world(cfg)
+    policy = cfg if braking else BrakePolicy(tau_max_s=-1.0)
+    clearance_y = cfg.av_lane_y + world_mod.R_SUM_M
+    settled_y = clearance_y + w.ped_vy * cfg.dt_s
+    sight = (w.av_y, w.occluder)
+    rows = []
+    detected_at = first_ttc = min_ttc = collision_at = cleared_at = None
+    max_pressure = 0.0
+    while True:
+        t_s = w.t_s
+        ttc_s, pressure, source, contact = step_composed(w, cfg.dt_s, policy, cfg, cfg.v2v)
+        if source is not None and detected_at is None:
+            detected_at, first_ttc = t_s, ttc_s
+        if ttc_s is not None and (min_ttc is None or ttc_s < min_ttc):
+            min_ttc = ttc_s
+        max_pressure = max(max_pressure, pressure)
+        rows.append((w.t_s, w.av_x, w.av_speed, w.ped_y, 10000.0 if ttc_s is None else ttc_s,
+                     pressure, source is not None, sight))
+        if contact:
+            collision_at = t_s
+            break
+        if cleared_at is None and w.ped_y > clearance_y:
+            cleared_at = w.t_s
+        if cleared_at is not None and w.t_s >= cleared_at + cfg.tail_s and (
+                w.t_s >= cleared_at + 5.0 or detected_at is not None and w.ped_y >= settled_y):
+            break
+    result = SimResult(cfg.av_speed_mph, "with_v2v" if cfg.v2v else "without_v2v", detected_at,
+                       first_ttc, min_ttc, collision_at is not None, collision_at, max_pressure)
+    return result, rows
 
 
 def write_trace_csv_rowwise(trace: list[tuple]) -> str:

@@ -101,8 +101,23 @@ def test_bytes_mode_reports_a_difference_only_a_sweep_shows(tmp_path, trees, mon
         ab.unload("occlusim_ab_parent")
         ab.unload("occlusim_ab_change")
     out = capsys.readouterr().out.splitlines()
+    lines = f"{ab.src_lines(ROOT):,} lines"
+    assert out[0] == (f"parent {ROOT} src {ab.src_digest(ROOT)[:12]}, {lines}; "
+                      f"change {mutated} src {ab.src_digest(mutated)[:12]}, {lines}")
     assert out[1].startswith("same bytes: 4 runs, sha256 ")
     assert out[2].startswith("differs: sweep default: line 2: ")
+
+
+def test_src_line_count_is_the_newlines_of_every_module(tmp_path):
+    files = sorted((ROOT / "src" / "occlusim").glob("*.py"))
+    assert ab.src_lines(ROOT) == sum(len(p.read_text(encoding="utf-8").splitlines())
+                                     for p in files)
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src" / "occlusim", copy / "src" / "occlusim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "src" / "occlusim" / "units.py", "a", encoding="utf-8") as fh:
+        fh.write("# one more line\n")
+    assert ab.src_lines(copy) == ab.src_lines(ROOT) + 1
 
 
 # The two sha256s tools/ab.py's bytes mode prints for this tree: one over

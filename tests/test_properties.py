@@ -10,8 +10,9 @@ leaves the walk line, and the written occluded column is the loop-form
 sight-line check of the row's values. The staging premise:
 every calibrated run collides when the AV never brakes. A run without the
 clearance tail, as a sweep makes it, gives the full run's result and a
-prefix of its trace, and the relay never makes a collision that the run
-without it avoids. And a robustness
+prefix of its trace, the relay never makes a collision that the run
+without it avoids, and every run gives the result and rows of the
+reference run stepped by the composed step. And a robustness
 property: any finite config is either rejected at load time by a config
 error naming a key, or steps with finite state and bounded commands.
 """
@@ -19,10 +20,10 @@ error naming a key, or steps with finite state and bounded commands.
 import math
 import re
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from _oracle import los_occluded_loop
+from _oracle import los_occluded_loop, run_reference
 from conftest import named_rows
 from occlusim import ScenarioConfig, SweepSpec, run_scenario, sweep, write_results_csv
 from occlusim import world as world_mod
@@ -140,6 +141,25 @@ def test_results_only_run_is_a_prefix_of_the_full_run_with_its_result(keys):
             assert len(short_trace) < len(trace)
         else:
             assert len(short_trace) == len(trace)
+
+
+# Not shrunk: shrinking walks toward dt_s 0.005 at 10 mph, the longest
+# runs, and took minutes on a 2-core host to report one failure.
+@settings(derandomize=True, database=None, max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(keys=CALIBRATED)
+def test_run_matches_the_reference_run(keys):
+    full = ScenarioConfig(**keys)
+    for cfg in (full, full.results_only()):
+        for braking in (True, False):
+            result, trace = run_scenario(cfg, braking)
+            ref_result, ref_trace = run_reference(cfg, braking)
+            assert result == ref_result
+            # Row by row, so a failure prints one row, and by repr, which
+            # tells -0.0 from 0.0 where == does not.
+            assert len(trace) == len(ref_trace)
+            for row, ref_row in zip(trace, ref_trace):
+                assert repr(row) == repr(ref_row)
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)

@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracle import los_occluded_loop, sense_clamped, step_composed
+from occlusim import world as world_mod
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import ActorState, Vec2
-from occlusim.scenario import ScenarioConfig, replace
+from occlusim.scenario import ScenarioConfig, build_world, config_for, replace
 from occlusim.ttc import ttc
 from occlusim.world import (
     AV_RADIUS_M,
     R_SUM_M,
-    V2VMessage,
     WorldState,
     channel_step,
     compute_control,
@@ -204,19 +204,18 @@ class TestChannel:
     def test_same_step_delivery_with_zero_latency(self):
         w = make_world()
         channel_step(w, IDEAL, 0.02)
-        assert w.latest_ped_info is not None
-        assert (w.latest_ped_info.ped_y, w.latest_ped_info.ped_vy) == (w.ped_y, w.ped_vy)
-        assert not w.in_flight  # due at once, so never queued
+        assert w.latest_ped_info == (0.0, w.ped_y, w.ped_vy)
+        assert not w.in_flight  # queued and due at once
 
     def test_zero_latency_send_leaves_nothing_queued_before_it(self):
         # An older message still in flight is due too; the new one is
         # delivered after it and wins.
         w = make_world()
         w.t_s = 0.5
-        w.in_flight.append(V2VMessage(0.4, 1.0, 1.0))
+        w.in_flight.append((0.4, 1.0, 1.0))
         channel_step(w, IDEAL, 0.02)
         assert not w.in_flight
-        assert w.latest_ped_info == V2VMessage(0.5, w.ped_y, w.ped_vy)
+        assert w.latest_ped_info == (0.5, w.ped_y, w.ped_vy)
 
     # With the transmitter at x = -radius its tracker, at the front-center,
     # sits on the origin; the pedestrian stands 10 m from it along the
@@ -226,7 +225,7 @@ class TestChannel:
         w = make_world(tx_pos=(-2.22504, 0.0), ped_y=-10.0)
         channel_step(w, replace(IDEAL, tx_sensor_range_m=10.0), 0.02)
         assert w.latest_ped_info is not None
-        assert w.latest_ped_info.ped_y == w.ped_y
+        assert w.latest_ped_info[1] == w.ped_y
 
     def test_tracker_ignores_pedestrian_beyond_range(self):
         w = make_world(tx_pos=(-2.22504, 0.0), ped_y=-10.0)
@@ -242,7 +241,7 @@ class TestChannel:
         w = make_world(tx_pos=(-2.22504, 5.0), ped_y=15.0)
         channel_step(w, replace(IDEAL, tx_sensor_range_m=10.0), 0.02)
         assert w.latest_ped_info is not None
-        assert w.latest_ped_info.ped_y == 15.0
+        assert w.latest_ped_info[1] == 15.0
         w = make_world(tx_pos=(-2.22504, 5.0), ped_y=-5.0)
         channel_step(w, replace(IDEAL, tx_sensor_range_m=9.99), 0.02)
         assert w.latest_ped_info is None
@@ -284,7 +283,7 @@ class TestChannel:
         assert w.next_send_s == 0.0
         step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
         assert w.latest_ped_info is not None
-        assert w.latest_ped_info.sent_at_s == pytest.approx(0.1)
+        assert w.latest_ped_info[0] == pytest.approx(0.1)
 
     def test_period_limits_send_rate(self):
         w = make_world()
@@ -309,6 +308,39 @@ class TestChannel:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
+
+    @pytest.mark.parametrize("channel", [{}, {"latency_s": 0.3, "drop_prob": 0.5}])
+    def test_every_held_message_was_built_and_each_ideal_one_delivered(self, monkeypatch,
+                                                                       channel):
+        # The benchmark's tracer counts deliveries as V2VMessage calls less
+        # the queue's growth. That holds only if every message the world
+        # holds is one that call returned; on the ideal channel each one is
+        # also delivered on the step it is built.
+        made = {}
+        build = world_mod.V2VMessage
+
+        def recording(*args):
+            msg = build(*args)
+            made[id(msg)] = msg  # kept alive, so no id is reused
+            return msg
+
+        monkeypatch.setattr(world_mod, "V2VMessage", recording)
+        cfg = replace(config_for(ScenarioConfig(), 45.0, True), **channel)
+        w = build_world(cfg)
+        latest, changes, queued = None, 0, 0
+        for _ in range(1500):
+            step(w, cfg.dt_s, cfg, cfg, True)
+            if w.latest_ped_info is not latest:
+                latest = w.latest_ped_info
+                changes += 1
+            held = [*w.in_flight] if latest is None else [latest, *w.in_flight]
+            assert all(made.get(id(msg)) is msg for msg in held)
+            queued = max(queued, len(w.in_flight))
+        assert changes > 0
+        if channel:
+            assert queued > 0
+        else:
+            assert len(made) == changes
 
 
 def world_slots(w: WorldState) -> dict:
@@ -341,7 +373,8 @@ class TestComputeControl:
         assert w.latest_ped_info is not None
         # Put the relayed pedestrian 1 m short of the true one, so the TTC
         # tells the two estimates apart.
-        w.latest_ped_info.ped_y -= 1.0
+        sent_at_s, ped_y, ped_vy = w.latest_ped_info
+        w.latest_ped_info = (sent_at_s, ped_y - 1.0, ped_vy)
         outcome, _, source = compute_control(w, POLICY)
         assert source == "sensor"
         relative = (0.0 - w.av_x, w.ped_y - w.av_y, 0.0 - w.av_speed, w.ped_vy, R_SUM_M)
@@ -356,7 +389,7 @@ class TestComputeControl:
         assert compute_control(w, POLICY) == (None, 0.0, None)
         channel_step(w, IDEAL, 0.02)
         assert w.latest_ped_info is not None
-        assert w.latest_ped_info.ped_y == w.ped_y
+        assert w.latest_ped_info[1] == w.ped_y
 
     def test_v2v_extrapolates_stale_messages(self):
         # Every fresh broadcast is dropped, so none overwrites the queued
@@ -365,10 +398,11 @@ class TestComputeControl:
         # lane at 2 m/s and read at t = 0.5, the message puts the
         # pedestrian 1 m further across, 2 m short of the lane.
         w = make_world(av_pos=(-40.0, 5.4864), av_speed=20.0)
-        w.in_flight.append(V2VMessage(0.0, 5.4864 - 3.0, 2.0))
+        stale = (0.0, 5.4864 - 3.0, 2.0)
+        w.in_flight.append(stale)
         w.t_s = 0.5
         channel_step(w, replace(IDEAL, drop_prob=1.0), 0.02)
-        assert not w.in_flight and w.latest_ped_info.sent_at_s == 0.0
+        assert not w.in_flight and w.latest_ped_info is stale
         outcome, _, source = compute_control(w, POLICY)
         assert source == "v2v"
 
@@ -388,7 +422,7 @@ class TestComputeControl:
         w = make_world(av_pos=(-30.0, 5.4864), ped_y=4.5, tx_pos=(-200.0, 1.8288),
                        sensor_range=150.0 if sensed else 10.0)
         channel_step(w, replace(IDEAL, tx_sensor_range_m=300.0), 0.02)
-        w.in_flight.append(V2VMessage(5.0, 4.0, 1.0))
+        w.in_flight.append((5.0, 4.0, 1.0))
         w.t_s = 0.5
         before = world_slots(w)
         msg = w.latest_ped_info
@@ -433,11 +467,11 @@ def pre_step_worlds(draw):
     w.t_s = t_s
     active = t_s >= entry
     if source == "v2v":
-        w.latest_ped_info = V2VMessage(t_s - draw(st.floats(0.0, 2.0)),
-                                       draw(st.floats(-5.0, 20.0)), draw(st.floats(0.0, 2.0)))
+        w.latest_ped_info = (t_s - draw(st.floats(0.0, 2.0)), draw(st.floats(-5.0, 20.0)),
+                             draw(st.floats(0.0, 2.0)))
     if source is not None and active:  # nothing is in flight before entry
         sent = sorted(draw(st.lists(st.floats(t_s - 1.0, t_s), max_size=2)))
-        w.in_flight.extend(V2VMessage(s_at, ped_y, w.ped_vy) for s_at in sent)
+        w.in_flight.extend((s_at, ped_y, w.ped_vy) for s_at in sent)
     channel = CHANNELS[-1] if source is None else draw(st.sampled_from(CHANNELS))
     args = (draw(st.sampled_from((0.005, 0.02, 0.1))), draw(st.sampled_from((POLICY, UNBRAKED))),
             channel, draw(st.booleans()))

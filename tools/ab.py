@@ -24,8 +24,10 @@ sweep of one lossy channel, every run of the default grid with its trace
 CSV written to text, and the trace CSV writer alone over the default
 grid's traces, which each tree runs once before timing. It prints per
 workload the median change/parent time ratio, the interquartile range of
-the ratios and the pairs the change won. Each side is labelled by a sha256
-of its ``src/occlusim/*.py``. Start-up, CLI and memory figures stay with
+the ratios and the pairs the change won.
+
+Both modes label each side with a sha256 of its ``src/occlusim/*.py`` and
+those files' line count. Start-up, CLI and memory figures stay with
 ``perfbench/run.py``.
 """
 
@@ -84,6 +86,12 @@ def src_digest(tree: Path) -> str:
     for path in sorted((tree / "src" / "occlusim").glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in the tree's ``src/occlusim/*.py``, counted as
+    ``perfbench/run.py`` counts its ``src_lines``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "occlusim").glob("*.py"))
 
 
 def load_tree(tree: Path, name: str) -> ModuleType:
@@ -264,10 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.timing is not None and args.timing < 2:
         parser.error("--timing needs at least 2 pairs")
 
-    labels = {side: src_digest(tree)[:12] for side, tree in
-              (("parent", args.parent), ("change", args.change))}
-    print(f"parent {args.parent} src {labels['parent']}; change {args.change} "
-          f"src {labels['change']}")
+    print("; ".join(f"{side} {tree} src {src_digest(tree)[:12]}, {src_lines(tree):,} lines"
+                    for side, tree in (("parent", args.parent), ("change", args.change))))
     parent = load_tree(args.parent, "occlusim_ab_parent")
     change = load_tree(args.change, "occlusim_ab_change")
 
