@@ -5,10 +5,11 @@ One :class:`WorldState` is owned by exactly one run and stepped
 sequentially; it holds only what the next step reads, and distinct runs
 share nothing mutable. Per tick, :func:`step` tests contact; then, only
 once the pedestrian is active, steps the V2V channel, advances the
-pedestrian and tests the AV's sensor; then makes the control decision and
-moves the AV. It returns what it observed (TTC, pressure, estimate source,
-contact); the caller keeps what it needs. The AV and the pedestrian are
-plain floats, so a step builds no vector or actor records; the stopped
+pedestrian and tests the AV's sensor; then makes the control decision, the
+package's only one (its reference is ``tests/_oracle.py::compute_control``),
+and moves the AV. It returns what it observed (TTC, pressure, estimate
+source, contact); the caller keeps what it needs. The AV and the pedestrian
+are plain floats, so a step builds no vector or actor records; the stopped
 transmitter is a record built once per run. The pedestrian crosses on the
 walk line, x = 0, so only its y moves. All randomness comes from the
 seeded generator held by the world (used only for message drops), so runs
@@ -84,10 +85,10 @@ class WorldState:
         self.latest_ped_info: tuple[float, float, float] | None = None
 
 
-# Nothing calls this. perfbench/tracer.py counts calls to it as
-# geometry.actor_replace and tests/test_harness.py wraps it, so the name
-# stays until the benchmark stops counting it.
-replace = None
+# Nothing in the package calls either name. perfbench/tracer.py wraps both
+# (replace counted as geometry.actor_replace, compute_control timed), so
+# they stay as placeholders until ROADMAP item 1 re-keys the benchmark.
+replace = compute_control = None
 
 
 def los_occluded(sensor_x: float, sensor_y: float, target_x: float, target_y: float,
@@ -199,47 +200,6 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
             world.latest_ped_info = in_flight.popleft()
 
 
-def compute_control(world: WorldState, policy: BrakePolicy | ScenarioConfig
-                    ) -> tuple[TtcOutcome, float, str | None]:
-    """One control evaluation: pick the pedestrian estimate, compute the
-    TTC, and derive the pressure command. Returns (TTC, pressure, source),
-    where source is "sensor", "v2v", or None when the AV has no estimate;
-    the world is only read.
-
-    Nothing in the package calls this: :func:`step` makes the same
-    decision inline. It is the reference the tests compare ``step``
-    against, run on the world as the step's channel left it.
-
-    The AV's own observation is preferred over V2V when both exist; a run
-    without the relay never steps the channel, so it has no V2V estimate.
-    A V2V estimate is extrapolated at constant velocity over its age. With
-    no estimate at all the AV holds speed.
-    """
-    # The AV's own sensor, at its front-center, sees the pedestrian only
-    # once active and on the roadway: it flags roadway intruders, not
-    # people on the shoulder, while the transmitter holds the pedestrian
-    # it yielded to wherever it walks.
-    y = None
-    ped_y = world.ped_y
-    if world.t_s >= world.ped_entry_time_s - _T_EPS and 0.0 <= ped_y <= world.road_width_m:
-        y = sense(world.av_x + AV_RADIUS_M, world.av_y, world.av_sensor_range_m,
-                  world.av_sensor_cos_fov, ped_y, world.occluder)
-    if y is not None:
-        source = "sensor"
-        vy = world.ped_vy
-    elif world.latest_ped_info is not None:
-        source = "v2v"
-        sent_at_s, msg_y, vy = world.latest_ped_info
-        y = msg_y + vy * (world.t_s - sent_at_s)
-    else:
-        return None, 0.0, None
-
-    # Relative to the AV, which moves along +x only; the pedestrian is on
-    # the walk line, x = 0, and does not move along it.
-    outcome = ttc(0.0 - world.av_x, y - world.av_y, 0.0 - world.av_speed, vy, R_SUM_M)
-    return outcome, brake_pressure(outcome, policy), source
-
-
 # What a step without a pedestrian estimate returns, indexed by contact.
 _NO_ESTIMATE = ((None, 0.0, None, False), (None, 0.0, None, True))
 
@@ -247,9 +207,9 @@ _NO_ESTIMATE = ((None, 0.0, None, False), (None, 0.0, None, True))
 def step(world: WorldState, dt: float, policy: BrakePolicy | ScenarioConfig,
          channel: ScenarioConfig, v2v_enabled: bool) -> tuple[TtcOutcome, float, str | None, bool]:
     """Advance the world by one timestep and return what it observed:
-    (TTC, pressure, estimate source, contact), the control decision as
-    :func:`compute_control` makes it plus whether the discs overlapped at
-    the step's start.
+    (TTC, pressure, estimate source, contact), the control decision as the
+    reference ``tests/_oracle.py::compute_control`` makes it plus whether
+    the discs overlapped at the step's start.
 
     Order per tick: contact test on current positions; then, only once the
     pedestrian is active, transmitter broadcast and message delivery (with

@@ -15,10 +15,16 @@ per axis and must return the same boolean.
 [-1, 1] before the field-of-view test; ``occlusim.world.sense`` gates the
 field of view without the clamp and must return the same observation.
 
-``step_composed`` is one world step composed from the package's reference
-pieces: ``channel_step``, then ``compute_control`` on the world as the
-channel left it, then the kinematics. ``occlusim.world.step`` makes the
-control decision inline and must return the same and leave the same world.
+``compute_control`` is the control decision in its stand-alone form: it
+only reads the world, picks the pedestrian estimate (the AV's sensor, then
+the relayed V2V message, then none), computes the TTC and derives the
+pressure. ``occlusim.world.step`` makes the same decision inline, the
+package's only one.
+
+``step_composed`` is one world step composed from separate pieces: the
+package's ``channel_step``, then this module's ``compute_control`` on the
+world as the channel left it, then the kinematics. ``occlusim.world.step``
+must return the same and leave the same world.
 
 ``run_reference`` is a whole run stepped by ``step_composed``, with its own
 copy of the bookkeeping and the stop rule that
@@ -40,10 +46,11 @@ import math
 import numpy as np
 
 from occlusim import world as world_mod
-from occlusim.braking import BrakePolicy
+from occlusim.braking import BrakePolicy, brake_pressure
 from occlusim.harness import NO_TTC_SENTINEL_S, TRACE_HEADER
 from occlusim.scenario import SimResult, build_world
-from occlusim.world import AV_RADIUS_M, los_occluded
+from occlusim.ttc import ttc
+from occlusim.world import AV_RADIUS_M, R_SUM_M, los_occluded, sense
 
 FINE_DT = 1e-5
 _CHUNK = 2_000_000
@@ -151,16 +158,53 @@ def sense_clamped(sensor_x: float, sensor_y: float, range_m: float, cos_fov: flo
     return None if los_occluded_loop(sensor_x, sensor_y, 0.0, target_y, occluder) else target_y
 
 
+def compute_control(world, policy):
+    """One control evaluation: pick the pedestrian estimate, compute the
+    TTC, and derive the pressure command. Returns (TTC, pressure, source),
+    where source is "sensor", "v2v", or None when the AV has no estimate;
+    the world is only read.
+
+    The AV's own observation is preferred over V2V when both exist; a run
+    without the relay never steps the channel, so it has no V2V estimate.
+    A V2V estimate is extrapolated at constant velocity over its age. With
+    no estimate at all the AV holds speed.
+    """
+    # The AV's own sensor, at its front-center, sees the pedestrian only
+    # once active and on the roadway: it flags roadway intruders, not
+    # people on the shoulder, while the transmitter holds the pedestrian
+    # it yielded to wherever it walks.
+    y = None
+    ped_y = world.ped_y
+    if (world.t_s >= world.ped_entry_time_s - world_mod._T_EPS
+            and 0.0 <= ped_y <= world.road_width_m):
+        y = sense(world.av_x + AV_RADIUS_M, world.av_y, world.av_sensor_range_m,
+                  world.av_sensor_cos_fov, ped_y, world.occluder)
+    if y is not None:
+        source = "sensor"
+        vy = world.ped_vy
+    elif world.latest_ped_info is not None:
+        source = "v2v"
+        sent_at_s, msg_y, vy = world.latest_ped_info
+        y = msg_y + vy * (world.t_s - sent_at_s)
+    else:
+        return None, 0.0, None
+
+    # Relative to the AV, which moves along +x only; the pedestrian is on
+    # the walk line, x = 0, and does not move along it.
+    outcome = ttc(0.0 - world.av_x, y - world.av_y, 0.0 - world.av_speed, vy, R_SUM_M)
+    return outcome, brake_pressure(outcome, policy), source
+
+
 def step_composed(world, dt: float, policy, channel, v2v_enabled: bool):
     """Advance *world* one step as :func:`occlusim.world.step` documents it,
-    with the control from :func:`occlusim.world.compute_control`; returns
-    (TTC, pressure, source, contact)."""
+    with the control from :func:`compute_control`; returns (TTC, pressure,
+    source, contact)."""
     av_x, ped_y, t_s = world.av_x, world.ped_y, world.t_s
     contact = math.hypot(0.0 - av_x, ped_y - world.av_y) <= world_mod.R_SUM_M
     active = t_s >= world.ped_entry_time_s - world_mod._T_EPS
     if v2v_enabled and active:
         world_mod.channel_step(world, channel, dt)
-    outcome, pressure, source = world_mod.compute_control(world, policy)
+    outcome, pressure, source = compute_control(world, policy)
     speed = world.av_speed
     if pressure != 0.0:
         speed -= world_mod.deceleration_for(pressure, policy) * dt

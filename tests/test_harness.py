@@ -291,7 +291,6 @@ class TestAllocation:
 
         monkeypatch.setattr(Vec2, "__init__", counting("Vec2", Vec2.__init__))
         monkeypatch.setattr(ActorState, "__init__", counting("ActorState", ActorState.__init__))
-        monkeypatch.setattr(world_mod, "replace", counting("replace", world_mod.replace))
 
         def run(speed, v2v):
             built.clear()

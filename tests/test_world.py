@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracle import los_occluded_loop, sense_clamped, step_composed
+from _oracle import compute_control, los_occluded_loop, sense_clamped, step_composed
 from occlusim import world as world_mod
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import ActorState, Vec2
@@ -17,7 +17,6 @@ from occlusim.world import (
     R_SUM_M,
     WorldState,
     channel_step,
-    compute_control,
     los_occluded,
     sense,
     step,

@@ -24,7 +24,10 @@ sweep of one lossy channel, every run of the default grid with its trace
 CSV written to text, and the trace CSV writer alone over the default
 grid's traces, which each tree runs once before timing. It prints per
 workload the median change/parent time ratio, the interquartile range of
-the ratios and the pairs the change won.
+the ratios and the pairs the change won. Both trees share one process
+and the parent is loaded first, so their heap and cache state differ and
+one run understates its own spread: quote a timing figure from two runs,
+each in a fresh process.
 
 Both modes label each side with a sha256 of its ``src/occlusim/*.py`` and
 those files' line count. Start-up, CLI and memory figures stay with
