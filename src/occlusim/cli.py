@@ -64,15 +64,13 @@ def _parse_speeds(spec: str) -> tuple[float, ...]:
         if steps >= MAX_RANGE_SPEEDS:
             raise ConfigError(f"--speeds: {spec!r} lists more than {MAX_RANGE_SPEEDS} speeds")
         speeds = tuple(round(start + i * step, 6) for i in range(math.floor(steps) + 1))
-        # A step below the rounding can list one speed twice.
-        if any(later <= earlier for earlier, later in zip(speeds, speeds[1:])):
-            raise ConfigError(f"--speeds: {spec!r} repeats a speed at 6 decimals")
-        return speeds
-    try:
-        speeds = tuple(float(p) for p in spec.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"--speeds: expects numbers, got {spec!r}") from None
-    # As in a range, each speed runs once: a repeat would write its rows twice.
+    else:
+        try:
+            speeds = tuple(float(p) for p in spec.split(",") if p.strip())
+        except ValueError:
+            raise ConfigError(f"--speeds: expects numbers, got {spec!r}") from None
+    # Each speed runs once: a repeat would write its rows twice. A range
+    # repeats one when its step is below the 6-decimal rounding.
     if len(set(speeds)) != len(speeds):
         raise ConfigError(f"--speeds: {spec!r} repeats a speed")
     return speeds

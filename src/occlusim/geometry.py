@@ -2,12 +2,12 @@
 
 The world is a 2D plan view: x runs along the road in the direction of
 travel, y runs across it. Actors are discs (position, velocity, radius).
-The stopped transmitter is the one actor kept as a record, built once per
-run; the moving AV and pedestrian are plain floats in the world state, and
-:mod:`occlusim.ttc` takes their relative state as floats. Nothing in the
-package calls :func:`relative_state` any more. The records check no
-values: the config boundary bounds every speed, step and run length, so
-none overflows. No record is a dataclass, whose import would slow every CLI start.
+A run builds one :class:`Vec2`, the stopped transmitter's position; the
+AV and the pedestrian are plain floats, and :mod:`occlusim.ttc` takes
+their relative state as floats. ``ActorState`` and ``RelativeState`` serve
+only :func:`relative_state`, which the package never calls. The records
+check no values: the config boundary bounds every speed, step and run
+length, so none overflows. No record is a dataclass: its import slows CLI start.
 """
 
 from __future__ import annotations

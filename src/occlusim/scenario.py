@@ -24,7 +24,7 @@ import math
 import random
 from collections import namedtuple
 
-from .geometry import ActorState, Vec2
+from .geometry import Vec2
 from .units import mph_to_mps, to_si
 from .world import AV_RADIUS_M, R_SUM_M, WorldState
 
@@ -86,10 +86,15 @@ class ScenarioConfig:
             object.__setattr__(self, key, values.pop(key, getattr(ScenarioConfig, key)))
         if values:
             raise TypeError(f"ScenarioConfig: unknown keys {', '.join(map(repr, values))}")
-        # Every parameter is validated here and nowhere below.
+        # Every parameter is validated here and nowhere below. Every value but
+        # the seed, which random.Random takes at any size, must fit a float.
         for key in self.KEYS:
             value = getattr(self, key)
-            if isinstance(value, float) and not math.isfinite(value):
+            try:
+                finite = key == "seed" or math.isfinite(value)
+            except OverflowError:  # an int too big to convert; never print its digits
+                finite, value = False, "an integer too big for a float"
+            if not finite:
                 raise ConfigError(f"{key}: must be finite, got {value}")
         positive = (
             "av_speed_mph", "lane_width_ft", "ped_speed_ftps", "approach_time_s",
@@ -195,20 +200,21 @@ class ScenarioConfig:
         the pedestrian first clears the AV's blocked sight line."""
         return self.tx_lane_y + BODY_WIDTH_M / 2.0
 
-    def reveal_margin_for(self, av_speed_mps: float, **override: float) -> float:
+    def reveal_margin_for(self, **override: float) -> float:
         """Seconds between the pedestrian clearing the sight line and the
-        unbraked disc contact, interpolated between the slow and fast
-        margins across the knee speeds. *override* replaces the value of
-        ``reveal_margin_s`` or ``reveal_margin_slow_s``."""
+        unbraked disc contact at this config's speed, interpolated between
+        the slow and fast margins across the knee speeds. *override* replaces
+        the value of ``reveal_margin_s`` or ``reveal_margin_slow_s``."""
         fast = override.get("reveal_margin_s", self.reveal_margin_s)
         slow = override.get("reveal_margin_slow_s", self.reveal_margin_slow_s)
+        v = self.av_speed_mps
         lo = mph_to_mps(self.reveal_knee_lo_mph)
         hi = mph_to_mps(self.reveal_knee_hi_mph)
-        if av_speed_mps <= lo:
+        if v <= lo:
             return slow
-        if av_speed_mps >= hi:
+        if v >= hi:
             return fast
-        frac = (hi - av_speed_mps) / (hi - lo)
+        frac = (hi - v) / (hi - lo)
         return fast + (slow - fast) * frac
 
 
@@ -220,11 +226,13 @@ SimResult.__doc__ = "One output row of an experiment run."
 
 # Config file grammar: one "key = value" per line, '#' comments, strict keys.
 
-# Each key's type is that of its default: bool, int or float.
-_KEY_TYPES = {key: type(getattr(ScenarioConfig, key)) for key in ScenarioConfig.KEYS}
-
-_TRUE_WORDS = {"on", "true", "yes", "1"}
-_FALSE_WORDS = {"off", "false", "no", "0"}
+# Each key is read by the type of its default: a reader, which raises
+# KeyError or ValueError on a bad value, and the text that it expects.
+_BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
+               "off": False, "false": False, "no": False, "0": False}
+_READERS = {bool: (lambda value: _BOOL_WORDS[value.lower()], "on/off"),
+            int: (int, "an integer"), float: (float, "a number")}
+_KEY_READERS = {key: _READERS[type(getattr(ScenarioConfig, key))] for key in ScenarioConfig.KEYS}
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -240,29 +248,16 @@ def load_config(text: str) -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        kind = _KEY_TYPES.get(key)
-        if kind is None:
+        reader = _KEY_READERS.get(key)
+        if reader is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in data:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if kind is bool:
-            lowered = value.lower()
-            if lowered in _TRUE_WORDS:
-                data[key] = True
-            elif lowered in _FALSE_WORDS:
-                data[key] = False
-            else:
-                raise ConfigError(f"line {lineno}: {key} expects on/off, got {value!r}")
-        elif kind is int:
-            try:
-                data[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
-        else:
-            try:
-                data[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}") from None
+        read, expects = reader
+        try:
+            data[key] = read(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"line {lineno}: {key} expects {expects}, got {value!r}") from None
     return ScenarioConfig(**data)
 
 
@@ -280,13 +275,12 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
     MAX_RUN_STEPS. Where several keys could be at fault, it names the
     first one whose default would let the check pass, else a fallback key.
     """
-    v = cfg.av_speed_mps
     edge_y = cfg.sightline_edge_y()
-    contact_y = edge_y + cfg.reveal_margin_for(v) * cfg.ped_speed_mps
+    contact_y = edge_y + cfg.reveal_margin_for() * cfg.ped_speed_mps
     dy = cfg.av_lane_y - contact_y
     if not (0.0 < dy < R_SUM_M):
         for key in ("reveal_margin_s", "reveal_margin_slow_s"):
-            margin = cfg.reveal_margin_for(v, **{key: getattr(ScenarioConfig, key)})
+            margin = cfg.reveal_margin_for(**{key: getattr(ScenarioConfig, key)})
             if 0.0 < cfg.av_lane_y - (edge_y + margin * cfg.ped_speed_mps) < R_SUM_M:
                 break
         else:
@@ -294,7 +288,7 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
         raise ConfigError(f"{key}: contact out of reach: the pedestrian's offset from the AV's "
                           f"lane center {dy:.4g} m must lie in (0, {R_SUM_M:.4g})")
     contact_dx = math.sqrt(R_SUM_M * R_SUM_M - dy * dy)
-    t_contact = cfg.approach_time_s - contact_dx / v
+    t_contact = cfg.approach_time_s - contact_dx / cfg.av_speed_mps
     walk_time = (contact_y - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     if walk_time <= 0.0:
         raise ConfigError(f"ped_start_offset_m: the start {cfg.ped_start_offset_m:.4g} m is past "
@@ -337,7 +331,6 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
     # Its body is as long as the AV's, so its half-length is AV_RADIUS_M.
     tx_x = -cfg.tx_stop_gap_m - AV_RADIUS_M
     tx_y = cfg.tx_lane_y
-    transmitter = ActorState(pos=Vec2(tx_x, tx_y), vel=Vec2(0.0, 0.0), radius=AV_RADIUS_M)
 
     return WorldState(
         # x is measured from the walk line.
@@ -346,9 +339,10 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         av_speed=v,
         av_sensor_range_m=cfg.av_sensor_range_m,
         av_sensor_cos_fov=math.cos(cfg.av_sensor_fov_half_rad),
-        transmitter=transmitter,
+        transmitter=Vec2(tx_x, tx_y),
+        # Its inner side is the sight-line edge that calibration stages.
         occluder=(tx_x - AV_RADIUS_M, tx_x + AV_RADIUS_M,
-                  tx_y - BODY_WIDTH_M / 2.0, tx_y + BODY_WIDTH_M / 2.0),
+                  tx_y - BODY_WIDTH_M / 2.0, cfg.sightline_edge_y()),
         # The pedestrian moves along the walk line and is sensed only
         # once active.
         ped_y=cfg.ped_start_offset_m,

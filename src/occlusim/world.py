@@ -10,10 +10,10 @@ package's only one (its reference is ``tests/_oracle.py::compute_control``),
 and moves the AV. It returns what it observed (TTC, pressure, estimate
 source, contact); the caller keeps what it needs. The AV and the pedestrian
 are plain floats, so a step builds no vector or actor records; the stopped
-transmitter is a record built once per run. The pedestrian crosses on the
-walk line, x = 0, so only its y moves. All randomness comes from the
-seeded generator held by the world (used only for message drops), so runs
-with identical inputs are bit-identical.
+transmitter is its position, one ``Vec2`` built per run. The pedestrian
+crosses on the walk line, x = 0, so only its y moves. All randomness comes
+from the seeded generator held by the world (used only for message drops),
+so runs with identical inputs are bit-identical.
 
 The run's fixed sensing geometry, the occluder's bounds and the sensor's
 envelope, is worked out once when the world is built and held as floats.
@@ -30,11 +30,11 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from .braking import BrakePolicy, brake_pressure, deceleration_for
-from .geometry import ActorState
 from .ttc import TtcOutcome, ttc
 from .units import to_si
 
 if TYPE_CHECKING:  # scenario imports this module
+    from .geometry import Vec2
     from .scenario import ScenarioConfig
 
 # Disc radii: half the subject car's body length, and the pedestrian's
@@ -59,8 +59,8 @@ class WorldState:
     step reads. The AV drives along +x at ``av_speed`` (m/s) with its
     center at (``av_x``, ``av_y``); its lane never changes. The
     pedestrian's center is (0, ``ped_y``) and it walks along +y at
-    ``ped_vy``. ``occluder`` holds the stopped transmitter's footprint as
-    its bounds (min_x, max_x, min_y, max_y).
+    ``ped_vy``. ``transmitter`` is the stopped transmitter's center and
+    ``occluder`` its footprint's bounds (min_x, max_x, min_y, max_y).
 
     The pedestrian is active, has stepped out and begun crossing, once
     ``t_s >= ped_entry_time_s - _T_EPS``. Before then there is nothing for
@@ -72,7 +72,7 @@ class WorldState:
                  "road_width_m", "rng", "t_s", "in_flight", "latest_ped_info", "next_send_s")
 
     def __init__(self, av_x: float, av_y: float, av_speed: float, av_sensor_range_m: float,
-                 av_sensor_cos_fov: float, transmitter: ActorState,
+                 av_sensor_cos_fov: float, transmitter: Vec2,
                  occluder: tuple[float, float, float, float], ped_y: float, ped_vy: float,
                  ped_entry_time_s: float, road_width_m: float, rng: random.Random) -> None:
         self.av_x, self.av_y, self.av_speed = av_x, av_y, av_speed
@@ -180,11 +180,10 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
     in_flight = world.in_flight
     latency_s = channel.latency_s
     tx = world.transmitter
-    tx_pos = tx.pos
-    tx_x = tx_pos.x
-    tx_y = tx_pos.y
+    tx_x = tx.x
+    tx_y = tx.y
     ped_y = world.ped_y
-    dx = 0.0 - (tx_x + tx.radius)
+    dx = 0.0 - (tx_x + AV_RADIUS_M)
     dy = ped_y - tx_y
     tx_range_m = channel.tx_sensor_range_m
     if dx * dx + dy * dy <= tx_range_m * tx_range_m and t_s >= world.next_send_s - _T_EPS:

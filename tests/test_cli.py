@@ -113,6 +113,20 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "calibrate"])
+def test_lane_count_that_no_float_can_hold_exits_1(tmp_path, capsys, command):
+    # Accepted at load time, this count overflowed in the first run's
+    # build_world, with a traceback, while calibrate printed an entry time.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("num_lanes = 1" + "0" * 400 + "\n")
+    out = [] if command == "calibrate" else ["--out", str(tmp_path / "r.csv")]
+    assert main([command, "--config", str(cfg), *out]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: num_lanes: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("speeds", ["0,10", ",", "10,nan", "10,inf", "10:70:nan",
                                     "10:70:1e-16", "10:70:1e-9", "10:10.000002:0.0000004",
                                     "10.0000005:10.00001:0.000001", "10,10", "20,10,20.0"])

@@ -13,7 +13,7 @@ from _oracle import write_trace_csv_rowwise
 from conftest import StepRecord, named_rows
 from occlusim import harness
 from occlusim import world as world_mod
-from occlusim.geometry import ActorState, Vec2
+from occlusim.geometry import Vec2
 from occlusim.harness import (
     NO_TTC_SENTINEL_S,
     RESULTS_HEADER,
@@ -290,7 +290,6 @@ class TestAllocation:
             return wrapper
 
         monkeypatch.setattr(Vec2, "__init__", counting("Vec2", Vec2.__init__))
-        monkeypatch.setattr(ActorState, "__init__", counting("ActorState", ActorState.__init__))
 
         def run(speed, v2v):
             built.clear()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occlusim.geometry import Vec2
 from occlusim.scenario import (
     AV_RADIUS_M,
     BODY_WIDTH_M,
@@ -140,6 +141,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config("seed = 1\nseed = 2\n")
 
+    @pytest.mark.parametrize(("key", "value", "expects"), [
+        ("v2v", "maybe", "on/off"), ("num_lanes", "2.5", "an integer"), ("dt_s", "fast", "a number"),
+    ])
+    def test_bad_value_names_what_the_key_expects(self, key, value, expects):
+        with pytest.raises(ConfigError, match=rf"^line 2: {key} expects {expects}, got '{value}'$"):
+            load_config(f"seed = 1\n{key} = {value}\n")
+
     def test_bool_words(self):
         assert load_config("v2v = on\n").v2v is True
         assert load_config("v2v = false\n").v2v is False
@@ -186,6 +194,19 @@ class TestValidation:
     def test_out_of_bounds_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}: "):
             ScenarioConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["num_lanes", "av_lane_index", "transmitter_lane_index"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_lane_int_that_no_float_can_hold_rejected(self, key, sign):
+        # Lane counts and indices enter float arithmetic, where 10**400
+        # overflows. The message names the key and prints none of its digits.
+        with pytest.raises(ConfigError, match=rf"^{key}: must be finite, got an integer too big "
+                                              r"for a float$"):
+            ScenarioConfig(**{key: sign * 10**400})
+
+    def test_seed_of_any_size_accepted(self):
+        # random.Random takes any int, so the seed alone has no float bound.
+        assert ScenarioConfig(seed=10**400).seed == 10**400
 
     def test_step_travel_within_contact_radius(self):
         # 419 mph moves the AV 3.746 m per 0.02 s step, 420 mph 3.755 m,
@@ -305,8 +326,8 @@ class TestBuildWorld:
         assert w.av_x == pytest.approx(-cfg.av_speed_mps * 20.0, rel=1e-12)
         assert w.av_y == pytest.approx(5.4864)
         assert w.av_speed == pytest.approx(cfg.av_speed_mps)
-        assert w.transmitter.vel == type(w.transmitter.vel)(0.0, 0.0)
-        # Stopped with its bumper just past the walk line.
+        # Stopped in its lane with its bumper just past the walk line.
+        assert w.transmitter == Vec2(-cfg.tx_stop_gap_m - AV_RADIUS_M, cfg.tx_lane_y)
         bumper = w.occluder[1]
         assert bumper == pytest.approx(-cfg.tx_stop_gap_m, abs=1e-12)
         assert (w.ped_y, w.ped_vy) == (cfg.ped_start_offset_m, cfg.ped_speed_mps)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from _oracle import compute_control, los_occluded_loop, sense_clamped, step_composed
 from occlusim import world as world_mod
 from occlusim.braking import BrakePolicy
-from occlusim.geometry import ActorState, Vec2
+from occlusim.geometry import Vec2
 from occlusim.scenario import ScenarioConfig, build_world, config_for, replace
 from occlusim.ttc import ttc
 from occlusim.world import (
@@ -45,7 +45,7 @@ def make_world(av_pos=(-50.0, 5.4864), av_speed=20.0, ped_y=2.0, ped_vy=1.2192,
         av_speed=av_speed,
         av_sensor_range_m=sensor_range,
         av_sensor_cos_fov=math.cos(math.pi / 2),
-        transmitter=ActorState(Vec2(*tx_pos), Vec2(0.0, 0.0), 2.22504),
+        transmitter=Vec2(*tx_pos),
         occluder=rect(*tx_pos),
         ped_y=ped_y,
         ped_vy=ped_vy,
