@@ -3,7 +3,7 @@
 A run steps the world from t=0 until a collision, or until the pedestrian
 has cleared the AV's lane plus a 5-second tail; the pedestrian walks at
 constant speed from the entry its config calibrated, so every run ends one
-of those two ways; a sweep's run ends sooner, once its result is settled.
+of those two ways; a sweep's run ends sooner, once its path misses for good.
 From what each step returns the run keeps its first detection with that
 step's TTC and its collision, each timed at the world time before the step,
 and one trace row per step for any plotting tool. A sweep builds, and so
@@ -43,6 +43,11 @@ NO_TTC_SENTINEL_S = 10000.0
 
 # A TTC is None or nonnegative, so none is at or below this law's threshold.
 _UNBRAKED = BrakePolicy(tau_max_s=-1.0)
+
+# A results-only run's path misses once cross^2 - R^2 a > 2**-30 |X|^2 a. ttc()'s
+# b*b - a*c, exactly R^2 a - cross^2, rounds by a few ulps of |X|^2 a, as b*b and a*c are
+# at most |X|^2 a; |X| shrinks while the pair closes, so it stays 2**20 below this margin.
+_MISS_MARGIN = 2.0 ** -30
 
 DEFAULT_SWEEP_SPEEDS_MPH: tuple[float, ...] = tuple(float(s) for s in range(10, 75, 5))
 
@@ -99,17 +104,18 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     engages, so every step commands and applies 0.0; tests use it to verify
     that the calibrated scenario collides when unmitigated.
 
-    A run that clears keeps from ``cfg.tail_s`` to CLEARANCE_TAIL_S after
-    clearance. It ends in between once it has detected and the pedestrian
-    is a step's walk past the AV's lane: then the discs part for good and no
-    TTC is valid, since a V2V estimate, extrapolated at the pedestrian's own
-    velocity, misses its y by some ulps per step of age, far below that walk.
+    A run that clears ends CLEARANCE_TAIL_S after clearance. One with
+    ``cfg.tail_s`` 0 ends on the first step that has detected and has no TTC
+    if, after it, the relative path X + V t, with X = (-av_x, ped_y - av_y)
+    and V = (-av_speed, ped_vy), misses the contact disc by _MISS_MARGIN. No
+    later step can change its result: no TTC, no pressure, so both velocities
+    and the cross product X x V stay fixed and the discs never touch; every
+    estimate lies on the pedestrian's line (a V2V one, extrapolated at its
+    velocity, off by rounding only), so no later TTC is valid either.
     """
     w = build_world(cfg)
     policy = cfg if braking else _UNBRAKED
     clearance_y = cfg.av_lane_y + R_SUM_M
-    settled_y = clearance_y + w.ped_vy * cfg.dt_s
-    tail_s = cfg.tail_s
 
     trace: list[tuple] = []
     detected_at: float | None = None
@@ -128,6 +134,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     dt = cfg.dt_s
     v2v = cfg.v2v
     sight = (w.av_y, w.occluder)
+    vy = w.ped_vy
 
     while True:
         ttc_s, pressure, source, contact = step(w, dt, policy, cfg, v2v)
@@ -153,10 +160,13 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
         t_s = t_next
         if cleared_at is None and ped_y > clearance_y:
             cleared_at = t_s
-        if cleared_at is not None and t_s >= cleared_at + tail_s and (
-                t_s >= cleared_at + CLEARANCE_TAIL_S
-                or detected_at is not None and ped_y >= settled_y):
+        if cleared_at is not None and t_s >= cleared_at + CLEARANCE_TAIL_S:
             break
+        if ttc_s is None and detected_at is not None and not cfg.tail_s:
+            x, y, vx = 0.0 - w.av_x, ped_y - w.av_y, 0.0 - w.av_speed
+            a, cross = vx * vx + vy * vy, x * vy - y * vx
+            if cross * cross - R_SUM_M * R_SUM_M * a > _MISS_MARGIN * (x * x + y * y) * a:
+                break
 
     result = SimResult(
         av_speed_mph=cfg.av_speed_mph,

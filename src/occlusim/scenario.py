@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import namedtuple
 
 from .geometry import Vec2
@@ -257,6 +258,10 @@ def load_config(text: str) -> ScenarioConfig:
         try:
             data[key] = read(value)
         except (KeyError, ValueError):
+            limit, digits = sys.get_int_max_str_digits(), value.lstrip("+-").replace("_", "")
+            if read is int and len(digits) > limit > 0 and digits.isdecimal():  # int()'s cap
+                raise ConfigError(f"line {lineno}: {key} expects an integer, got one of more "
+                                  f"than {limit} digits ({value[:16]}...)") from None
             raise ConfigError(f"line {lineno}: {key} expects {expects}, got {value!r}") from None
     return ScenarioConfig(**data)
 

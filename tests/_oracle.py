@@ -27,9 +27,10 @@ world as the channel left it, then the kinematics. ``occlusim.world.step``
 must return the same and leave the same world.
 
 ``run_reference`` is a whole run stepped by ``step_composed``, with its own
-copy of the bookkeeping and the stop rule that
+copy of the bookkeeping and the stop rules that
 ``occlusim.harness.run_scenario`` documents and its own unbraked law,
-sentinel and tail length, sharing none of the harness's constants.
+sentinel, tail length and miss margin, sharing none of the harness's
+constants.
 ``run_scenario`` must return the same result and the same rows.
 
 ``write_trace_csv_rowwise`` is the trace writer in its per-row form: one
@@ -53,6 +54,9 @@ from occlusim.ttc import ttc
 from occlusim.world import AV_RADIUS_M, R_SUM_M, los_occluded, sense
 
 FINE_DT = 1e-5
+# How far, as a share of |X|^2 |V|^2, a results-only run's relative path
+# must miss the contact disc for the run to end.
+MISS_MARGIN = 2.0 ** -30
 _CHUNK = 2_000_000
 
 # One trace row in TRACE_HEADER's column order; ped_x_m is always 0, and
@@ -222,15 +226,18 @@ def run_reference(cfg, braking: bool = True) -> tuple[SimResult, list[tuple]]:
     """Run *cfg* to its end with :func:`step_composed` and return the result
     row and the trace rows :func:`occlusim.harness.run_scenario` documents.
 
-    The run ends after the first step whose start had contact, or once the
-    pedestrian has cleared the AV's lane by more than R_SUM_M and
-    ``cfg.tail_s`` has passed since, then either 5 s have passed or the run
-    has detected and the pedestrian is one step's walk past clearance. An
-    unbraked run uses a law whose threshold no TTC is at or below."""
+    The run ends after the first step whose start had contact, or 5 s after
+    the pedestrian has cleared the AV's lane by more than R_SUM_M. A run
+    with ``cfg.tail_s`` 0 also ends after the first step that has a TTC of
+    None, once it has detected, when the relative path from the world after
+    the step, X + V t with X = (-av_x, ped_y - av_y) and
+    V = (-av_speed, ped_vy), misses the contact disc:
+    cross^2 - R_SUM_M^2 a > MISS_MARGIN |X|^2 a, with a = V.V and
+    cross = X x V. An unbraked run uses a law whose threshold no TTC is at
+    or below."""
     w = build_world(cfg)
     policy = cfg if braking else BrakePolicy(tau_max_s=-1.0)
     clearance_y = cfg.av_lane_y + world_mod.R_SUM_M
-    settled_y = clearance_y + w.ped_vy * cfg.dt_s
     sight = (w.av_y, w.occluder)
     rows = []
     detected_at = first_ttc = min_ttc = collision_at = cleared_at = None
@@ -250,9 +257,15 @@ def run_reference(cfg, braking: bool = True) -> tuple[SimResult, list[tuple]]:
             break
         if cleared_at is None and w.ped_y > clearance_y:
             cleared_at = w.t_s
-        if cleared_at is not None and w.t_s >= cleared_at + cfg.tail_s and (
-                w.t_s >= cleared_at + 5.0 or detected_at is not None and w.ped_y >= settled_y):
+        if cleared_at is not None and w.t_s >= cleared_at + 5.0:
             break
+        if cfg.tail_s == 0.0 and detected_at is not None and ttc_s is None:
+            x, y = 0.0 - w.av_x, w.ped_y - w.av_y
+            vx, vy = 0.0 - w.av_speed, w.ped_vy
+            a = vx * vx + vy * vy
+            cross = x * vy - y * vx
+            if cross * cross - R_SUM_M * R_SUM_M * a > MISS_MARGIN * (x * x + y * y) * a:
+                break
     result = SimResult(cfg.av_speed_mph, "with_v2v" if cfg.v2v else "without_v2v", detected_at,
                        first_ttc, min_ttc, collision_at is not None, collision_at, max_pressure)
     return result, rows

@@ -108,6 +108,33 @@ def test_bytes_mode_reports_a_difference_only_a_sweep_shows(tmp_path, trees, mon
     assert out[2].startswith("differs: sweep default: line 2: ")
 
 
+def test_bytes_mode_counts_each_trees_sweep_steps(tmp_path, trees):
+    mutated = tmp_path / "mutated"
+    shutil.copytree(ROOT / "src" / "occlusim", mutated / "src" / "occlusim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    harness = mutated / "src" / "occlusim" / "harness.py"
+    text = harness.read_text(encoding="utf-8")
+    margin = "_MISS_MARGIN = 2.0 ** -30\n"
+    assert text.count(margin) == 1
+    # No sweep run counts its path as clear: the same bytes, but every run
+    # that clears walks on to the clearance tail.
+    harness.write_text(text.replace(margin, '_MISS_MARGIN = float("inf")\n'), encoding="utf-8")
+
+    parent = trees(ROOT, "occlusim_ab_test_steps_parent")
+    changed = trees(mutated, "occlusim_ab_test_steps_changed")
+    steps = []
+    step = parent.world.step
+    ab.sweep_output(parent, "", steps)
+    assert len(steps) == 26 and sum(steps) == 23_811 and parent.world.step is step
+    default = {"default": ""}
+    differs, same = ab.first_sweep_difference(parent, parent, default)
+    assert differs is None
+    assert same.endswith("; steps: parent 23,811, change 23,811, 0 runs longer in the change")
+    differs, longer = ab.first_sweep_difference(parent, changed, default)
+    assert differs is None and longer.split(";")[0] == same.split(";")[0]
+    assert longer.endswith("; steps: parent 23,811, change 32,800, 14 runs longer in the change")
+
+
 def test_src_line_count_is_the_newlines_of_every_module(tmp_path):
     files = sorted((ROOT / "src" / "occlusim").glob("*.py"))
     assert ab.src_lines(ROOT) == sum(len(p.read_text(encoding="utf-8").splitlines())

@@ -212,18 +212,21 @@ class TestRunScenario:
         with pytest.raises(AttributeError, match="read-only"):
             copy.tail_s = CLEARANCE_TAIL_S
 
-    def test_results_only_run_ends_a_step_past_clearance(self, monkeypatch):
+    def test_results_only_run_ends_once_its_path_clears_the_disc(self, monkeypatch):
         # Same exact time grid as the tail test above: the full run clears
-        # at 25.03125 s, and the results-only run stops at the first row a
-        # step's walk past the AV's lane.
+        # at 25.03125 s, but braking has steered the AV's relative path
+        # clear of the pedestrian long before, and the results-only run
+        # ends on the first row after that with no valid TTC.
         cfg = config_for(ScenarioConfig(dt_s=1 / 64), 45.0, True)
         full_result, full = run_scenario(cfg)
         result, trace = run_scenario(cfg.results_only())
         assert result == full_result and trace == full[:len(trace)]
-        settled_y = cfg.av_lane_y + R_SUM_M + cfg.ped_speed_mps * cfg.dt_s
         rows = named_rows(trace)
-        assert rows[-1].ped_y_m >= settled_y > rows[-2].ped_y_m
-        assert rows[-2].t_s == 25.03125 and len(trace) == 1922 - 320 + 1
+        last_braked = max(i for i, row in enumerate(rows) if row.pressure_bar != 0.0)
+        first_clear = next(i for i, row in enumerate(rows)
+                           if i > last_braked and row.ttc_s == NO_TTC_SENTINEL_S)
+        assert first_clear == len(rows) - 1 and len(trace) == 1091
+        assert rows[-1].ped_y_m < cfg.av_lane_y
         # A sweep takes the same steps; its run without the relay collides.
         unrelayed = len(run_scenario(config_for(cfg, 45.0, False))[1])
         steps = []
@@ -231,6 +234,35 @@ class TestRunScenario:
         monkeypatch.setattr(world_mod, "step", lambda *args: steps.append(1) or step(*args))
         assert sweep(SweepSpec((45.0,), ScenarioConfig(dt_s=1 / 64)))[0] == result
         assert len(steps) == len(trace) + unrelayed
+
+    def test_results_only_run_keeps_the_tail_when_its_path_never_clears(self, monkeypatch):
+        # With no path counted as clear, a detected run falls back on the
+        # clearance tail: it ends 5 s after clearance, as the full run does.
+        monkeypatch.setattr(harness, "_MISS_MARGIN", math.inf)
+        cfg = config_for(ScenarioConfig(dt_s=1 / 64), 45.0, True)
+        full_result, full = run_scenario(cfg)
+        result, trace = run_scenario(cfg.results_only())
+        assert result == full_result and result.detected_time_s is not None
+        assert trace == full and named_rows(trace)[-1].t_s == 25.03125 + CLEARANCE_TAIL_S
+
+    def test_default_sweep_runs_end_before_the_pedestrian_reaches_the_lane(self, monkeypatch):
+        # The stop rule's gain, pinned: a rule that silently stops firing
+        # lets the runs walk on to the clearance tail and take more steps.
+        steps = []
+        runs = []
+        step, run = world_mod.step, harness.run_scenario
+
+        def counted_run(cfg, *args):
+            runs.append((cfg, *run(cfg, *args)))
+            return runs[-1][1:]
+
+        monkeypatch.setattr(world_mod, "step", lambda *args: steps.append(1) or step(*args))
+        monkeypatch.setattr(harness, "run_scenario", counted_run)
+        sweep(SweepSpec())
+        assert len(steps) == 23_811 and len(runs) == 26
+        for cfg, result, trace in runs:
+            if not result.collision:
+                assert named_rows(trace)[-1].ped_y_m < cfg.av_lane_y, cfg
 
     def test_results_only_run_keeps_the_tail_until_it_has_detected(self, monkeypatch):
         # With every estimate and contact hidden the AV drives through; the

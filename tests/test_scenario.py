@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,22 @@ class TestLoadConfig:
     def test_bad_value_names_what_the_key_expects(self, key, value, expects):
         with pytest.raises(ConfigError, match=rf"^line 2: {key} expects {expects}, got '{value}'$"):
             load_config(f"seed = 1\n{key} = {value}\n")
+
+    @pytest.mark.parametrize(("key", "value"), [("num_lanes", "1" + "0" * 5000),
+                                                ("seed", "-1_" + "0" * 5000)],
+                             ids=["num_lanes", "seed"])
+    def test_integer_past_the_int_string_limit_is_named_briefly(self, key, value):
+        # int() reads no integer text of more digits than CPython's limit;
+        # the message says so and echoes a prefix, not all 5,001 digits.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ConfigError) as caught:
+                load_config(f"{key} = {value}\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(caught.value) == (f"line 1: {key} expects an integer, got one of more than "
+                                     f"4300 digits ({value[:16]}...)")
 
     def test_bool_words(self):
         assert load_config("v2v = on\n").v2v is True

@@ -16,7 +16,9 @@ seeded lossy channels; ``dt_s`` 0.05; ``av_sensor_fov_half_rad`` pi;
 Then it compares the results CSV of a sweep of each base config, since a
 sweep's runs need not take the path of the matrix's runs. It prints the
 first run or sweep whose output differs and exits 1, or prints one sha256
-over the runs' outputs and one over the sweeps' and exits 0.
+over the runs' outputs and one over the sweeps' and exits 0. Beside the
+sweeps' sha256 it prints each tree's ``world.step`` calls over all the
+sweeps and how many runs took more steps in the change than in the parent.
 
 timing: alternates in-process passes of the two trees, the change first on
 every other pair, over four workloads: a sweep of the default config, a
@@ -139,10 +141,29 @@ def matrix(bases: dict[str, str] = BASES, speeds=SPEEDS_MPH):
                     yield label, base, speed, v2v, braked
 
 
-def sweep_output(pkg: ModuleType, base: str) -> bytes:
-    """Results CSV of a sweep of the base config text *base*, run by *pkg*."""
-    spec = pkg.harness.SweepSpec(base=pkg.scenario.load_config(base))
-    return pkg.harness.write_results_csv(pkg.harness.sweep(spec)).encode()
+def sweep_output(pkg: ModuleType, base: str, steps: list[int] | None = None) -> bytes:
+    """Results CSV of a sweep of the base config text *base*, run by *pkg*.
+    Appends to the list *steps*, if given, the ``world.step`` calls of each
+    of the sweep's runs, counted by wrapping ``world.step`` during the
+    sweep."""
+    harness, world = pkg.harness, pkg.world
+    spec = harness.SweepSpec(base=pkg.scenario.load_config(base))
+    steps = [] if steps is None else steps
+    step, run = world.step, harness.run_scenario
+
+    def counted_step(*args, **kwargs):
+        steps[-1] += 1
+        return step(*args, **kwargs)
+
+    def counted_run(*args, **kwargs):
+        steps.append(0)
+        return run(*args, **kwargs)
+
+    world.step, harness.run_scenario = counted_step, counted_run
+    try:
+        return harness.write_results_csv(harness.sweep(spec)).encode()
+    finally:
+        world.step, harness.run_scenario = step, run
 
 
 def _first_line_difference(a: bytes, b: bytes) -> str:
@@ -171,15 +192,20 @@ def first_sweep_difference(parent: ModuleType, change: ModuleType,
                            bases: dict[str, str] = BASES) -> tuple[str | None, str]:
     """The first base of *bases* whose sweep output differs between the
     trees, with its first differing line, or None and a sha256 over every
-    sweep's output."""
+    sweep's output, each tree's simulated steps over all the sweeps and
+    the number of runs that took more steps in the change."""
     h = hashlib.sha256()
+    a_steps: list[int] = []
+    b_steps: list[int] = []
     for label, base in bases.items():
-        a = sweep_output(parent, base)
-        b = sweep_output(change, base)
+        a = sweep_output(parent, base, a_steps)
+        b = sweep_output(change, base, b_steps)
         if a != b:
             return f"sweep {label}", _first_line_difference(a, b)
         h.update(a)
-    return None, f"{len(bases)} sweeps, sha256 {h.hexdigest()}"
+    longer = sum(b > a for a, b in zip(a_steps, b_steps, strict=True))
+    return None, (f"{len(bases)} sweeps, sha256 {h.hexdigest()}; steps: parent "
+                  f"{sum(a_steps):,}, change {sum(b_steps):,}, {longer} runs longer in the change")
 
 
 def _base_config(pkg: ModuleType, base: str):
