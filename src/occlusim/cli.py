@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from .harness import (
@@ -77,6 +78,8 @@ def _parse_speeds(spec: str) -> tuple[float, ...]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.trace is not None and os.path.realpath(args.trace) == os.path.realpath(args.out):
+        raise ConfigError(f"--trace: names the same file as --out ({args.trace})")
     cfg = _load_base_config(args.config)
     cfg = config_for(cfg, cfg.av_speed_mph if args.speed is None else args.speed,
                      cfg.v2v if args.v2v is None else args.v2v == "on")

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 
-from .geometry import relative_state  # noqa: F401  perfbench/tracer.py times ttc.relative_state
+# Never called: a placeholder for perfbench/tracer.py to time until ROADMAP item 1.
+relative_state = None
 
 # A time-to-collision is a nonnegative float, or None when the pair is not
 # on a collision course.

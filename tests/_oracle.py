@@ -15,6 +15,9 @@ per axis and must return the same boolean.
 [-1, 1] before the field-of-view test; ``occlusim.world.sense`` gates the
 field of view without the clamp and must return the same observation.
 
+``relative_state`` is the pedestrian's position and velocity seen from the
+AV, with the radius sum, in the argument order of ``occlusim.ttc.ttc``.
+
 ``compute_control`` is the control decision in its stand-alone form: it
 only reads the world, picks the pedestrian estimate (the AV's sensor, then
 the relayed V2V message, then none), computes the TTC and derives the
@@ -51,7 +54,7 @@ from occlusim.braking import BrakePolicy, brake_pressure
 from occlusim.harness import NO_TTC_SENTINEL_S, TRACE_HEADER
 from occlusim.scenario import SimResult, build_world
 from occlusim.ttc import ttc
-from occlusim.world import AV_RADIUS_M, R_SUM_M, los_occluded, sense
+from occlusim.world import AV_RADIUS_M, PED_RADIUS_M, R_SUM_M, los_occluded, sense
 
 FINE_DT = 1e-5
 # How far, as a share of |X|^2 |V|^2, a results-only run's relative path
@@ -162,6 +165,15 @@ def sense_clamped(sensor_x: float, sensor_y: float, range_m: float, cos_fov: flo
     return None if los_occluded_loop(sensor_x, sensor_y, 0.0, target_y, occluder) else target_y
 
 
+def relative_state(ped, av):
+    """Relative state of *ped* with respect to *av*, each a plain tuple
+    ((x, y), (vx, vy), radius): (x, y, vx, vy, r_sum) with
+    (x, y) = ped position - av position, (vx, vy) = ped velocity - av
+    velocity and r_sum = ped radius + av radius."""
+    ((px, py), (pvx, pvy), pr), ((ax, ay), (avx, avy), ar) = ped, av
+    return px - ax, py - ay, pvx - avx, pvy - avy, pr + ar
+
+
 def compute_control(world, policy):
     """One control evaluation: pick the pedestrian estimate, compute the
     TTC, and derive the pressure command. Returns (TTC, pressure, source),
@@ -193,9 +205,10 @@ def compute_control(world, policy):
     else:
         return None, 0.0, None
 
-    # Relative to the AV, which moves along +x only; the pedestrian is on
-    # the walk line, x = 0, and does not move along it.
-    outcome = ttc(0.0 - world.av_x, y - world.av_y, 0.0 - world.av_speed, vy, R_SUM_M)
+    # The AV moves along +x only; the pedestrian is on the walk line, x = 0,
+    # and does not move along it.
+    outcome = ttc(*relative_state(((0.0, y), (0.0, vy), PED_RADIUS_M),
+                                  ((world.av_x, world.av_y), (world.av_speed, 0.0), AV_RADIUS_M)))
     return outcome, brake_pressure(outcome, policy), source
 
 

@@ -80,6 +80,17 @@ def test_bad_config_path_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [["--out", "same.csv"], ["--out", "./same.csv"], []],
+                         ids=["same", "dot-slash", "default-out"])
+def test_run_trace_to_the_out_file_exits_1_writing_nothing(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    trace = "results.csv" if not out else "same.csv"
+    assert main(["run", *out, "--trace", trace]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: --trace: names the same file as --out ({trace})\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "calibrate"])
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
     cfg = tmp_path / "bad.cfg"

@@ -13,24 +13,43 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "occlusim"
 ENTRY_POINTS = {"cli.main"}
 
 
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+            or isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+
+
+def names_used(node: ast.AST):
+    """Each name *node* loads, reads as an attribute or imports, outside
+    annotations and outside the body of ``if TYPE_CHECKING:``: neither
+    runs when the package does."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    for field, value in ast.iter_fields(node):
+        if field in ("annotation", "returns") or (
+                field == "body" and isinstance(node, ast.If) and _is_type_checking(node.test)):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from names_used(child)
+
+
 def unreached(package: Path) -> list[str]:
     """``module.name`` of each top-level def or class in *package* whose
-    name no module there uses as a loaded name, an attribute or an import,
-    entry points aside."""
+    name no module there uses, as :func:`names_used` counts a use, outside
+    the def's own body, entry points aside."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
-    named = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in named and f"{module}.{node.name}" not in ENTRY_POINTS]
+    defs = [(module, node) for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    # What each top-level statement names; a def's own names it skips.
+    uses = {stmt: set(names_used(stmt)) for tree in trees.values() for stmt in tree.body}
+    return [f"{module}.{node.name}" for module, node in defs
+            if f"{module}.{node.name}" not in ENTRY_POINTS
+            and not any(node.name in names for stmt, names in uses.items() if stmt is not node)]
 
 
 def test_every_def_and_class_is_named_in_the_package():
@@ -43,3 +62,14 @@ def test_check_sees_a_def_only_the_tests_call(tmp_path):
         "import math\n\nclass State:\n    pass\n\ndef step(s=State):\n    return math.pi\n\n"
         "def reference():\n    pass\n")
     assert unreached(tmp_path) == ["world.reference"]
+
+
+def test_check_ignores_own_body_annotations_and_type_checking_imports(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from typing import TYPE_CHECKING\n\nfrom .world import step\n\n"
+        "if TYPE_CHECKING:\n    from .world import State\n\n"
+        "def main(s: State) -> None:\n    step(s)\n")
+    (tmp_path / "world.py").write_text(
+        "class State:\n    def __eq__(self, other):\n        return other.__class__ is State\n\n"
+        "def step(s: State) -> State:\n    return s\n")
+    assert unreached(tmp_path) == ["world.State"]
