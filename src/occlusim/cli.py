@@ -78,8 +78,6 @@ def _parse_speeds(spec: str) -> tuple[float, ...]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.trace is not None and os.path.realpath(args.trace) == os.path.realpath(args.out):
-        raise ConfigError(f"--trace: names the same file as --out ({args.trace})")
     cfg = _load_base_config(args.config)
     cfg = config_for(cfg, cfg.av_speed_mph if args.speed is None else args.speed,
                      cfg.v2v if args.v2v is None else args.v2v == "on")
@@ -160,6 +158,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; fold that into the config code.
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        # No output may overwrite the config or the other one: compare real paths first.
+        named: dict[str, str] = {}
+        for flag in ("--config", "--out", "--trace"):
+            path = getattr(args, flag[2:], None)
+            other = None if path is None else named.setdefault(os.path.realpath(path), flag)
+            if other not in (None, flag):
+                raise ConfigError(f"{flag}: names the same file as {other} ({path})")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

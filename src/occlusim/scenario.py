@@ -39,6 +39,10 @@ CLEARANCE_TAIL_S = 5.0
 # The most steps a run may take; calibrate_entry rejects longer runs.
 MAX_RUN_STEPS = 1_000_000
 
+# The SI facts, in m/s and m, that each config converts once from its road-unit keys.
+_STAGED = ("av_speed_mps", "ped_speed_mps", "lane_width_m", "road_width_m", "av_lane_y",
+           "tx_lane_y")
+
 
 class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
@@ -48,8 +52,8 @@ class ScenarioConfig:
     """One experiment's inputs, in the units used at the file boundary.
 
     Its keys, listed in ``KEYS``, are the annotated defaults below. It is
-    built by keyword and read-only. Construction validates every key and
-    calibrates the pedestrian's entry, kept as ``ped_entry_time_s``.
+    built by keyword and read-only. Construction validates every key, sets
+    the ``_STAGED`` SI facts once and calibrates ``ped_entry_time_s``.
     """
 
     av_speed_mph: float = 45.0
@@ -80,9 +84,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __init__(self, **values: object) -> None:
-        # Each key is set once, in order, so all configs share one layout.
-        # Never through vars() or __dict__: on CPython 3.11 that builds the
-        # instance dict, and every later read of the config costs ~5x.
+        # Each key is set once, in order, so all configs share one order.
+        # With the staged facts a config has 34 attributes, too many for
+        # CPython 3.11's shared key table, so each config has its own dict.
         for key in self.KEYS:
             object.__setattr__(self, key, values.pop(key, getattr(ScenarioConfig, key)))
         if values:
@@ -107,6 +111,12 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ConfigError(f"{name}: must be positive, got {value}")
+        lane_m = to_si(self.lane_width_ft, "ft")
+        staged = (mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps, "ft_per_s"), lane_m,
+                  self.num_lanes * lane_m, (self.av_lane_index + 0.5) * lane_m,
+                  (self.transmitter_lane_index + 0.5) * lane_m)
+        for name, value in zip(_STAGED, staged, strict=True):
+            object.__setattr__(self, name, value)
         speeds_mps = {"av_speed_mph": self.av_speed_mps, "ped_speed_ftps": self.ped_speed_mps}
         for name, mps in speeds_mps.items():
             if mps == 0.0:
@@ -152,7 +162,7 @@ class ScenarioConfig:
     def results_only(self) -> ScenarioConfig:
         """This config without the clearance tail: a copy, set in __init__'s order."""
         copy = object.__new__(ScenarioConfig)
-        for key in (*self.KEYS, "ped_entry_time_s"):
+        for key in (*self.KEYS, *_STAGED, "ped_entry_time_s"):
             object.__setattr__(copy, key, getattr(self, key))
         object.__setattr__(copy, "tail_s", 0.0)
         return copy
@@ -169,32 +179,6 @@ class ScenarioConfig:
 
     def __repr__(self) -> str:
         return f"ScenarioConfig({', '.join(f'{k}={getattr(self, k)!r}' for k in self.KEYS)})"
-
-    # Derived SI quantities.
-
-    @property
-    def av_speed_mps(self) -> float:
-        return mph_to_mps(self.av_speed_mph)
-
-    @property
-    def ped_speed_mps(self) -> float:
-        return to_si(self.ped_speed_ftps, "ft_per_s")
-
-    @property
-    def lane_width_m(self) -> float:
-        return to_si(self.lane_width_ft, "ft")
-
-    @property
-    def road_width_m(self) -> float:
-        return self.num_lanes * self.lane_width_m
-
-    @property
-    def av_lane_y(self) -> float:
-        return (self.av_lane_index + 0.5) * self.lane_width_m
-
-    @property
-    def tx_lane_y(self) -> float:
-        return (self.transmitter_lane_index + 0.5) * self.lane_width_m
 
     def sightline_edge_y(self) -> float:
         """Lateral position of the stopped transmitter's inner edge, where

@@ -123,9 +123,9 @@ def test_bytes_mode_counts_each_trees_sweep_steps(tmp_path, trees):
     parent = trees(ROOT, "occlusim_ab_test_steps_parent")
     changed = trees(mutated, "occlusim_ab_test_steps_changed")
     steps = []
-    step = parent.world.step
+    run = parent.harness.run_scenario
     ab.sweep_output(parent, "", steps)
-    assert len(steps) == 26 and sum(steps) == 23_811 and parent.world.step is step
+    assert len(steps) == 26 and sum(steps) == 23_811 and parent.harness.run_scenario is run
     default = {"default": ""}
     differs, same = ab.first_sweep_difference(parent, parent, default)
     assert differs is None

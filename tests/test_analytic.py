@@ -2,7 +2,8 @@
 
 import pytest
 
-from _analytic import reveal_time
+from _analytic import (first_delivery_time, first_grid_time, reveal_time,
+                       unbraked_contact_time)
 from occlusim import ScenarioConfig, run_scenario
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH
 from occlusim.scenario import config_for
@@ -19,3 +20,33 @@ def test_detection_without_v2v_lies_within_one_step_after_the_reveal(dt_s):
         for braking in (True, False):
             detected = run_scenario(cfg, braking)[0].detected_time_s
             assert 0.0 < detected - reveal <= dt_s, (speed, braking, detected, reveal)
+
+
+@pytest.mark.parametrize("base", [
+    {}, {"latency_s": 0.3}, {"bsm_period_s": 0.1}, {"v2v_range_m": 100.0}, {"dt_s": 0.005},
+    {"dt_s": 0.05, "latency_s": 0.1},
+], ids=["default", "latency_s=0.3", "bsm_period_s=0.1", "v2v_range_m=100", "dt_s=0.005",
+        "dt_s=0.05,latency_s=0.1"])
+def test_detection_with_v2v_is_the_step_that_sees_the_first_delivery(base):
+    # With no drops the first message to reach the AV is the first
+    # estimate, read on the step that sees its arrival: the first grid
+    # time at or after it, within the run's T_EPS guard. 12 of these 78
+    # runs read it up to 7.1e-15 s before the summed send time plus the
+    # latency, so the check pins that grid time, not the window
+    # [delivery, delivery + dt) it lies in up to rounding.
+    base = ScenarioConfig(**base)
+    for speed in DEFAULT_SWEEP_SPEEDS_MPH:
+        cfg = config_for(base, speed, True)
+        delivery = first_delivery_time(cfg)
+        detected = run_scenario(cfg.results_only())[0].detected_time_s
+        assert detected == first_grid_time(cfg, delivery), (speed, detected, delivery)
+
+
+@pytest.mark.parametrize("dt_s", [0.005, 0.02, 0.05, 0.1])
+def test_unbraked_collision_time_is_the_first_grid_time_the_discs_overlap(dt_s):
+    base = ScenarioConfig(dt_s=dt_s)
+    for speed in DEFAULT_SWEEP_SPEEDS_MPH:
+        for v2v in (True, False):
+            cfg = config_for(base, speed, v2v)
+            result = run_scenario(cfg, braking=False)[0]
+            assert result.collision_time_s == unbraked_contact_time(cfg), (speed, v2v)

@@ -91,6 +91,32 @@ def test_run_trace_to_the_out_file_exits_1_writing_nothing(tmp_path, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["run", "--config", "a.cfg", "--out", "a.cfg"],
+     "--out: names the same file as --config (a.cfg)"),
+    (["sweep", "--config", "a.cfg", "--out", "./a.cfg"],
+     "--out: names the same file as --config (./a.cfg)"),
+    (["run", "--config", "a.cfg", "--out", "r.csv", "--trace", "a.cfg"],
+     "--trace: names the same file as --config (a.cfg)"),
+    (["run", "--config", "results.csv"], "--out: names the same file as --config (results.csv)"),
+    (["sweep", "--config", "link.cfg", "--out", "a.cfg"],
+     "--out: names the same file as --config (a.cfg)"),
+], ids=["run-out", "sweep-out", "run-trace", "run-default-out", "sweep-symlink"])
+def test_output_naming_the_config_file_exits_1_leaving_it_unchanged(tmp_path, capsys, monkeypatch,
+                                                                     argv, error):
+    monkeypatch.chdir(tmp_path)
+    config = "av_speed_mph = 20\n"
+    name = "results.csv" if "results.csv" in argv else "a.cfg"
+    (tmp_path / name).write_text(config, encoding="utf-8")
+    if "link.cfg" in argv:
+        (tmp_path / "link.cfg").symlink_to(name)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert (tmp_path / name).read_text(encoding="utf-8") == config
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "calibrate"])
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
     cfg = tmp_path / "bad.cfg"

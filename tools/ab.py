@@ -17,8 +17,9 @@ Then it compares the results CSV of a sweep of each base config, since a
 sweep's runs need not take the path of the matrix's runs. It prints the
 first run or sweep whose output differs and exits 1, or prints one sha256
 over the runs' outputs and one over the sweeps' and exits 0. Beside the
-sweeps' sha256 it prints each tree's ``world.step`` calls over all the
-sweeps and how many runs took more steps in the change than in the parent.
+sweeps' sha256 it prints each tree's steps over all the sweeps, counted as
+the trace rows of each sweep run (a run records one row per step), and how
+many runs took more steps in the change than in the parent.
 
 timing: alternates in-process passes of the two trees, the change first on
 every other pair, over four workloads: a sweep of the default config, a
@@ -143,27 +144,24 @@ def matrix(bases: dict[str, str] = BASES, speeds=SPEEDS_MPH):
 
 def sweep_output(pkg: ModuleType, base: str, steps: list[int] | None = None) -> bytes:
     """Results CSV of a sweep of the base config text *base*, run by *pkg*.
-    Appends to the list *steps*, if given, the ``world.step`` calls of each
-    of the sweep's runs, counted by wrapping ``world.step`` during the
-    sweep."""
-    harness, world = pkg.harness, pkg.world
+    Appends to the list *steps*, if given, the steps of each of the sweep's
+    runs: its trace rows, one per step, counted by wrapping
+    ``harness.run_scenario`` during the sweep."""
+    harness = pkg.harness
     spec = harness.SweepSpec(base=pkg.scenario.load_config(base))
     steps = [] if steps is None else steps
-    step, run = world.step, harness.run_scenario
-
-    def counted_step(*args, **kwargs):
-        steps[-1] += 1
-        return step(*args, **kwargs)
+    run = harness.run_scenario
 
     def counted_run(*args, **kwargs):
-        steps.append(0)
-        return run(*args, **kwargs)
+        result = run(*args, **kwargs)
+        steps.append(len(result[1]))
+        return result
 
-    world.step, harness.run_scenario = counted_step, counted_run
+    harness.run_scenario = counted_run
     try:
         return harness.write_results_csv(harness.sweep(spec)).encode()
     finally:
-        world.step, harness.run_scenario = step, run
+        harness.run_scenario = run
 
 
 def _first_line_difference(a: bytes, b: bytes) -> str:
