@@ -104,6 +104,9 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     engages, so every step commands and applies 0.0; tests use it to verify
     that the calibrated scenario collides when unmitigated.
 
+    Each step branches once, on its estimate: one without, most steps, has no
+    TTC or pressure and only records its row. The stop rules run on every step.
+
     A run that clears ends CLEARANCE_TAIL_S after clearance. One with
     ``cfg.tail_s`` 0 ends on the first step that has detected and has no TTC
     if, after it, the relative path X + V t, with X = (-av_x, ped_y - av_y)
@@ -123,7 +126,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     min_ttc: float | None = None
     max_pressure = 0.0
     collision_at: float | None = None
-    cleared_at: float | None = None
+    end_s: float | None = None  # clearance plus the tail, once the pedestrian has cleared
     t_s = 0.0  # the world's time before the coming step: the last row's t_s
 
     # Bound once per run: what the loop calls and what never changes
@@ -135,34 +138,37 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     v2v = cfg.v2v
     sight = (w.av_y, w.occluder)
     vy = w.ped_vy
+    stops_early = not cfg.tail_s
 
     while True:
         ttc_s, pressure, source, contact = step(w, dt, policy, cfg, v2v)
 
-        if source is not None and detected_at is None:
-            detected_at = t_s
-            first_ttc = ttc_s
-        if ttc_s is not None and (min_ttc is None or ttc_s < min_ttc):
-            min_ttc = ttc_s
-        if pressure > max_pressure:
-            max_pressure = pressure
         # Fields in the documented row order; no valid TTC is stored as
         # the sentinel, and the occluded cell is left to write_trace_csv.
         t_next = w.t_s
         ped_y = w.ped_y
-        record((t_next, w.av_x, w.av_speed, ped_y,
-                NO_TTC_SENTINEL_S if ttc_s is None else ttc_s, pressure,
-                source is not None, sight))
+        if source is None:  # no estimate: no TTC, and the zero pressure
+            record((t_next, w.av_x, w.av_speed, ped_y, NO_TTC_SENTINEL_S, pressure, False, sight))
+        else:
+            if detected_at is None:
+                detected_at = t_s
+                first_ttc = ttc_s
+            if ttc_s is not None and (min_ttc is None or ttc_s < min_ttc):
+                min_ttc = ttc_s
+            if pressure > max_pressure:
+                max_pressure = pressure
+            record((t_next, w.av_x, w.av_speed, ped_y,
+                    NO_TTC_SENTINEL_S if ttc_s is None else ttc_s, pressure, True, sight))
 
         if contact:  # the first contact ends the run, after its row
             collision_at = t_s
             break
         t_s = t_next
-        if cleared_at is None and ped_y > clearance_y:
-            cleared_at = t_s
-        if cleared_at is not None and t_s >= cleared_at + CLEARANCE_TAIL_S:
+        if end_s is None and ped_y > clearance_y:
+            end_s = t_s + CLEARANCE_TAIL_S
+        elif end_s is not None and t_s >= end_s:
             break
-        if ttc_s is None and detected_at is not None and not cfg.tail_s:
+        if ttc_s is None and stops_early and detected_at is not None:
             x, y, vx = 0.0 - w.av_x, ped_y - w.av_y, 0.0 - w.av_speed
             a, cross = vx * vx + vy * vy, x * vy - y * vx
             if cross * cross - R_SUM_M * R_SUM_M * a > _MISS_MARGIN * (x * x + y * y) * a:

@@ -160,10 +160,9 @@ class ScenarioConfig:
 
     # A copy, not a run_scenario flag: perfbench/tracer.py's hooks take exactly (cfg, braking=True).
     def results_only(self) -> ScenarioConfig:
-        """This config without the clearance tail: a copy, set in __init__'s order."""
+        """This config without the clearance tail: every attribute the same object, in order."""
         copy = object.__new__(ScenarioConfig)
-        for key in (*self.KEYS, *_STAGED, "ped_entry_time_s"):
-            object.__setattr__(copy, key, getattr(self, key))
+        vars(copy).update(vars(self))
         object.__setattr__(copy, "tail_s", 0.0)
         return copy
 

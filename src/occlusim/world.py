@@ -9,14 +9,16 @@ pedestrian and tests the AV's sensor; then makes the control decision, the
 package's only one (its reference is ``tests/_oracle.py::compute_control``),
 and moves the AV. It returns what it observed (TTC, pressure, estimate
 source, contact); the caller keeps what it needs. The AV and the pedestrian
-are plain floats, so a step builds no vector or actor records; the stopped
-transmitter is its position, one ``Vec2`` built per run. The pedestrian
-crosses on the walk line, x = 0, so only its y moves. All randomness comes
-from the seeded generator held by the world (used only for message drops),
-so runs with identical inputs are bit-identical.
+are plain floats, so a step builds no vector or actor records. The
+pedestrian crosses on the walk line, x = 0, so only its y moves. All
+randomness comes from the seeded generator held by the world (used only for
+message drops), so runs with identical inputs are bit-identical.
 
-The run's fixed sensing geometry, the occluder's bounds and the sensor's
-envelope, is worked out once when the world is built and held as floats.
+The run's fixed terms, the occluder's bounds, the sensor's envelope, the V2V
+link's geometry and the activation time, are staged as floats when the world
+is built (see :class:`WorldState`). The transmitter arrives as one ``Vec2``,
+read once: ``perfbench/test_perfbench.py`` asserts one is built (ROADMAP item 1).
+
 Everything here is built from a :class:`ScenarioConfig`, which validates
 every value once; nothing below checks it again. The V2V channel and
 the brake law read their keys straight from it.
@@ -59,17 +61,21 @@ class WorldState:
     step reads. The AV drives along +x at ``av_speed`` (m/s) with its
     center at (``av_x``, ``av_y``); its lane never changes. The
     pedestrian's center is (0, ``ped_y``) and it walks along +y at
-    ``ped_vy``. ``transmitter`` is the stopped transmitter's center and
+    ``ped_vy``. The stopped transmitter's center is (``tx_x``, ``tx_y``) and
     ``occluder`` its footprint's bounds (min_x, max_x, min_y, max_y).
 
-    The pedestrian is active, has stepped out and begun crossing, once
-    ``t_s >= ped_entry_time_s - _T_EPS``. Before then there is nothing for
-    either vehicle to detect, and it does not move.
+    Staged once, as the channel and the step use them: ``tx_dx_sq``, the
+    squared x offset of the transmitter's tracker, at its front-center, from
+    the walk line; ``av_tx_dy``, ``av_y - tx_y``; and ``active_from_s``,
+    ``ped_entry_time_s - _T_EPS``. The pedestrian is active, has stepped out
+    and begun crossing, once ``t_s >= active_from_s``; before then there is
+    nothing for either vehicle to detect, and it does not move.
     """
 
-    __slots__ = ("av_x", "av_y", "av_speed", "av_sensor_range_m", "av_sensor_cos_fov",
-                 "transmitter", "occluder", "ped_y", "ped_vy", "ped_entry_time_s",
-                 "road_width_m", "rng", "t_s", "in_flight", "latest_ped_info", "next_send_s")
+    __slots__ = ("av_x", "av_y", "av_speed", "av_sensor_range_m", "av_sensor_cos_fov", "tx_x",
+                 "tx_y", "tx_dx_sq", "av_tx_dy", "occluder", "ped_y", "ped_vy",
+                 "ped_entry_time_s", "active_from_s", "road_width_m", "rng", "t_s", "in_flight",
+                 "latest_ped_info", "next_send_s")
 
     def __init__(self, av_x: float, av_y: float, av_speed: float, av_sensor_range_m: float,
                  av_sensor_cos_fov: float, transmitter: Vec2,
@@ -77,8 +83,11 @@ class WorldState:
                  ped_entry_time_s: float, road_width_m: float, rng: random.Random) -> None:
         self.av_x, self.av_y, self.av_speed = av_x, av_y, av_speed
         self.av_sensor_range_m, self.av_sensor_cos_fov = av_sensor_range_m, av_sensor_cos_fov
-        self.transmitter, self.occluder = transmitter, occluder
+        self.tx_x, self.tx_y, self.occluder = transmitter.x, transmitter.y, occluder
+        dx = 0.0 - (self.tx_x + AV_RADIUS_M)
+        self.tx_dx_sq, self.av_tx_dy = dx * dx, av_y - self.tx_y
         self.ped_y, self.ped_vy, self.ped_entry_time_s = ped_y, ped_vy, ped_entry_time_s
+        self.active_from_s = ped_entry_time_s - _T_EPS
         self.road_width_m, self.rng = road_width_m, rng
         self.t_s = self.next_send_s = 0.0
         self.in_flight: deque[tuple[float, float, float]] = deque()
@@ -171,29 +180,25 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
     ``bsm_period_s``; the tracker sees all around, past any occluder, and
     its range boundary is inclusive. A message is enqueued only if the AV
     is within ``v2v_range_m`` at send time and the seeded ``drop_prob``
-    draw passes; the send slot is consumed either way. Every enqueued
-    message is delivered once ``latency_s`` has passed since its send, on
-    the step it was sent when the latency is zero; the newest delivered
-    wins.
+    draw passes; the slot and the draw are spent in radio range or not.
+    Every enqueued message is delivered once ``latency_s`` has passed since
+    its send, on the step it was sent when the latency is zero; the newest
+    delivered wins.
     """
     t_s = world.t_s
     in_flight = world.in_flight
-    latency_s = channel.latency_s
-    tx = world.transmitter
-    tx_x = tx.x
-    tx_y = tx.y
     ped_y = world.ped_y
-    dx = 0.0 - (tx_x + AV_RADIUS_M)
-    dy = ped_y - tx_y
+    dy = ped_y - world.tx_y
     tx_range_m = channel.tx_sensor_range_m
-    if dx * dx + dy * dy <= tx_range_m * tx_range_m and t_s >= world.next_send_s - _T_EPS:
+    if world.tx_dx_sq + dy * dy <= tx_range_m * tx_range_m and t_s >= world.next_send_s - _T_EPS:
         world.next_send_s = t_s + channel.bsm_period_s
-        in_range = math.hypot(world.av_x - tx_x, world.av_y - tx_y) <= channel.v2v_range_m
+        in_range = math.hypot(world.av_x - world.tx_x, world.av_tx_dy) <= channel.v2v_range_m
         dropped = channel.drop_prob > 0.0 and world.rng.random() < channel.drop_prob
         if in_range and not dropped:
             in_flight.append(V2VMessage(t_s, ped_y, world.ped_vy))
 
     if in_flight:
+        latency_s = channel.latency_s
         due_s = t_s + _T_EPS
         while in_flight and in_flight[0][0] + latency_s <= due_s:
             world.latest_ped_info = in_flight.popleft()
@@ -239,7 +244,7 @@ def step(world: WorldState, dt: float, policy: BrakePolicy | ScenarioConfig,
     # people on the shoulder, while the transmitter holds the pedestrian
     # it yielded to wherever it walks.
     y = None
-    if t_s >= world.ped_entry_time_s - _T_EPS:
+    if t_s >= world.active_from_s:
         if v2v_enabled:
             channel_step(world, channel, dt)
         vy = world.ped_vy

@@ -24,10 +24,16 @@ the relayed V2V message, then none), computes the TTC and derives the
 pressure. ``occlusim.world.step`` makes the same decision inline, the
 package's only one.
 
-``step_composed`` is one world step composed from separate pieces: the
-package's ``channel_step``, then this module's ``compute_control`` on the
-world as the channel left it, then the kinematics. ``occlusim.world.step``
-must return the same and leave the same world.
+``channel_step`` is the V2V channel's step in its queue form, with every
+term worked out on each call and the transmitter placed from the config, as
+``occlusim.scenario.build_world`` places it. ``occlusim.world.channel_step``
+reads the terms that the world staged when it was built.
+
+``step_composed`` is one world step composed from separate pieces: this
+module's ``channel_step``, then its ``compute_control`` on the world as the
+channel left it, then the kinematics. ``occlusim.world.step`` must return
+the same and leave the same world, so a whole run checks the staged link
+against code it does not share.
 
 ``run_reference`` is a whole run stepped by ``step_composed``, with its own
 copy of the bookkeeping and the stop rules that
@@ -60,6 +66,8 @@ FINE_DT = 1e-5
 # How far, as a share of |X|^2 |V|^2, a results-only run's relative path
 # must miss the contact disc for the run to end.
 MISS_MARGIN = 2.0 ** -30
+# The guard on the channel's timestamp comparisons.
+T_EPS = 1e-9
 _CHUNK = 2_000_000
 
 # One trace row in TRACE_HEADER's column order; ped_x_m is always 0, and
@@ -212,6 +220,26 @@ def compute_control(world, policy):
     return outcome, brake_pressure(outcome, policy), source
 
 
+def channel_step(world, cfg) -> None:
+    """Broadcast and delivery for one step of the pedestrian's activity, as
+    :func:`occlusim.world.channel_step` documents them. The transmitter
+    stands ``cfg.tx_stop_gap_m`` short of the walk line in its lane, and its
+    tracker sits at its front-center. Every send slot in tracker range spends
+    a drop draw, in radio range or not."""
+    t_s, ped_y = world.t_s, world.ped_y
+    tx_x, tx_y = -cfg.tx_stop_gap_m - AV_RADIUS_M, cfg.tx_lane_y
+    dx, dy = 0.0 - (tx_x + AV_RADIUS_M), ped_y - tx_y
+    in_tracker_range = dx * dx + dy * dy <= cfg.tx_sensor_range_m * cfg.tx_sensor_range_m
+    if in_tracker_range and t_s >= world.next_send_s - T_EPS:
+        world.next_send_s = t_s + cfg.bsm_period_s
+        in_range = math.hypot(world.av_x - tx_x, world.av_y - tx_y) <= cfg.v2v_range_m
+        dropped = cfg.drop_prob > 0.0 and world.rng.random() < cfg.drop_prob
+        if in_range and not dropped:
+            world.in_flight.append((t_s, ped_y, world.ped_vy))
+    while world.in_flight and world.in_flight[0][0] + cfg.latency_s <= t_s + T_EPS:
+        world.latest_ped_info = world.in_flight.popleft()
+
+
 def step_composed(world, dt: float, policy, channel, v2v_enabled: bool):
     """Advance *world* one step as :func:`occlusim.world.step` documents it,
     with the control from :func:`compute_control`; returns (TTC, pressure,
@@ -220,7 +248,7 @@ def step_composed(world, dt: float, policy, channel, v2v_enabled: bool):
     contact = math.hypot(0.0 - av_x, ped_y - world.av_y) <= world_mod.R_SUM_M
     active = t_s >= world.ped_entry_time_s - world_mod._T_EPS
     if v2v_enabled and active:
-        world_mod.channel_step(world, channel, dt)
+        channel_step(world, channel)
     outcome, pressure, source = compute_control(world, policy)
     speed = world.av_speed
     if pressure != 0.0:

@@ -283,6 +283,26 @@ class TestRunScenario:
         assert result == full_result and result.detected_time_s is None
         assert trace == full
 
+    def test_results_only_run_ends_on_a_clear_step_without_an_estimate(self, monkeypatch):
+        # The miss rule reads the world, not the estimate: with every
+        # estimate hidden from the run's first clear step on (step 1,091 of
+        # the dt_s = 1/64 run above), the run that has detected still ends
+        # on that step, not at the clearance tail.
+        cfg = config_for(ScenarioConfig(dt_s=1 / 64), 45.0, True).results_only()
+        step = world_mod.step
+        steps = []
+
+        def hidden(*args):
+            observed = step(*args)
+            steps.append(observed)
+            return observed if len(steps) < 1091 else (None, 0.0, None, observed[3])
+
+        monkeypatch.setattr(world_mod, "step", hidden)
+        result, trace = run_scenario(cfg)
+        assert result.detected_time_s is not None and len(trace) == len(steps) == 1091
+        # That step had the relay's estimate, and no TTC; its row shows none.
+        assert steps[-1][:3] == (None, 0.0, "v2v") and not named_rows(trace)[-1].detected
+
     @pytest.mark.parametrize("mph,v2v", [(45.0, True), (10.0, False)])
     def test_unbraked_run_commands_and_applies_no_pressure(self, monkeypatch, mph, v2v):
         calls = []

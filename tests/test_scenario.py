@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlusim.geometry import Vec2
 from occlusim.scenario import (
     AV_RADIUS_M,
     BODY_WIDTH_M,
@@ -344,11 +343,17 @@ class TestBuildWorld:
         assert w.av_y == pytest.approx(5.4864)
         assert w.av_speed == pytest.approx(cfg.av_speed_mps)
         # Stopped in its lane with its bumper just past the walk line.
-        assert w.transmitter == Vec2(-cfg.tx_stop_gap_m - AV_RADIUS_M, cfg.tx_lane_y)
+        tx_x = -cfg.tx_stop_gap_m - AV_RADIUS_M
+        assert (w.tx_x, w.tx_y) == (tx_x, cfg.tx_lane_y)
+        # The channel's fixed terms, staged with the same operands in the same order.
+        dx = 0.0 - (tx_x + AV_RADIUS_M)
+        assert w.tx_dx_sq == dx * dx
+        assert w.av_tx_dy == cfg.av_lane_y - cfg.tx_lane_y
         bumper = w.occluder[1]
         assert bumper == pytest.approx(-cfg.tx_stop_gap_m, abs=1e-12)
         assert (w.ped_y, w.ped_vy) == (cfg.ped_start_offset_m, cfg.ped_speed_mps)
         assert w.ped_entry_time_s == pytest.approx(calibrate_entry(cfg))
+        assert w.active_from_s == w.ped_entry_time_s - 1e-9
 
     @pytest.mark.parametrize("overrides", [
         {},

@@ -454,12 +454,15 @@ def pre_step_worlds(draw):
         # On the roadway, in range and in view, with the occluder behind the AV.
         av_x = draw(st.floats(-140.0, -5.0))
         ped_y = draw(st.floats(0.0, 14.6304))
-        tx_pos, sensor_range = (-200.0, 1.8288), 150.0
+        gap, sensor_range = 200.0 - AV_RADIUS_M, 150.0  # the transmitter at x = -200
     else:
         # The AV's sensor reaches nothing; the transmitter relays nearby.
         av_x = draw(st.floats(-140.0, 5.0))
         ped_y = draw(st.floats(-5.0, 20.0))
-        tx_pos, sensor_range = (-2.2, 1.8288), 0.01
+        gap, sensor_range = IDEAL.tx_stop_gap_m, 0.01
+    # Placed as build_world places it: the reference channel reads the
+    # transmitter from the config, the step from the world.
+    tx_pos = (-gap - AV_RADIUS_M, IDEAL.tx_lane_y)
     w = make_world(av_pos=(av_x, draw(st.floats(0.0, 10.0))), av_speed=draw(st.floats(0.0, 30.0)),
                    ped_y=ped_y, ped_vy=draw(st.floats(0.0, 2.0)), tx_pos=tx_pos, entry=entry,
                    sensor_range=sensor_range, seed=draw(st.integers(0, 3)))
@@ -473,7 +476,7 @@ def pre_step_worlds(draw):
         w.in_flight.extend((s_at, ped_y, w.ped_vy) for s_at in sent)
     channel = CHANNELS[-1] if source is None else draw(st.sampled_from(CHANNELS))
     args = (draw(st.sampled_from((0.005, 0.02, 0.1))), draw(st.sampled_from((POLICY, UNBRAKED))),
-            channel, draw(st.booleans()))
+            replace(channel, tx_stop_gap_m=gap), draw(st.booleans()))
     return w, args, source
 
 
