@@ -87,14 +87,14 @@ class ScenarioConfig:
         # Each key is set once, in order, so all configs share one order.
         # With the staged facts a config has 34 attributes, too many for
         # CPython 3.11's shared key table, so each config has its own dict.
-        for key in self.KEYS:
-            object.__setattr__(self, key, values.pop(key, getattr(ScenarioConfig, key)))
+        attrs = vars(self)
+        for key, default in _DEFAULTS.items():
+            attrs[key] = values.pop(key, default)
         if values:
             raise TypeError(f"ScenarioConfig: unknown keys {', '.join(map(repr, values))}")
         # Every parameter is validated here and nowhere below. Every value but
         # the seed, which random.Random takes at any size, must fit a float.
-        for key in self.KEYS:
-            value = getattr(self, key)
+        for key, value in attrs.items():
             try:
                 finite = key == "seed" or math.isfinite(value)
             except OverflowError:  # an int too big to convert; never print its digits
@@ -108,15 +108,14 @@ class ScenarioConfig:
             "bsm_period_s", "dt_s",
         )
         for name in positive:
-            value = getattr(self, name)
+            value = attrs[name]
             if not value > 0.0:
                 raise ConfigError(f"{name}: must be positive, got {value}")
         lane_m = to_si(self.lane_width_ft, "ft")
-        staged = (mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps, "ft_per_s"), lane_m,
-                  self.num_lanes * lane_m, (self.av_lane_index + 0.5) * lane_m,
-                  (self.transmitter_lane_index + 0.5) * lane_m)
-        for name, value in zip(_STAGED, staged, strict=True):
-            object.__setattr__(self, name, value)
+        attrs.update(zip(_STAGED, (
+            mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps, "ft_per_s"), lane_m,
+            self.num_lanes * lane_m, (self.av_lane_index + 0.5) * lane_m,
+            (self.transmitter_lane_index + 0.5) * lane_m), strict=True))
         speeds_mps = {"av_speed_mph": self.av_speed_mps, "ped_speed_ftps": self.ped_speed_mps}
         for name, mps in speeds_mps.items():
             if mps == 0.0:
@@ -155,8 +154,8 @@ class ScenarioConfig:
                 f"{self.reveal_knee_lo_mph} >= {self.reveal_knee_hi_mph}"
             )
         # Last, the config must stage the conflict within the run-length cap.
-        object.__setattr__(self, "ped_entry_time_s", calibrate_entry(self))
-        object.__setattr__(self, "tail_s", CLEARANCE_TAIL_S)  # not a key: see run_scenario
+        attrs["ped_entry_time_s"] = calibrate_entry(self)
+        attrs["tail_s"] = CLEARANCE_TAIL_S  # not a key: see run_scenario
 
     # A copy, not a run_scenario flag: perfbench/tracer.py's hooks take exactly (cfg, braking=True).
     def results_only(self) -> ScenarioConfig:
@@ -203,6 +202,7 @@ class ScenarioConfig:
 
 
 ScenarioConfig.KEYS = tuple(ScenarioConfig.__annotations__)  # the config keys, in order
+_DEFAULTS = {key: getattr(ScenarioConfig, key) for key in ScenarioConfig.KEYS}
 
 SimResult = namedtuple("SimResult", "av_speed_mph strategy detected_time_s first_ttc_s min_ttc_s "
                                     "collision collision_time_s max_pressure_bar")
@@ -337,13 +337,14 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         ped_vy=cfg.ped_speed_mps,
         ped_entry_time_s=cfg.ped_entry_time_s,
         road_width_m=cfg.road_width_m,
-        rng=random.Random(cfg.seed),
+        rng=random.Random(cfg.seed) if cfg.drop_prob > 0.0 else None,
     )
 
 
 def replace(cfg: ScenarioConfig, **changes: object) -> ScenarioConfig:
     """A copy of *cfg* with *changes* to its keys, validated and calibrated anew."""
-    return ScenarioConfig(**{key: getattr(cfg, key) for key in cfg.KEYS} | changes)
+    attrs = vars(cfg)
+    return ScenarioConfig(**{key: attrs[key] for key in cfg.KEYS} | changes)
 
 
 def config_for(base: ScenarioConfig, av_speed_mph: float, v2v: bool) -> ScenarioConfig:

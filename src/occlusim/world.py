@@ -11,8 +11,9 @@ and moves the AV. It returns what it observed (TTC, pressure, estimate
 source, contact); the caller keeps what it needs. The AV and the pedestrian
 are plain floats, so a step builds no vector or actor records. The
 pedestrian crosses on the walk line, x = 0, so only its y moves. All
-randomness comes from the seeded generator held by the world (used only for
-message drops), so runs with identical inputs are bit-identical.
+randomness comes from the seeded generator that the world holds only when
+the link drops messages (its one use), so runs with identical inputs are
+bit-identical.
 
 The run's fixed terms, the occluder's bounds, the sensor's envelope, the V2V
 link's geometry and the activation time, are staged as floats when the world
@@ -44,6 +45,7 @@ if TYPE_CHECKING:  # scenario imports this module
 AV_RADIUS_M = to_si(7.3, "ft")
 PED_RADIUS_M = to_si(5.0, "ft")
 R_SUM_M = AV_RADIUS_M + PED_RADIUS_M
+_NEG_R_SUM_M = -R_SUM_M
 
 # Guard for timestamp comparisons on the accumulated time grid.
 _T_EPS = 1e-9
@@ -69,7 +71,8 @@ class WorldState:
     the walk line; ``av_tx_dy``, ``av_y - tx_y``; and ``active_from_s``,
     ``ped_entry_time_s - _T_EPS``. The pedestrian is active, has stepped out
     and begun crossing, once ``t_s >= active_from_s``; before then there is
-    nothing for either vehicle to detect, and it does not move.
+    nothing for either vehicle to detect, and it does not move. ``rng`` is
+    the seeded generator of a link that drops messages, and None otherwise.
     """
 
     __slots__ = ("av_x", "av_y", "av_speed", "av_sensor_range_m", "av_sensor_cos_fov", "tx_x",
@@ -80,7 +83,7 @@ class WorldState:
     def __init__(self, av_x: float, av_y: float, av_speed: float, av_sensor_range_m: float,
                  av_sensor_cos_fov: float, transmitter: Vec2,
                  occluder: tuple[float, float, float, float], ped_y: float, ped_vy: float,
-                 ped_entry_time_s: float, road_width_m: float, rng: random.Random) -> None:
+                 ped_entry_time_s: float, road_width_m: float, rng: random.Random | None) -> None:
         self.av_x, self.av_y, self.av_speed = av_x, av_y, av_speed
         self.av_sensor_range_m, self.av_sensor_cos_fov = av_sensor_range_m, av_sensor_cos_fov
         self.tx_x, self.tx_y, self.occluder = transmitter.x, transmitter.y, occluder
@@ -192,8 +195,11 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
     tx_range_m = channel.tx_sensor_range_m
     if world.tx_dx_sq + dy * dy <= tx_range_m * tx_range_m and t_s >= world.next_send_s - _T_EPS:
         world.next_send_s = t_s + channel.bsm_period_s
-        in_range = math.hypot(world.av_x - world.tx_x, world.av_tx_dy) <= channel.v2v_range_m
-        dropped = channel.drop_prob > 0.0 and world.rng.random() < channel.drop_prob
+        range_m, drop_prob = channel.v2v_range_m, channel.drop_prob
+        # hypot(a, b) >= |a|: an AV farther back than the range is out of it.
+        gap = world.tx_x - world.av_x
+        in_range = gap <= range_m and math.hypot(gap, world.av_tx_dy) <= range_m
+        dropped = drop_prob > 0.0 and world.rng.random() < drop_prob
         if in_range and not dropped:
             in_flight.append(V2VMessage(t_s, ped_y, world.ped_vy))
 
@@ -237,7 +243,7 @@ def step(world: WorldState, dt: float, policy: BrakePolicy | ScenarioConfig,
     t_s = world.t_s
     # hypot(a, b) >= |b|: discs farther apart across the road cannot touch.
     dy = ped_y - av_y
-    contact = -R_SUM_M <= dy <= R_SUM_M and math.hypot(0.0 - av_x, dy) <= R_SUM_M
+    contact = _NEG_R_SUM_M <= dy <= R_SUM_M and math.hypot(0.0 - av_x, dy) <= R_SUM_M
 
     # The AV's own sensor, at its front-center, sees the pedestrian only
     # once active and on the roadway: it flags roadway intruders, not

@@ -28,6 +28,11 @@ the ``T_EPS`` guard.
 
 ``unbraked_contact_time`` is the first grid time at which the discs of an
 AV that never brakes and the pedestrian overlap.
+
+``first_ttc`` is the time to contact at a given time, from the closed-form
+positions of the unbraked AV and the pedestrian and their velocities. A
+run cannot brake before its first estimate, so its first TTC is this at
+its detection time, whatever its brake law.
 """
 
 from __future__ import annotations
@@ -107,3 +112,22 @@ def unbraked_contact_time(cfg) -> float | None:
             return t_s
         if av_x > R_SUM_M:
             return None
+
+
+def first_ttc(cfg, t_s: float) -> float | None:
+    """Seconds until the discs of the unbraked AV and the pedestrian, from
+    their closed-form positions at *t_s*, first touch: 0.0 when they
+    already overlap, None when their paths never bring them within the
+    contact radius ahead. The smaller root of |X + V t| = R_SUM_M, for the
+    pedestrian's position X and velocity V relative to the AV."""
+    ped_y = cfg.ped_start_offset_m + cfg.ped_speed_mps * max(t_s - first_step_time(cfg), 0.0)
+    x, y = 0.0 - unbraked_av_x(cfg, t_s), ped_y - cfg.av_lane_y
+    vx, vy = -cfg.av_speed_mps, cfg.ped_speed_mps
+    if math.hypot(x, y) <= R_SUM_M:
+        return 0.0
+    a, half_b, c = vx * vx + vy * vy, x * vx + y * vy, x * x + y * y - R_SUM_M * R_SUM_M
+    discriminant = half_b * half_b - a * c
+    if discriminant < 0.0:
+        return None
+    root = (-half_b - math.sqrt(discriminant)) / a
+    return root if root > 0.0 else None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from _analytic import (first_delivery_time, first_grid_time, reveal_time,
+from _analytic import (first_delivery_time, first_grid_time, first_ttc, reveal_time,
                        unbraked_contact_time)
 from occlusim import ScenarioConfig, run_scenario
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH
@@ -50,3 +50,19 @@ def test_unbraked_collision_time_is_the_first_grid_time_the_discs_overlap(dt_s):
             cfg = config_for(base, speed, v2v)
             result = run_scenario(cfg, braking=False)[0]
             assert result.collision_time_s == unbraked_contact_time(cfg), (speed, v2v)
+
+
+@pytest.mark.parametrize("dt_s", [0.005, 0.02, 0.05, 0.1])
+def test_first_ttc_is_the_closed_form_one_at_the_detection_time(dt_s):
+    # Braking cannot start before the first estimate, so the braked run's
+    # AV is on its unbraked path when it first computes a TTC. Its stepped
+    # positions and the relay's extrapolation differ from the closed forms
+    # only by rounding (2e-12 s at worst over these 104 runs).
+    base = ScenarioConfig(dt_s=dt_s)
+    for speed in DEFAULT_SWEEP_SPEEDS_MPH:
+        for v2v in (True, False):
+            cfg = config_for(base, speed, v2v)
+            result = run_scenario(cfg.results_only())[0]
+            expected = first_ttc(cfg, result.detected_time_s)
+            assert expected is not None, (speed, v2v)
+            assert abs(result.first_ttc_s - expected) <= 1e-9, (speed, v2v, result, expected)

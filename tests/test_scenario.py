@@ -370,9 +370,12 @@ class TestBuildWorld:
         assert max_y - min_y == pytest.approx(BODY_WIDTH_M, rel=1e-12)
 
     def test_seed_flows_to_rng(self):
-        w1 = build_world(ScenarioConfig(seed=5))
-        w2 = build_world(ScenarioConfig(seed=5))
+        # A lossy link's generator is seeded from the config; a loss-free
+        # link never draws, so its world holds none.
+        w1 = build_world(ScenarioConfig(seed=5, drop_prob=0.5))
+        w2 = build_world(ScenarioConfig(seed=5, drop_prob=0.5))
         assert w1.rng.random() == w2.rng.random()
+        assert build_world(ScenarioConfig(seed=5)).rng is None
 
 
 class TestConfigFor:

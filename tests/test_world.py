@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracle import channel_step as channel_step_reference
 from _oracle import compute_control, los_occluded_loop, sense_clamped, step_composed
 from occlusim import world as world_mod
 from occlusim.braking import BrakePolicy
@@ -199,7 +200,57 @@ class TestSense:
         assert sense(*args) == sense_clamped(*args)
 
 
+# The transmitter as build_world places it for IDEAL's keys: the reference
+# channel reads it from the config, the world from its own slots.
+TX_POS = (-IDEAL.tx_stop_gap_m - AV_RADIUS_M, IDEAL.tx_lane_y)
+
+
+def ulps_from(x: float, n: int) -> float:
+    """The float *n* steps above *x*, or -*n* steps below it."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@st.composite
+def radio_edges(draw) -> tuple[float, float, float]:
+    """A radio range, then the AV's x and y: far out, exactly the range
+    behind the transmitter or a float beside that, a few floats either
+    side of where the AV's distance to the transmitter equals the range,
+    or anywhere within twice the range."""
+    tx_x, tx_y = TX_POS
+    range_m = draw(st.one_of(st.sampled_from((100.0, 150.0, 300.0)), st.floats(0.5, 1000.0)))
+    av_y = draw(st.one_of(st.just(tx_y), st.floats(tx_y - 20.0, tx_y + 20.0)))
+    dy = av_y - tx_y
+    back = tx_x - range_m
+    edge = tx_x - math.sqrt(max(range_m * range_m - dy * dy, 0.0))
+    av_x = draw(st.one_of(
+        st.floats(1.0, 1e6).map(lambda far: back - far),
+        st.floats(1.0, 1e6).map(lambda far: tx_x + range_m + far),
+        st.sampled_from((-1, 0, 1)).map(lambda n: ulps_from(back, n)),
+        st.integers(-3, 3).map(lambda n: ulps_from(edge, n)),
+        st.floats(tx_x - 2.0 * range_m, tx_x + 2.0 * range_m),
+    ))
+    return range_m, av_x, av_y
+
+
 class TestChannel:
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(case=radio_edges(), drop_prob=st.sampled_from((0.0, 0.5)), seed=st.integers(0, 3))
+    def test_send_slot_enqueues_what_the_unguarded_reference_does(self, case, drop_prob, seed):
+        # The world rules the AV out of radio range by its gap along the
+        # road before it takes the root; the reference always takes it.
+        # A 10 s latency keeps every enqueued message in the queue.
+        range_m, av_x, av_y = case
+        channel = replace(IDEAL, v2v_range_m=range_m, latency_s=10.0, drop_prob=drop_prob)
+        w = make_world(av_pos=(av_x, av_y), tx_pos=TX_POS, seed=seed)
+        ref = copy.deepcopy(w)
+        channel_step(w, channel, 0.02)
+        channel_step_reference(ref, channel)
+        assert w.next_send_s == ref.next_send_s == channel.bsm_period_s  # a send slot
+        assert [*w.in_flight] == [*ref.in_flight]
+        assert world_slots(w) == world_slots(ref)
+
     def test_same_step_delivery_with_zero_latency(self):
         w = make_world()
         channel_step(w, IDEAL, 0.02)

@@ -30,7 +30,12 @@ workload the median change/parent time ratio, the interquartile range of
 the ratios and the pairs the change won. Both trees share one process
 and the parent is loaded first, so their heap and cache state differ and
 one run understates its own spread: quote a timing figure from two runs,
-each in a fresh process.
+each in a fresh process. When both trees hold the same source text for
+every function a workload times (``harness.write_trace_csv`` and
+``world.los_occluded`` for ``trace text``), its line ends with ``(same
+code on both sides: this run's noise floor)``: that ratio is an A/A
+control, and a gap on the other workloads no wider than its distance
+from 1 is noise.
 
 Both modes label each side with a sha256 of its ``src/occlusim/*.py`` and
 those files' line count. Start-up, CLI and memory figures stay with
@@ -43,6 +48,7 @@ import argparse
 import gc
 import hashlib
 import importlib.util
+import inspect
 import random
 import statistics
 import sys
@@ -261,6 +267,21 @@ WORKLOADS = {
     "trace text": (BASES["default"], _grid_traces, _text_seconds),
 }
 
+# Every function that a timing workload runs, as "module.function", by
+# label: listed only where that set is closed, so that the same source text
+# on both sides makes the workload an A/A control.
+TIMED_CODE = {"trace text": ("harness.write_trace_csv", "world.los_occluded")}
+
+
+def same_code(parent: ModuleType, change: ModuleType, names) -> bool:
+    """True when each "module.function" in *names* has the same source
+    text in both trees."""
+    def source(pkg: ModuleType, name: str) -> str:
+        module, function = name.split(".")
+        return inspect.getsource(getattr(getattr(pkg, module), function))
+
+    return all(source(parent, name) == source(change, name) for name in names)
+
 
 def timing(parent: ModuleType, change: ModuleType, base: str, pairs: int,
            prepare, measure) -> dict[str, float]:
@@ -316,9 +337,12 @@ def main(argv: list[str] | None = None) -> int:
 
     for label, (base, prepare, measure) in WORKLOADS.items():
         t = timing(parent, change, base, args.timing, prepare, measure)
+        names = TIMED_CODE.get(label)
+        control = (" (same code on both sides: this run's noise floor)"
+                   if names and same_code(parent, change, names) else "")
         print(f"{label}: parent {t['parent_ms']:.2f} ms, change {t['change_ms']:.2f} ms, "
               f"ratio median {t['ratio']:.4f} (IQR {t['q1']:.4f}-{t['q3']:.4f}), "
-              f"change won {t['won']}/{t['pairs']}")
+              f"change won {t['won']}/{t['pairs']}{control}")
     return 0
 
 
