@@ -9,9 +9,11 @@ step's TTC and its collision, each timed at the world time before the step,
 and one trace row per step for any plotting tool. A sweep builds, and so
 validates and calibrates, every run's config before the first run starts.
 
-A trace row is a plain tuple, recorded after every step from values the
-step has already produced:
-``(t_s, av_x_m, av_speed_mps, ped_y_m, ttc_s, pressure_bar, detected, sight)``.
+A trace row is a plain tuple, recorded after every step from what the
+step returned and the world it left:
+``(t_s, av_x_m, av_speed_mps, ped_y_m, ttc_s, pressure_bar, source, sight)``.
+``ttc_s`` is the step's TTC, None when it has none, and ``source`` where
+the step's pedestrian estimate came from: None, "sensor" or "v2v".
 ``sight`` is the run's (sensor lane y, occluder bounds), one tuple shared
 by every row of a run: the trace CSV's occluded column is worked out from
 it by :func:`write_trace_csv`, only when a trace is written. The
@@ -19,16 +21,16 @@ pedestrian's x is the walk line's, 0, in every row. Rows are exact tuples,
 not a tuple subclass, so the cyclic garbage collector stops scanning them.
 
 A trace's CSV body is made by one ``%`` over the whole trace: each row
-adds one of eight row formats, which bake in the TTC sentinel and the two
-boolean cells, and its values. A speed or pressure cell is formatted only
-when the row's float is not the very object the row before held: the
-world reassigns the AV's speed only on braked steps, and zero pressure is
-one shared constant, so most rows reuse both texts. Reuse is keyed on
-identity because the same object always prints the same text, whereas
-equal floats need not: ``0.0 == -0.0``, but they print differently.
+adds its values and one of eight row formats, which bake in the TTC
+sentinel and the detected and occluded cells. A speed or pressure cell is
+formatted only when the row's float is not the very object the row before
+held: the world reassigns the AV's speed only on braked steps, and zero
+pressure is one shared constant, so most rows reuse both texts. Reuse is
+keyed on identity because the same object always prints the same text,
+whereas equal floats need not: ``0.0 == -0.0``, but they print differently.
 
-Serialized TTC and a trace row's TTC use 10000 seconds as the no-valid-TTC
-sentinel; elsewhere in the package the absence of a TTC is always None.
+The CSV writers print a missing TTC, and any of 10000 s or more, as the
+sentinel ``10000``; elsewhere, trace rows included, no TTC is None.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ RESULTS_HEADER = (
 TRACE_HEADER = "t_s,av_x_m,av_speed_mps,ped_x_m,ped_y_m,ttc_s,pressure_bar,detected,occluded"
 _BOOL_TEXT = ("false", "true")
 # One trace row in TRACE_HEADER's column order, indexed by
-# [TTC is the sentinel][detected][occluded]. ped_x_m is always 0, the
+# [TTC prints as the sentinel][detected][occluded]. ped_x_m is always 0, the
 # no-valid-TTC sentinel prints bare, and the speed and pressure cells
 # arrive as text already made with "%.4f".
 _TRACE_ROWS = tuple(
@@ -98,14 +100,15 @@ def speed_label(mph: float) -> str:
 
 def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, list[tuple]]:
     """Run one scenario to completion and return its result row and its
-    trace: one plain-tuple row per step, laid out as the module says.
+    trace: one plain-tuple row per step, laid out as the module says, with
+    the TTC (None when there is none) and estimate source the step returned.
 
     ``braking=False`` runs the same world under a brake law that no TTC
     engages, so every step commands and applies 0.0; tests use it to verify
     that the calibrated scenario collides when unmitigated.
 
-    Each step branches once, on its estimate: one without, most steps, has no
-    TTC or pressure and only records its row. The stop rules run on every step.
+    Each step records its row, then branches once on its estimate: most
+    have none, and so nothing to keep. The stop rules run on every step.
 
     A run that clears ends CLEARANCE_TAIL_S after clearance. One with
     ``cfg.tail_s`` 0 ends on the first step that has detected and has no TTC
@@ -143,13 +146,11 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     while True:
         ttc_s, pressure, source, contact = step(w, dt, policy, cfg, v2v)
 
-        # Fields in the documented row order; no valid TTC is stored as
-        # the sentinel, and the occluded cell is left to write_trace_csv.
+        # The documented row; write_trace_csv works out the occluded cell.
         t_next = w.t_s
         ped_y = w.ped_y
-        if source is None:  # no estimate: no TTC, and the zero pressure
-            record((t_next, w.av_x, w.av_speed, ped_y, NO_TTC_SENTINEL_S, pressure, False, sight))
-        else:
+        record((t_next, w.av_x, w.av_speed, ped_y, ttc_s, pressure, source, sight))
+        if source is not None:
             if detected_at is None:
                 detected_at = t_s
                 first_ttc = ttc_s
@@ -157,8 +158,6 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
                 min_ttc = ttc_s
             if pressure > max_pressure:
                 max_pressure = pressure
-            record((t_next, w.av_x, w.av_speed, ped_y,
-                    NO_TTC_SENTINEL_S if ttc_s is None else ttc_s, pressure, True, sight))
 
         if contact:  # the first contact ends the run, after its row
             collision_at = t_s
@@ -243,7 +242,7 @@ def write_trace_csv(trace: list[tuple]) -> str:
     add_format = formats.append
     add_values = values.extend
     speed = pressure = speed_text = pressure_text = None
-    for t_s, av_x, v, ped_y, ttc_s, p, detected, (sensor_y, occluder) in trace:
+    for t_s, av_x, v, ped_y, ttc_s, p, source, (sensor_y, occluder) in trace:
         if v is not speed:
             speed = v
             speed_text = "%.4f" % v
@@ -251,11 +250,11 @@ def write_trace_csv(trace: list[tuple]) -> str:
             pressure = p
             pressure_text = "%.4f" % p
         occluded = los_occluded(av_x + AV_RADIUS_M, sensor_y, 0.0, ped_y, occluder)
-        if ttc_s >= NO_TTC_SENTINEL_S:
-            add_format(sentinel_rows[detected][occluded])
+        if ttc_s is None or ttc_s >= NO_TTC_SENTINEL_S:
+            add_format(sentinel_rows[source is not None][occluded])
             add_values((t_s, av_x, speed_text, ped_y, pressure_text))
         else:
-            add_format(ttc_rows[detected][occluded])
+            add_format(ttc_rows[source is not None][occluded])
             add_values((t_s, av_x, speed_text, ped_y, ttc_s, pressure_text))
     return TRACE_HEADER + "\n" + "".join(formats) % tuple(values)
 

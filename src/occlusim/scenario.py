@@ -40,8 +40,7 @@ CLEARANCE_TAIL_S = 5.0
 MAX_RUN_STEPS = 1_000_000
 
 # The SI facts, in m/s and m, that each config converts once from its road-unit keys.
-_STAGED = ("av_speed_mps", "ped_speed_mps", "lane_width_m", "road_width_m", "av_lane_y",
-           "tx_lane_y")
+_STAGED = ("av_speed_mps", "ped_speed_mps", "road_width_m", "av_lane_y", "tx_lane_y")
 
 
 class ConfigError(ValueError):
@@ -85,7 +84,7 @@ class ScenarioConfig:
 
     def __init__(self, **values: object) -> None:
         # Each key is set once, in order, so all configs share one order.
-        # With the staged facts a config has 34 attributes, too many for
+        # With the staged facts a config has 33 attributes, too many for
         # CPython 3.11's shared key table, so each config has its own dict.
         attrs = vars(self)
         for key, default in _DEFAULTS.items():
@@ -113,7 +112,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}: must be positive, got {value}")
         lane_m = to_si(self.lane_width_ft, "ft")
         attrs.update(zip(_STAGED, (
-            mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps, "ft_per_s"), lane_m,
+            mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps, "ft_per_s"),
             self.num_lanes * lane_m, (self.av_lane_index + 0.5) * lane_m,
             (self.transmitter_lane_index + 0.5) * lane_m), strict=True))
         speeds_mps = {"av_speed_mph": self.av_speed_mps, "ped_speed_ftps": self.ped_speed_mps}

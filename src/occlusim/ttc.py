@@ -8,7 +8,7 @@ touch at time t when |X + V*t| = R. Expanding gives the quadratic
 ``ttc`` turns its roots into a single outcome: ``None`` when no future
 contact exists, otherwise the nonnegative time of first contact. ``None``
 is the only "no valid TTC" representation inside the package; the
-10000-second sentinel used in serialized traces lives in the harness.
+10000-second sentinel of the CSV files lives in the harness's writers.
 """
 
 from __future__ import annotations

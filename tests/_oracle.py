@@ -38,8 +38,7 @@ against code it does not share.
 ``run_reference`` is a whole run stepped by ``step_composed``, with its own
 copy of the bookkeeping and the stop rules that
 ``occlusim.harness.run_scenario`` documents and its own unbraked law,
-sentinel, tail length and miss margin, sharing none of the harness's
-constants.
+tail length and miss margin, sharing none of the harness's constants.
 ``run_scenario`` must return the same result and the same rows.
 
 ``write_trace_csv_rowwise`` is the trace writer in its per-row form: one
@@ -291,8 +290,7 @@ def run_reference(cfg, braking: bool = True) -> tuple[SimResult, list[tuple]]:
         if ttc_s is not None and (min_ttc is None or ttc_s < min_ttc):
             min_ttc = ttc_s
         max_pressure = max(max_pressure, pressure)
-        rows.append((w.t_s, w.av_x, w.av_speed, w.ped_y, 10000.0 if ttc_s is None else ttc_s,
-                     pressure, source is not None, sight))
+        rows.append((w.t_s, w.av_x, w.av_speed, w.ped_y, ttc_s, pressure, source, sight))
         if contact:
             collision_at = t_s
             break
@@ -323,10 +321,11 @@ def write_trace_csv_rowwise(trace: list[tuple]) -> str:
         raise ValueError("no trace rows to serialize")
     lines = [TRACE_HEADER]
     append = lines.append
-    for t_s, av_x, speed, ped_y, ttc_s, pressure, detected, (sensor_y, occluder) in trace:
+    for t_s, av_x, speed, ped_y, ttc_s, pressure, source, (sensor_y, occluder) in trace:
         occluded = los_occluded(av_x + AV_RADIUS_M, sensor_y, 0.0, ped_y, occluder)
+        detected = source is not None
         # One format per row; %.4f prints exactly what f"{x:.4f}" does.
-        if ttc_s >= NO_TTC_SENTINEL_S:
+        if ttc_s is None or ttc_s >= NO_TTC_SENTINEL_S:
             append(_TRACE_ROW_NO_TTC % (t_s, av_x, speed, ped_y, pressure,
                                         _BOOL_TEXT[detected], _BOOL_TEXT[occluded]))
         else:

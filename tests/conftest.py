@@ -5,6 +5,7 @@ import sys
 from collections import namedtuple
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -16,7 +17,21 @@ SWEEP_SPEEDS = tuple(float(s) for s in range(10, 75, 5))
 # A named view of one trace row, for tests to read fields by name;
 # run_scenario records each row as a plain tuple in this order.
 StepRecord = namedtuple("StepRecord",
-                        "t_s av_x_m av_speed_mps ped_y_m ttc_s pressure_bar detected sight")
+                        "t_s av_x_m av_speed_mps ped_y_m ttc_s pressure_bar source sight")
+
+# Calibrated configs: every test speed and step size the contact-radius
+# rule admits up to 100 mph, any channel, any brake law.
+CALIBRATED = st.fixed_dictionaries({
+    "av_speed_mph": st.floats(10.0, 100.0),
+    "v2v": st.booleans(),
+    "dt_s": st.sampled_from((0.005, 0.01, 0.02, 0.05)),
+    "tau_max_s": st.floats(0.5, 20.0),
+    "p_max_bar": st.floats(1.0, 500.0),
+    "d_max_mps2": st.floats(0.5, 12.0),
+    "latency_s": st.floats(0.0, 1.0),
+    "drop_prob": st.floats(0.0, 1.0),
+    "seed": st.integers(0, 2**32),
+})
 
 
 def named_rows(trace: list[tuple]) -> list[StepRecord]:

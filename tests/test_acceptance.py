@@ -34,7 +34,6 @@ from _oracle import brute_force_ttc
 from conftest import SWEEP_SPEEDS
 from occlusim import ScenarioConfig, SweepSpec, sweep, write_results_csv
 from occlusim.braking import BrakePolicy, brake_pressure
-from occlusim.harness import NO_TTC_SENTINEL_S
 from occlusim.ttc import ttc
 
 R_SUM = 3.74904
@@ -145,7 +144,7 @@ def test_criterion_6_ttc_trend_under_braking(sweep_runs):
             continue
         start = braked[0]
         clear = next(
-            (i for i in range(start, len(trace)) if trace[i].ttc_s >= NO_TTC_SENTINEL_S),
+            (i for i in range(start, len(trace)) if trace[i].ttc_s is None),
             None,
         )
         if clear is None:
@@ -163,7 +162,7 @@ def test_criterion_6_ttc_trend_under_braking(sweep_runs):
                 f"{mph:g} mph: TTC decreased after braking onset "
                 f"(first dip at t={t:.2f}s: {a:.4f} -> {b:.4f}, {len(dips)} dip steps)"
             )
-        if not all(r.ttc_s >= NO_TTC_SENTINEL_S for r in trace[clear:]):
+        if not all(r.ttc_s is None for r in trace[clear:]):
             failures.append(f"{mph:g} mph: TTC left the sentinel after clearance")
     _report("criterion 6 (TTC trend under braking)", not failures, "; ".join(failures[:3]))
 

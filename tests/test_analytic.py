@@ -1,9 +1,11 @@
 """Runs checked against the closed forms of ``tests/_analytic.py``."""
 
 import pytest
+from hypothesis import Phase, given, settings
 
 from _analytic import (first_delivery_time, first_grid_time, first_ttc, reveal_time,
                        unbraked_contact_time)
+from conftest import CALIBRATED
 from occlusim import ScenarioConfig, run_scenario
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH
 from occlusim.scenario import config_for
@@ -66,3 +68,32 @@ def test_first_ttc_is_the_closed_form_one_at_the_detection_time(dt_s):
             expected = first_ttc(cfg, result.detected_time_s)
             assert expected is not None, (speed, v2v)
             assert abs(result.first_ttc_s - expected) <= 1e-9, (speed, v2v, result, expected)
+
+
+# Not shrunk, like test_run_matches_the_reference_run in test_properties.py:
+# shrinking walks toward the longest runs. No drops: a dropped message
+# moves the first delivery off its closed form.
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(keys=CALIBRATED.map(lambda keys: {**keys, "drop_prob": 0.0}))
+def test_drawn_runs_meet_every_closed_form(keys):
+    # The four checks above, with their bounds, on drawn configs. With the
+    # relay the first estimate is the earlier of its first delivery's step
+    # and the sensor's window after the reveal.
+    cfg = ScenarioConfig(**keys)
+    reveal = reveal_time(cfg)
+    delivery = first_delivery_time(cfg) if cfg.v2v else None
+    relayed = None if delivery is None else first_grid_time(cfg, delivery)
+    for braking in (True, False):
+        result = run_scenario(cfg.results_only(), braking)[0]
+        detected = result.detected_time_s
+        if relayed is not None and relayed <= reveal:
+            assert detected == relayed, (braking, detected, relayed)
+        else:
+            assert 0.0 < detected - reveal <= cfg.dt_s, (braking, detected, reveal)
+            assert relayed is None or detected <= relayed, (braking, detected, relayed)
+        expected = first_ttc(cfg, detected)
+        assert expected is not None, braking
+        assert abs(result.first_ttc_s - expected) <= 1e-9, (braking, result, expected)
+        if not braking:
+            assert result.collision_time_s == unbraked_contact_time(cfg), result

@@ -97,15 +97,13 @@ class TestRunScenario:
         assert relayless.max_pressure_bar == without.max_pressure_bar
 
     def test_ttc_returns_to_sentinel_after_clearance(self, sweep_runs):
-        # Once the pedestrian has crossed out of reach the serialized TTC
-        # goes back to the sentinel and stays there to the end of the run.
+        # Once the pedestrian has crossed out of reach the TTC goes back to
+        # None, the CSV's sentinel, and stays there to the end of the run.
         for mph in (20.0, 45.0, 70.0):
             _, trace = sweep_runs[(mph, True)]
             braked = next(i for i, r in enumerate(trace) if r.pressure_bar > 0.0)
-            tail = next(
-                i for i in range(braked, len(trace)) if trace[i].ttc_s >= NO_TTC_SENTINEL_S
-            )
-            assert all(r.ttc_s >= NO_TTC_SENTINEL_S for r in trace[tail:])
+            tail = next(i for i in range(braked, len(trace)) if trace[i].ttc_s is None)
+            assert all(r.ttc_s is None for r in trace[tail:])
             assert all(r.pressure_bar == 0.0 for r in trace[tail:])
 
     def test_detected_time_is_start_of_first_detected_step(self, sweep_runs):
@@ -113,10 +111,21 @@ class TestRunScenario:
         # t_s of the row before the first detected row, 0.0 on the first
         # row. Its TTC is that step's, and later steps never move either.
         for result, trace in sweep_runs.values():
-            first = next(i for i, row in enumerate(trace) if row.detected)
+            first = next(i for i, row in enumerate(trace) if row.source is not None)
             assert result.detected_time_s == (trace[first - 1].t_s if first else 0.0)
-            ttc_s = trace[first].ttc_s
-            assert result.first_ttc_s == (None if ttc_s >= NO_TTC_SENTINEL_S else ttc_s)
+            assert result.first_ttc_s is trace[first].ttc_s
+
+    @pytest.mark.parametrize("v2v", [True, False])
+    def test_rows_carry_the_estimate_source(self, sweep_runs, v2v):
+        # The relay's estimate comes first with V2V, the AV's own sensor's
+        # without; its row follows the one timed at the detection, and a
+        # row without an estimate has neither a TTC nor a pressure.
+        result, trace = sweep_runs[(45.0, v2v)]
+        first = next(i for i, row in enumerate(trace) if row.source is not None)
+        assert trace[first].source == ("v2v" if v2v else "sensor")
+        assert first > 0 and trace[first - 1].t_s == result.detected_time_s
+        blind = [row for row in trace if row.source is None]
+        assert blind and all(row.ttc_s is None and row.pressure_bar == 0.0 for row in blind)
 
     @pytest.mark.parametrize("v2v", [True, False])
     def test_rows_are_plain_tuples_the_collector_untracks(self, v2v):
@@ -136,7 +145,10 @@ class TestRunScenario:
             assert not any(gc.is_tracked(row) for row in trace)
 
     def test_docstring_documents_the_row_order(self):
-        assert f"``({', '.join(StepRecord._fields)})``" in harness.__doc__
+        row = f"({', '.join(StepRecord._fields)})"
+        assert f"``{row}``" in harness.__doc__
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"`{row}`" in readme
 
     def test_first_contact_ends_the_run(self):
         # Stepping by hand, the first step that reports contact is the
@@ -178,15 +190,24 @@ class TestRunScenario:
         assert len(set(map(id, calls))) == 1  # one world, stepped every time
 
     @pytest.mark.parametrize("v2v", [True, False])
-    def test_step_returns_match_trace_rows(self, sweep_runs, v2v):
-        _, trace = sweep_runs[(45.0, v2v)]
-        cfg = config_for(ScenarioConfig(), 45.0, v2v)
-        w = build_world(cfg)
-        for row in trace:
-            ttc_s, pressure, source, _ = world_mod.step(w, cfg.dt_s, cfg, cfg, v2v)
-            assert (NO_TTC_SENTINEL_S if ttc_s is None else ttc_s) == row.ttc_s
-            assert pressure == row.pressure_bar
-            assert (source is not None) == row.detected
+    def test_step_returns_match_trace_rows(self, monkeypatch, sweep_runs, v2v):
+        # Each row holds the very TTC, pressure and source objects its step
+        # returned: nothing is converted on the way into the trace.
+        returned = []
+        step = world_mod.step
+
+        def recorded(*args):
+            returned.append(step(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(world_mod, "step", recorded)
+        _, trace = run_scenario(config_for(ScenarioConfig(), 45.0, v2v))
+        assert trace == sweep_runs[(45.0, v2v)][1]
+        assert len(returned) == len(trace)
+        for (ttc_s, pressure, source, _), row in zip(returned, named_rows(trace)):
+            assert ttc_s is row.ttc_s
+            assert pressure is row.pressure_bar
+            assert source is row.source
             assert source in (("sensor", "v2v", None) if v2v else ("sensor", None))
 
     def test_clearance_tail_ends_on_its_boundary(self):
@@ -227,7 +248,7 @@ class TestRunScenario:
         rows = named_rows(trace)
         last_braked = max(i for i, row in enumerate(rows) if row.pressure_bar != 0.0)
         first_clear = next(i for i, row in enumerate(rows)
-                           if i > last_braked and row.ttc_s == NO_TTC_SENTINEL_S)
+                           if i > last_braked and row.ttc_s is None)
         assert first_clear == len(rows) - 1 and len(trace) == 1091
         assert rows[-1].ped_y_m < cfg.av_lane_y
         # A sweep takes the same steps; its run without the relay collides.
@@ -301,7 +322,7 @@ class TestRunScenario:
         result, trace = run_scenario(cfg)
         assert result.detected_time_s is not None and len(trace) == len(steps) == 1091
         # That step had the relay's estimate, and no TTC; its row shows none.
-        assert steps[-1][:3] == (None, 0.0, "v2v") and not named_rows(trace)[-1].detected
+        assert steps[-1][:3] == (None, 0.0, "v2v") and named_rows(trace)[-1].source is None
 
     @pytest.mark.parametrize("mph,v2v", [(45.0, True), (10.0, False)])
     def test_unbraked_run_commands_and_applies_no_pressure(self, monkeypatch, mph, v2v):
@@ -411,8 +432,9 @@ SIGHTS = ((_DEFAULT_WORLD.av_y, _DEFAULT_WORLD.occluder), (1.8, (-12.0, -8.0, -1
 CELL_FLOATS = st.one_of(
     st.sampled_from((0.0, -0.0, 1e7, -1e7, 0.00005, -0.00005, 0.00015, 1.00025, 2.5)),
     st.floats(-1e7, 1e7))
-# TTCs at, just below and just above the sentinel, and ordinary ones.
+# No TTC, TTCs at, just below and just above the sentinel, and ordinary ones.
 TTCS = st.one_of(
+    st.none(),
     st.sampled_from((NO_TTC_SENTINEL_S, math.nextafter(NO_TTC_SENTINEL_S, 0.0),
                      math.nextafter(NO_TTC_SENTINEL_S, math.inf), 1e7, 0.0, 0.00005)),
     st.floats(0.0, 2e4))
@@ -448,7 +470,8 @@ def _traces(draw) -> list[tuple]:
         pressure = draw(_next_cell(pressure))
         rows.append((draw(CELL_FLOATS), draw(st.one_of(st.floats(-60.0, 10.0), CELL_FLOATS)),
                      speed, draw(st.one_of(st.floats(-3.0, 9.0), CELL_FLOATS)), draw(TTCS),
-                     pressure, draw(st.booleans()), draw(st.sampled_from(SIGHTS))))
+                     pressure, draw(st.sampled_from((None, "sensor", "v2v"))),
+                     draw(st.sampled_from(SIGHTS))))
     return rows
 
 
@@ -493,10 +516,9 @@ class TestSerialization:
         w = build_world(ScenarioConfig())
         sight = (w.av_y, w.occluder)
         hidden = StepRecord(t_s=9.02, av_x_m=-30.0, av_speed_mps=20.1168, ped_y_m=2.0,
-                            ttc_s=NO_TTC_SENTINEL_S, pressure_bar=0.0, detected=False,
-                            sight=sight)
+                            ttc_s=None, pressure_bar=0.0, source=None, sight=sight)
         seen = StepRecord(t_s=9.04, av_x_m=-20.0, av_speed_mps=19.5, ped_y_m=3.5,
-                          ttc_s=2.5, pressure_bar=56.1234, detected=True, sight=sight)
+                          ttc_s=2.5, pressure_bar=56.1234, source="sensor", sight=sight)
         lines = write_trace_csv([hidden, seen]).splitlines()
         assert lines == [
             TRACE_HEADER,

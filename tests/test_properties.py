@@ -24,7 +24,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from _oracle import los_occluded_loop, run_reference
-from conftest import named_rows
+from conftest import CALIBRATED, named_rows
 from occlusim import ScenarioConfig, SweepSpec, run_scenario, sweep, write_results_csv
 from occlusim import world as world_mod
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH, TRACE_HEADER, write_trace_csv
@@ -67,21 +67,6 @@ def test_channel_never_touches_the_unrelayed_run_or_delays_detection(sweep_runs,
     if without.detected_time_s is not None:
         assert relayed.detected_time_s is not None
         assert relayed.detected_time_s <= without.detected_time_s
-
-
-# Calibrated configs: every test speed and step size the contact-radius
-# rule admits up to 100 mph, any channel, any brake law.
-CALIBRATED = st.fixed_dictionaries({
-    "av_speed_mph": st.floats(10.0, 100.0),
-    "v2v": st.booleans(),
-    "dt_s": st.sampled_from((0.005, 0.01, 0.02, 0.05)),
-    "tau_max_s": st.floats(0.5, 20.0),
-    "p_max_bar": st.floats(1.0, 500.0),
-    "d_max_mps2": st.floats(0.5, 12.0),
-    "latency_s": st.floats(0.0, 1.0),
-    "drop_prob": st.floats(0.0, 1.0),
-    "seed": st.integers(0, 2**32),
-})
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)

@@ -240,7 +240,7 @@ class TestValidation:
 
     def test_derived_geometry(self):
         cfg = ScenarioConfig()
-        assert cfg.lane_width_m == pytest.approx(3.6576, abs=1e-12)
+        assert cfg.av_lane_y - cfg.tx_lane_y == pytest.approx(3.6576, abs=1e-12)
         assert cfg.av_lane_y == pytest.approx(5.4864, abs=1e-12)
         assert cfg.tx_lane_y == pytest.approx(1.8288, abs=1e-12)
         assert cfg.road_width_m == pytest.approx(14.6304, abs=1e-12)
