@@ -81,7 +81,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_base_config(args.config)
     cfg = config_for(cfg, cfg.av_speed_mph if args.speed is None else args.speed,
                      cfg.v2v if args.v2v is None else args.v2v == "on")
-    result, trace = run_scenario(cfg)
+    # Without a trace, only the results row is kept: the run ends as a sweep's does.
+    result, trace = run_scenario(cfg.results_only() if args.trace is None else cfg)
     save_text(args.out, write_results_csv([result]))
     if args.trace is not None:
         save_text(args.trace, write_trace_csv(trace))

@@ -1,9 +1,9 @@
 """Run single scenarios, run speed sweeps, and serialize results.
 
 A run steps the world from t=0 until a collision, or until the pedestrian
-has cleared the AV's lane plus a 5-second tail; the pedestrian walks at
-constant speed from the entry its config calibrated, so every run ends one
-of those two ways; a sweep's run ends sooner, once its path misses for good.
+has cleared the AV's lane plus a 5-second tail: it walks at constant speed
+from its calibrated entry, so one comes. A run whose trace is dropped, a
+sweep's or a CLI run's without --trace, ends once its path misses for good.
 From what each step returns the run keeps its first detection with that
 step's TTC and its collision, each timed at the world time before the step,
 and one trace row per step for any plotting tool. A sweep builds, and so

@@ -336,7 +336,7 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         ped_vy=cfg.ped_speed_mps,
         ped_entry_time_s=cfg.ped_entry_time_s,
         road_width_m=cfg.road_width_m,
-        rng=random.Random(cfg.seed) if cfg.drop_prob > 0.0 else None,
+        rng=random.Random(cfg.seed) if cfg.v2v and cfg.drop_prob > 0.0 else None,
     )
 
 

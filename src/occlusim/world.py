@@ -12,13 +12,13 @@ source, contact); the caller keeps what it needs. The AV and the pedestrian
 are plain floats, so a step builds no vector or actor records. The
 pedestrian crosses on the walk line, x = 0, so only its y moves. All
 randomness comes from the seeded generator that the world holds only when
-the link drops messages (its one use), so runs with identical inputs are
-bit-identical.
+it steps a link that drops messages (none without the relay), so runs with
+identical inputs are bit-identical.
 
 The run's fixed terms, the occluder's bounds, the sensor's envelope, the V2V
-link's geometry and the activation time, are staged as floats when the world
-is built (see :class:`WorldState`). The transmitter arrives as one ``Vec2``,
-read once: ``perfbench/test_perfbench.py`` asserts one is built (ROADMAP item 1).
+link's geometry and the activation time, its only entry time, are staged as
+floats when the world is built (see :class:`WorldState`). The transmitter
+arrives as one ``Vec2``, read once, as perfbench asserts (ROADMAP item 1).
 
 Everything here is built from a :class:`ScenarioConfig`, which validates
 every value once; nothing below checks it again. The V2V channel and
@@ -72,13 +72,12 @@ class WorldState:
     ``ped_entry_time_s - _T_EPS``. The pedestrian is active, has stepped out
     and begun crossing, once ``t_s >= active_from_s``; before then there is
     nothing for either vehicle to detect, and it does not move. ``rng`` is
-    the seeded generator of a link that drops messages, and None otherwise.
+    the seeded generator of a lossy link that the run steps, else None.
     """
 
     __slots__ = ("av_x", "av_y", "av_speed", "av_sensor_range_m", "av_sensor_cos_fov", "tx_x",
-                 "tx_y", "tx_dx_sq", "av_tx_dy", "occluder", "ped_y", "ped_vy",
-                 "ped_entry_time_s", "active_from_s", "road_width_m", "rng", "t_s", "in_flight",
-                 "latest_ped_info", "next_send_s")
+                 "tx_y", "tx_dx_sq", "av_tx_dy", "occluder", "ped_y", "ped_vy", "active_from_s",
+                 "road_width_m", "rng", "t_s", "in_flight", "latest_ped_info", "next_send_s")
 
     def __init__(self, av_x: float, av_y: float, av_speed: float, av_sensor_range_m: float,
                  av_sensor_cos_fov: float, transmitter: Vec2,
@@ -89,7 +88,7 @@ class WorldState:
         self.tx_x, self.tx_y, self.occluder = transmitter.x, transmitter.y, occluder
         dx = 0.0 - (self.tx_x + AV_RADIUS_M)
         self.tx_dx_sq, self.av_tx_dy = dx * dx, av_y - self.tx_y
-        self.ped_y, self.ped_vy, self.ped_entry_time_s = ped_y, ped_vy, ped_entry_time_s
+        self.ped_y, self.ped_vy = ped_y, ped_vy
         self.active_from_s = ped_entry_time_s - _T_EPS
         self.road_width_m, self.rng = road_width_m, rng
         self.t_s = self.next_send_s = 0.0

@@ -198,8 +198,7 @@ def compute_control(world, policy):
     # it yielded to wherever it walks.
     y = None
     ped_y = world.ped_y
-    if (world.t_s >= world.ped_entry_time_s - world_mod._T_EPS
-            and 0.0 <= ped_y <= world.road_width_m):
+    if world.t_s >= world.active_from_s and 0.0 <= ped_y <= world.road_width_m:
         y = sense(world.av_x + AV_RADIUS_M, world.av_y, world.av_sensor_range_m,
                   world.av_sensor_cos_fov, ped_y, world.occluder)
     if y is not None:
@@ -245,7 +244,7 @@ def step_composed(world, dt: float, policy, channel, v2v_enabled: bool):
     source, contact)."""
     av_x, ped_y, t_s = world.av_x, world.ped_y, world.t_s
     contact = math.hypot(0.0 - av_x, ped_y - world.av_y) <= world_mod.R_SUM_M
-    active = t_s >= world.ped_entry_time_s - world_mod._T_EPS
+    active = t_s >= world.active_from_s
     if v2v_enabled and active:
         channel_step(world, channel)
     outcome, pressure, source = compute_control(world, policy)

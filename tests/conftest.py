@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from occlusim import ScenarioConfig, SweepSpec, run_scenario
+from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH
 from occlusim.scenario import config_for
 
-SWEEP_SPEEDS = tuple(float(s) for s in range(10, 75, 5))
+# The package's default grid; tools/ab.py keeps its own, fixed across trees.
+SWEEP_SPEEDS = DEFAULT_SWEEP_SPEEDS_MPH
 
 # A named view of one trace row, for tests to read fields by name;
 # run_scenario records each row as a plain tuple in this order.

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from occlusim import harness
+from occlusim import cli, harness
 from occlusim.cli import (EXIT_CONFIG, EXIT_OK, MAX_RANGE_SPEEDS, _parse_speeds, build_parser,
                           main)
 from occlusim.harness import RESULTS_HEADER, TRACE_HEADER
@@ -21,6 +21,49 @@ def test_run_writes_results_and_trace(tmp_path, capsys):
     assert lines[1].startswith("45,without_v2v,")
     assert trace.read_text().splitlines()[0] == TRACE_HEADER
     assert "collision=true" in capsys.readouterr().out
+
+
+def _run_outputs(tmp_path, capsys, args, traced):
+    """results.csv bytes and stdout of one ``run`` call, with a trace or not."""
+    out = tmp_path / ("traced.csv" if traced else "untraced.csv")
+    trace = ["--trace", str(tmp_path / "trace.csv")] if traced else []
+    assert main(["run", *args, "--out", str(out), *trace]) == EXIT_OK
+    return out.read_bytes(), capsys.readouterr().out
+
+
+LOSSY = "latency_s = 0.3\ndrop_prob = 0.5\nseed = 7\n"
+
+
+@pytest.mark.parametrize("v2v", ["on", "off"])
+@pytest.mark.parametrize("speed", ["10", "45", "70", "lossy"])
+def test_run_without_trace_writes_what_a_traced_run_writes(tmp_path, capsys, speed, v2v):
+    # An untraced run ends by the sweep's miss rule; its row must not move.
+    if speed == "lossy":
+        (tmp_path / "lossy.cfg").write_text(LOSSY)
+        args = ["--config", str(tmp_path / "lossy.cfg"), "--v2v", v2v]
+    else:
+        args = ["--speed", speed, "--v2v", v2v]
+    assert (_run_outputs(tmp_path, capsys, args, traced=False)
+            == _run_outputs(tmp_path, capsys, args, traced=True))
+
+
+def test_untraced_default_runs_stop_where_the_sweep_runs_stop(tmp_path, capsys, monkeypatch):
+    steps = {False: [], True: []}
+
+    def counted(cfg):
+        result, trace = harness.run_scenario(cfg)
+        steps[bool(cfg.tail_s)].append(len(trace))
+        return result, trace
+
+    monkeypatch.setattr(cli, "run_scenario", counted)
+    sweep_steps = []
+    for cfg in harness.SweepSpec().configs:
+        args = ["--speed", str(cfg.av_speed_mph), "--v2v", "on" if cfg.v2v else "off"]
+        assert (_run_outputs(tmp_path, capsys, args, traced=False)
+                == _run_outputs(tmp_path, capsys, args, traced=True))
+        sweep_steps.append(len(harness.run_scenario(cfg.results_only())[1]))
+    assert steps[False] == sweep_steps
+    assert (sum(steps[False]), sum(steps[True])) == (23_811, 32_800)
 
 
 def test_run_reads_config_file(tmp_path):

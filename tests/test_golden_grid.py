@@ -7,45 +7,43 @@ range, broadcast period and tracker range, so a change that moves outputs
 off the default path, or reads one channel key in place of another, still
 fails here. One more digest pins every results and trace CSV of the
 unbraked runs with the relay on, the runs that stage the collision
-premise. Every config here is also a base of tools/ab.py's byte matrix,
-whose digests in tests/test_ab.py pin its traces too. Regenerate the JSON
-with
+premise. Each sweep is one of tools/ab.py's base configs, run through its
+``sweep_output``; that tool's byte matrix, whose digests tests/test_ab.py
+stores, pins those bases' traces too. Regenerate the JSON with
 ``PYTHONPATH=src python tests/test_golden_grid.py`` only when an output
 change is intended and explained.
 """
 
 import hashlib
+import importlib.util
 import json
-import math
 from pathlib import Path
 
 import pytest
 
-from occlusim import ScenarioConfig, SweepSpec, run_scenario, sweep, write_results_csv
+import occlusim
+from occlusim import SweepSpec, run_scenario, write_results_csv
 from occlusim.harness import write_trace_csv
-from occlusim.scenario import replace
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab_tool", ROOT / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
 
 GOLDEN = Path(__file__).resolve().with_name("golden_grid_sha256.json")
 UNBRAKED = "unbraked,with_v2v"
 
-GRID = {
-    "dt_s=0.005": {"dt_s": 0.005},
-    "dt_s=0.05": {"dt_s": 0.05},
-    "dt_s=0.1": {"dt_s": 0.1},
-    "av_sensor_fov_half_rad=pi": {"av_sensor_fov_half_rad": math.pi},
-    "latency_s=0.3": {"latency_s": 0.3},
-    "drop_prob=0.5,seed=0": {"drop_prob": 0.5, "seed": 0},
-    "drop_prob=0.5,seed=1": {"drop_prob": 0.5, "seed": 1},
-    "drop_prob=0.5,seed=2": {"drop_prob": 0.5, "seed": 2},
-    "v2v_range_m=100": {"v2v_range_m": 100.0},
-    "bsm_period_s=0.1": {"bsm_period_s": 0.1},
-    "tx_sensor_range_m=10": {"tx_sensor_range_m": 10.0},
-}
+# Base configs of tools/ab.py, by its labels, in the stored file's order.
+LABELS = (
+    "dt_s=0.005", "dt_s=0.05", "dt_s=0.1", "av_sensor_fov_half_rad=pi", "latency_s=0.3",
+    "drop_prob=0.5,seed=0", "drop_prob=0.5,seed=1", "drop_prob=0.5,seed=2",
+    "v2v_range_m=100", "bsm_period_s=0.1", "tx_sensor_range_m=10",
+)
 
 
-def results_digest(overrides: dict) -> str:
-    spec = SweepSpec(base=replace(ScenarioConfig(), **overrides))
-    return hashlib.sha256(write_results_csv(sweep(spec)).encode()).hexdigest()
+def sweep_digest(label: str) -> str:
+    """sha256 of the results CSV of a sweep of tools/ab.py's base *label*."""
+    return hashlib.sha256(ab.sweep_output(occlusim, ab.BASES[label])).hexdigest()
 
 
 def unbraked_digest() -> str:
@@ -58,10 +56,10 @@ def unbraked_digest() -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("label", GRID)
+@pytest.mark.parametrize("label", LABELS)
 def test_sweep_results_match_stored_digest(label):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert results_digest(GRID[label]) == golden[label]
+    assert sweep_digest(label) == golden[label]
 
 
 def test_unbraked_runs_match_stored_digest():
@@ -70,6 +68,6 @@ def test_unbraked_runs_match_stored_digest():
 
 
 if __name__ == "__main__":
-    digests = {label: results_digest(overrides) for label, overrides in GRID.items()}
+    digests = {label: sweep_digest(label) for label in LABELS}
     digests[UNBRAKED] = unbraked_digest()
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")

@@ -352,8 +352,8 @@ class TestBuildWorld:
         bumper = w.occluder[1]
         assert bumper == pytest.approx(-cfg.tx_stop_gap_m, abs=1e-12)
         assert (w.ped_y, w.ped_vy) == (cfg.ped_start_offset_m, cfg.ped_speed_mps)
-        assert w.ped_entry_time_s == pytest.approx(calibrate_entry(cfg))
-        assert w.active_from_s == w.ped_entry_time_s - 1e-9
+        assert cfg.ped_entry_time_s == pytest.approx(calibrate_entry(cfg))
+        assert w.active_from_s == cfg.ped_entry_time_s - 1e-9
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -371,11 +371,13 @@ class TestBuildWorld:
 
     def test_seed_flows_to_rng(self):
         # A lossy link's generator is seeded from the config; a loss-free
-        # link never draws, so its world holds none.
+        # link never draws, and a run without the relay never steps the
+        # link, so neither world holds one.
         w1 = build_world(ScenarioConfig(seed=5, drop_prob=0.5))
         w2 = build_world(ScenarioConfig(seed=5, drop_prob=0.5))
         assert w1.rng.random() == w2.rng.random()
         assert build_world(ScenarioConfig(seed=5)).rng is None
+        assert build_world(ScenarioConfig(seed=5, drop_prob=0.5, v2v=False)).rng is None
 
 
 class TestConfigFor:

@@ -1,10 +1,19 @@
 """Every top-level function and class in ``src/occlusim`` is reached from
-the package itself. Code that only the tests run, such as the reference a
-fast form is checked against, belongs in ``tests/_oracle.py``, not in the
-shipped package."""
+the package itself, and the package reads every slot of its world and
+every attribute of its config. Code that only the tests run, such as the
+reference a fast form is checked against, belongs in ``tests/_oracle.py``,
+not in the shipped package; a field that only the tests read belongs in no
+shipped record."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
+
+import occlusim
+from occlusim import cli, harness
+from occlusim.scenario import ScenarioConfig
+from occlusim.world import WorldState
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "occlusim"
 
@@ -73,3 +82,63 @@ def test_check_ignores_own_body_annotations_and_type_checking_imports(tmp_path):
         "class State:\n    def __eq__(self, other):\n        return other.__class__ is State\n\n"
         "def step(s: State) -> State:\n    return s\n")
     assert unreached(tmp_path) == ["world.State"]
+
+
+def unread_attributes(package: Path, attributes: dict[type, tuple[str, ...]], run) -> list[str]:
+    """``Class.name`` of each name in *attributes* that no code in a
+    ``*.py`` file of the directory *package* read from an instance of its
+    class while ``run()`` ran. Reads are recorded by patching each class's
+    ``__getattribute__``, which is restored afterwards."""
+    files = {str(path) for path in package.glob("*.py")}
+    reads: set[tuple[type, str]] = set()
+    patched = {cls: vars(cls).get("__getattribute__") for cls in attributes}
+
+    def recorder(cls: type):
+        get = cls.__getattribute__
+
+        def read(self, name):
+            if sys._getframe(1).f_code.co_filename in files:
+                reads.add((cls, name))
+            return get(self, name)
+
+        return read
+
+    try:
+        for cls in patched:
+            cls.__getattribute__ = recorder(cls)
+        run()
+    finally:
+        for cls, own in patched.items():
+            if own is None:
+                del cls.__getattribute__
+            else:
+                cls.__getattribute__ = own
+    return [f"{cls.__name__}.{name}" for cls, names in attributes.items() for name in names
+            if (cls, name) not in reads]
+
+
+def test_the_package_reads_every_world_slot_and_config_attribute(tmp_path):
+    def runs():
+        harness.sweep(harness.SweepSpec())
+        harness.sweep(harness.SweepSpec(base=ScenarioConfig(latency_s=0.3, drop_prob=0.5)))
+        assert cli.main(["run", "--out", str(tmp_path / "results.csv"),
+                         "--trace", str(tmp_path / "trace.csv")]) == cli.EXIT_OK
+
+    attributes = {WorldState: WorldState.__slots__, ScenarioConfig: tuple(vars(ScenarioConfig()))}
+    assert unread_attributes(Path(occlusim.__file__).parent, attributes, runs) == []
+
+
+def test_read_check_names_a_slot_planted_unread(tmp_path):
+    (tmp_path / "throwaway.py").write_text(
+        "class Record:\n    __slots__ = ('read', 'planted')\n\n"
+        "    def __init__(self):\n        self.read = self.planted = 1.0\n\n"
+        "def run():\n    return Record().read\n")
+    spec = importlib.util.spec_from_file_location("throwaway", tmp_path / "throwaway.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    record = module.Record
+    # A read from outside the directory does not count.
+    check = unread_attributes(tmp_path, {record: record.__slots__},
+                              lambda: (module.run(), record().planted))
+    assert check == ["Record.planted"]
+    assert "__getattribute__" not in vars(record)
