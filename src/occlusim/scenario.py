@@ -47,6 +47,43 @@ class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
 
 
+# Rules that ScenarioConfig runs on its keys and config_for runs again on the speed alone.
+
+def _check_finite(key: str, value: object) -> None:
+    # Every value but the seed, which random.Random takes at any size, must fit a float.
+    try:
+        finite = key == "seed" or math.isfinite(value)
+    except OverflowError:  # an int too big to convert; never print its digits
+        finite, value = False, "an integer too big for a float"
+    if not finite:
+        raise ConfigError(f"{key}: must be finite, got {value}")
+
+
+def _check_positive(key: str, value: float) -> None:
+    if not value > 0.0:
+        raise ConfigError(f"{key}: must be positive, got {value}")
+
+
+def _check_speeds(cfg: ScenarioConfig) -> None:
+    speeds_mps = {"av_speed_mph": cfg.av_speed_mps, "ped_speed_ftps": cfg.ped_speed_mps}
+    for name, mps in speeds_mps.items():
+        if mps == 0.0:
+            raise ConfigError(f"{name}: must be positive in m/s, got {getattr(cfg, name)}")
+    # In one step neither actor may move farther than the contact radius.
+    # With calibrate_entry's run-length cap this bounds every speed and
+    # distance, so no product on the step path overflows.
+    step_m = max(speeds_mps.values()) * cfg.dt_s
+    if step_m > R_SUM_M:
+        raise ConfigError(f"dt_s: one step may move an actor at most the contact radius "
+                          f"{R_SUM_M:.3f} m, but {cfg.dt_s} s moves it {step_m:.4g} m")
+
+
+def _stage_entry(cfg: ScenarioConfig, attrs: dict[str, object]) -> None:
+    # Last, the config must stage the conflict within the run-length cap.
+    attrs["ped_entry_time_s"] = calibrate_entry(cfg)
+    attrs["tail_s"] = CLEARANCE_TAIL_S  # not a key: see run_scenario
+
+
 class ScenarioConfig:
     """One experiment's inputs, in the units used at the file boundary.
 
@@ -91,15 +128,9 @@ class ScenarioConfig:
             attrs[key] = values.pop(key, default)
         if values:
             raise TypeError(f"ScenarioConfig: unknown keys {', '.join(map(repr, values))}")
-        # Every parameter is validated here and nowhere below. Every value but
-        # the seed, which random.Random takes at any size, must fit a float.
+        # Every parameter is validated here and nowhere below.
         for key, value in attrs.items():
-            try:
-                finite = key == "seed" or math.isfinite(value)
-            except OverflowError:  # an int too big to convert; never print its digits
-                finite, value = False, "an integer too big for a float"
-            if not finite:
-                raise ConfigError(f"{key}: must be finite, got {value}")
+            _check_finite(key, value)
         positive = (
             "av_speed_mph", "lane_width_ft", "ped_speed_ftps", "approach_time_s",
             "reveal_margin_s", "reveal_margin_slow_s", "tau_max_s", "p_max_bar",
@@ -107,25 +138,13 @@ class ScenarioConfig:
             "bsm_period_s", "dt_s",
         )
         for name in positive:
-            value = attrs[name]
-            if not value > 0.0:
-                raise ConfigError(f"{name}: must be positive, got {value}")
+            _check_positive(name, attrs[name])
         lane_m = to_si(self.lane_width_ft, "ft")
         attrs.update(zip(_STAGED, (
             mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps, "ft_per_s"),
             self.num_lanes * lane_m, (self.av_lane_index + 0.5) * lane_m,
             (self.transmitter_lane_index + 0.5) * lane_m), strict=True))
-        speeds_mps = {"av_speed_mph": self.av_speed_mps, "ped_speed_ftps": self.ped_speed_mps}
-        for name, mps in speeds_mps.items():
-            if mps == 0.0:
-                raise ConfigError(f"{name}: must be positive in m/s, got {getattr(self, name)}")
-        # In one step neither actor may move farther than the contact radius.
-        # With calibrate_entry's run-length cap this bounds every speed and
-        # distance, so no product on the step path overflows.
-        step_m = max(speeds_mps.values()) * self.dt_s
-        if step_m > R_SUM_M:
-            raise ConfigError(f"dt_s: one step may move an actor at most the contact radius "
-                              f"{R_SUM_M:.3f} m, but {self.dt_s} s moves it {step_m:.4g} m")
+        _check_speeds(self)
         if self.num_lanes < 1:
             raise ConfigError(f"num_lanes: must be at least 1, got {self.num_lanes}")
         for name in ("av_lane_index", "transmitter_lane_index"):
@@ -152,15 +171,18 @@ class ScenarioConfig:
                 "reveal_knee_lo_mph: must be below reveal_knee_hi_mph, got "
                 f"{self.reveal_knee_lo_mph} >= {self.reveal_knee_hi_mph}"
             )
-        # Last, the config must stage the conflict within the run-length cap.
-        attrs["ped_entry_time_s"] = calibrate_entry(self)
-        attrs["tail_s"] = CLEARANCE_TAIL_S  # not a key: see run_scenario
+        _stage_entry(self, attrs)
+
+    def _copy(self) -> ScenarioConfig:
+        """This config with every attribute the same object, in order, not validated again."""
+        copy = object.__new__(ScenarioConfig)
+        object.__setattr__(copy, "__dict__", vars(self).copy())
+        return copy
 
     # A copy, not a run_scenario flag: perfbench/tracer.py's hooks take exactly (cfg, braking=True).
     def results_only(self) -> ScenarioConfig:
-        """This config without the clearance tail: every attribute the same object, in order."""
-        copy = object.__new__(ScenarioConfig)
-        vars(copy).update(vars(self))
+        """This config without the clearance tail."""
+        copy = self._copy()
         object.__setattr__(copy, "tail_s", 0.0)
         return copy
 
@@ -347,5 +369,20 @@ def replace(cfg: ScenarioConfig, **changes: object) -> ScenarioConfig:
 
 
 def config_for(base: ScenarioConfig, av_speed_mph: float, v2v: bool) -> ScenarioConfig:
-    """A copy of *base* at a different test speed and strategy."""
-    return replace(base, av_speed_mph=av_speed_mph, v2v=v2v)
+    """A copy of the validated *base* at a different test speed and strategy.
+
+    Only the rules that read the speed run again, in the constructor's
+    order: finite, positive, the staged ``av_speed_mps``, the m/s rule, the
+    step-length rule and calibration with its run-length cap. Every other
+    rule already passed on *base*, so the copy, or the error raised, is
+    the one that ``replace(base, av_speed_mph=..., v2v=...)`` gives.
+    """
+    _check_finite("av_speed_mph", av_speed_mph)
+    _check_positive("av_speed_mph", av_speed_mph)
+    cfg = base._copy()
+    attrs = vars(cfg)
+    attrs["av_speed_mph"], attrs["v2v"] = av_speed_mph, v2v
+    attrs["av_speed_mps"] = mph_to_mps(av_speed_mph)
+    _check_speeds(cfg)
+    _stage_entry(cfg, attrs)
+    return cfg

@@ -180,12 +180,13 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
     While the crossing pedestrian is within ``tx_sensor_range_m`` of the
     transmitter's tracker, at its front-center, it sends every
     ``bsm_period_s``; the tracker sees all around, past any occluder, and
-    its range boundary is inclusive. A message is enqueued only if the AV
+    its range boundary is inclusive. A message is accepted only if the AV
     is within ``v2v_range_m`` at send time and the seeded ``drop_prob``
     draw passes; the slot and the draw are spent in radio range or not.
-    Every enqueued message is delivered once ``latency_s`` has passed since
-    its send, on the step it was sent when the latency is zero; the newest
-    delivered wins.
+    Every accepted message is delivered once ``latency_s`` has passed since
+    its send; the newest delivered wins. A zero-latency link delivers it on
+    the step it was sent without queueing it, unless older messages are
+    still in flight; every other link passes it through ``in_flight``.
     """
     t_s = world.t_s
     in_flight = world.in_flight
@@ -200,7 +201,12 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
         in_range = gap <= range_m and math.hypot(gap, world.av_tx_dy) <= range_m
         dropped = drop_prob > 0.0 and world.rng.random() < drop_prob
         if in_range and not dropped:
-            in_flight.append(V2VMessage(t_s, ped_y, world.ped_vy))
+            msg = V2VMessage(t_s, ped_y, world.ped_vy)
+            # Nothing queued and no latency: the message is due now and the newest.
+            if not in_flight and channel.latency_s == 0.0:
+                world.latest_ped_info = msg
+                return
+            in_flight.append(msg)
 
     if in_flight:
         latency_s = channel.latency_s

@@ -228,8 +228,10 @@ def test_timing_a_tree_against_itself_marks_the_trace_text_noise_floor(tmp_path,
         ab.unload("occlusim_ab_parent")
         ab.unload("occlusim_ab_change")
     out = capsys.readouterr().out.splitlines()
-    assert out[1].startswith("default sweep: ") and not out[1].endswith(NOISE_FLOOR)
-    assert out[2].startswith("trace text: ") and out[2].endswith(NOISE_FLOOR)
+    # Two pairs can never resolve a claim, whatever they read.
+    assert out[1].startswith("default sweep: ") and NOISE_FLOOR not in out[1]
+    assert out[1].endswith(", unresolved")
+    assert out[2].startswith("trace text: ") and out[2].endswith(NOISE_FLOOR + ", unresolved")
     assert "change won " in out[2] and "/2" + NOISE_FLOOR in out[2]
 
     # A tree whose sight-line test differs by one comment is not a control.
@@ -246,3 +248,16 @@ def test_timing_a_tree_against_itself_marks_the_trace_text_noise_floor(tmp_path,
     changed = trees(mutated, "occlusim_ab_test_code_changed")
     assert ab.same_code(parent, same, ab.TIMED_CODE["trace text"])
     assert not ab.same_code(parent, changed, ab.TIMED_CODE["trace text"])
+
+
+def test_a_claim_resolves_only_by_nine_tenths_of_ten_pairs_and_the_parents_iqr():
+    parent = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # IQR 0.45
+    assert ab.quartiles(parent) == pytest.approx((10.225, 10.45, 10.675))
+    assert ab.resolved(parent, [p - 0.5 for p in parent])
+    # The medians 0.45 apart, no more than the parent's IQR.
+    assert not ab.resolved(parent, [p - 0.45 for p in parent])
+    # Won 8 of 10: the two losses are ties, which count for neither side.
+    assert not ab.resolved(parent, [p - 1.0 for p in parent[:8]] + parent[8:])
+    assert ab.resolved(parent, [p - 1.0 for p in parent[:9]] + parent[9:])
+    # Nine pairs, all won by far, are too few.
+    assert not ab.resolved(parent[:9], [p - 1.0 for p in parent[:9]])

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occlusim.scenario import (
@@ -21,6 +21,7 @@ from occlusim.scenario import (
     replace,
     run_length_s,
 )
+from occlusim.cli import EXIT_CONFIG, main
 from occlusim.harness import run_scenario
 
 FLOAT_KEYS = [k for k in ScenarioConfig.KEYS if isinstance(getattr(ScenarioConfig, k), float)]
@@ -387,6 +388,43 @@ class TestConfigFor:
         assert derived.av_speed_mph == 60.0
         assert derived.v2v is False
         assert replace(derived, av_speed_mph=base.av_speed_mph, v2v=base.v2v) == base
+
+    # Speeds that fail each speed rule in turn, the last one calibration:
+    # at 2 mph the unbraked AV arrives before the pedestrian can.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(base=st.builds(lambda cfg, tail: cfg if tail else cfg.results_only(),
+                          valid_configs(), st.booleans()),
+           speed=st.one_of(st.floats(), st.floats(0.0, 500.0),
+                                                 st.integers()), v2v=st.booleans())
+    @example(base=ScenarioConfig(), speed=math.nan, v2v=True)
+    @example(base=ScenarioConfig(), speed=math.inf, v2v=False)
+    @example(base=ScenarioConfig(), speed=-0.0, v2v=True)
+    @example(base=ScenarioConfig(), speed=-5.0, v2v=True)
+    @example(base=ScenarioConfig(), speed=5e-324, v2v=True)
+    @example(base=ScenarioConfig(), speed=10**400, v2v=True)
+    @example(base=ScenarioConfig(), speed=1000.0001, v2v=False)
+    @example(base=ScenarioConfig(), speed=2.0, v2v=True)
+    def test_derived_copy_is_the_full_rebuild(self, base, speed, v2v):
+        # config_for re-runs only the speed's rules on a copy of the
+        # validated base, its results-only copy included: every attribute,
+        # its value, type and place, or the error message, is what
+        # rebuilding all 26 keys gives.
+        def outcome(build):
+            try:
+                return [(key, value, repr(value)) for key, value in vars(build()).items()]
+            except ConfigError as exc:
+                return str(exc)
+
+        derived = outcome(lambda: config_for(base, speed, v2v))
+        assert derived == outcome(lambda: replace(base, av_speed_mph=speed, v2v=v2v))
+
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["run", "--speed", "nan"], "av_speed_mph: must be finite, got nan"),
+        (["sweep", "--speeds", "nan"], "--speeds: nan mph: av_speed_mph: must be finite, got nan"),
+    ])
+    def test_cli_names_a_bad_speed_as_before(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestConfigRecord:

@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +12,11 @@ from _oracle import compute_control, los_occluded_loop, sense_clamped, step_comp
 from occlusim import world as world_mod
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import Vec2
+from occlusim.harness import run_scenario, write_results_csv, write_trace_csv
 from occlusim.scenario import ScenarioConfig, build_world, config_for, replace
 from occlusim.ttc import ttc
 from occlusim.world import (
+    _T_EPS,
     AV_RADIUS_M,
     R_SUM_M,
     WorldState,
@@ -391,6 +394,68 @@ class TestChannel:
             assert queued > 0
         else:
             assert len(made) == changes
+
+
+    @pytest.mark.parametrize("latency_s", [0.0, 0.3])
+    def test_zero_latency_link_never_queues(self, monkeypatch, latency_s):
+        # A zero-latency link hands each accepted message to the AV on the
+        # step it is built; a delayed one queues every message. Either way
+        # each built message is delivered or, at the end, still queued.
+        made = []
+        build = world_mod.V2VMessage
+
+        def recording(*args):
+            made.append(build(*args))
+            return made[-1]
+
+        monkeypatch.setattr(world_mod, "V2VMessage", recording)
+        cfg = replace(config_for(ScenarioConfig(), 45.0, True), latency_s=latency_s)
+        w = build_world(cfg)
+        w.in_flight = AppendCounting()
+        latest, delivered = None, 0
+        for _ in range(1500):
+            step(w, cfg.dt_s, cfg, cfg, True)
+            if w.latest_ped_info is not latest:
+                latest = w.latest_ped_info
+                delivered += 1
+        assert w.in_flight.appends == (len(made) if latency_s else 0)
+        assert len(made) > 0 and delivered == len(made) - len(w.in_flight)
+        assert bool(w.in_flight) == bool(latency_s)
+
+    @pytest.mark.parametrize("speed", [10.0, 45.0, 70.0])
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.5])
+    def test_sub_guard_latency_queues_yet_matches_the_zero_latency_link(self, monkeypatch,
+                                                                        speed, drop_prob):
+        # A latency below the clock guard is due on the sending step too,
+        # but only a zero latency skips the queue: both paths give the same
+        # results and trace bytes.
+        queues = []
+
+        def counting():
+            queues.append(AppendCounting())
+            return queues[-1]
+
+        monkeypatch.setattr(world_mod, "deque", counting)
+        assert 0.0 < 5e-10 < _T_EPS
+        outputs, appends = [], []
+        for latency_s in (0.0, 5e-10):
+            cfg = ScenarioConfig(av_speed_mph=speed, latency_s=latency_s, drop_prob=drop_prob,
+                                 seed=1)
+            result, trace = run_scenario(cfg)
+            outputs.append(write_results_csv([result]) + write_trace_csv(trace))
+            appends.append(queues.pop().appends)
+        assert appends[0] == 0 < appends[1]
+        assert outputs[0] == outputs[1]
+
+
+class AppendCounting(deque):
+    """A deque that counts its appends."""
+
+    appends = 0
+
+    def append(self, item) -> None:
+        self.appends += 1
+        super().append(item)
 
 
 def world_slots(w: WorldState) -> dict:

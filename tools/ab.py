@@ -26,15 +26,19 @@ every other pair, over four workloads: a sweep of the default config, a
 sweep of one lossy channel, every run of the default grid with its trace
 CSV written to text, and the trace CSV writer alone over the default
 grid's traces, which each tree runs once before timing. It prints per
-workload the median change/parent time ratio, the interquartile range of
-the ratios and the pairs the change won. Both trees share one process
-and the parent is loaded first, so their heap and cache state differ and
-one run understates its own spread: quote a timing figure from two runs,
-each in a fresh process. When both trees hold the same source text for
-every function a workload times (``harness.write_trace_csv`` and
-``world.los_occluded`` for ``trace text``), its line ends with ``(same
-code on both sides: this run's noise floor)``: that ratio is an A/A
-control, and a gap on the other workloads no wider than its distance
+workload each side's median and quartiles in ms, the median
+change/parent time ratio, the interquartile range of the ratios and the
+pairs the change won. The line ends with ``resolved`` when the change won
+at least nine tenths of at least ten pairs and its median lies below the
+parent's by more than the parent's interquartile range, the rule for
+claiming a gain, and with ``unresolved`` otherwise. Both trees share one
+process and the parent is loaded first, so their heap and cache state
+differ and one run understates its own spread: quote a timing figure from
+two runs, each in a fresh process. When both trees hold the same source
+text for every function a workload times (``harness.write_trace_csv`` and
+``world.los_occluded`` for ``trace text``), its pair count is followed by
+``(same code on both sides: this run's noise floor)``: that ratio is an
+A/A control, and a gap on the other workloads no wider than its distance
 from 1 is noise.
 
 Both modes label each side with a sha256 of its ``src/occlusim/*.py`` and
@@ -283,11 +287,27 @@ def same_code(parent: ModuleType, change: ModuleType, names) -> bool:
     return all(source(parent, name) == source(change, name) for name in names)
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The first quartile, the median and the third quartile of *values*."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def resolved(parent_s: list[float], change_s: list[float]) -> bool:
+    """The rule for claiming a gain: at least ten pairs, the change faster
+    in at least nine tenths of them (a tie counts for neither side), and
+    its median below the parent's by more than the parent's IQR."""
+    won = sum(b < a for a, b in zip(parent_s, change_s, strict=True))
+    q1, median, q3 = quartiles(parent_s)
+    return (len(parent_s) >= 10 and 10 * won >= 9 * len(parent_s)
+            and median - statistics.median(change_s) > q3 - q1)
+
+
 def timing(parent: ModuleType, change: ModuleType, base: str, pairs: int,
-           prepare, measure) -> dict[str, float]:
+           prepare, measure) -> dict[str, object]:
     """Alternating in-process passes of *measure*, each tree over its own
     input that *prepare* made of *base* once before timing: change/parent
-    time ratios."""
+    time ratios, each side's quartiles in ms and the claim rule's verdict."""
     a_input = prepare(parent, base)
     b_input = prepare(change, base)
     measure(parent, a_input)
@@ -303,11 +323,12 @@ def timing(parent: ModuleType, change: ModuleType, base: str, pairs: int,
         parent_s.append(a)
         change_s.append(b)
         ratios.append(b / a)
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    return {"ratio": statistics.median(ratios), "q1": q1, "q3": q3,
+    q1, ratio, q3 = quartiles(ratios)
+    return {"ratio": ratio, "q1": q1, "q3": q3,
             "won": sum(r < 1.0 for r in ratios), "pairs": pairs,
-            "parent_ms": statistics.median(parent_s) * 1e3,
-            "change_ms": statistics.median(change_s) * 1e3}
+            "parent_ms": [q * 1e3 for q in quartiles(parent_s)],
+            "change_ms": [q * 1e3 for q in quartiles(change_s)],
+            "resolved": resolved(parent_s, change_s)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -340,9 +361,12 @@ def main(argv: list[str] | None = None) -> int:
         names = TIMED_CODE.get(label)
         control = (" (same code on both sides: this run's noise floor)"
                    if names and same_code(parent, change, names) else "")
-        print(f"{label}: parent {t['parent_ms']:.2f} ms, change {t['change_ms']:.2f} ms, "
-              f"ratio median {t['ratio']:.4f} (IQR {t['q1']:.4f}-{t['q3']:.4f}), "
-              f"change won {t['won']}/{t['pairs']}{control}")
+        sides = ", ".join(f"{side} {q2:.2f} ms (quartiles {q1:.2f}-{q3:.2f})"
+                          for side, (q1, q2, q3) in (("parent", t["parent_ms"]),
+                                                     ("change", t["change_ms"])))
+        print(f"{label}: {sides}, ratio median {t['ratio']:.4f} "
+              f"(IQR {t['q1']:.4f}-{t['q3']:.4f}), change won {t['won']}/{t['pairs']}{control}, "
+              f"{'resolved' if t['resolved'] else 'unresolved'}")
     return 0
 
 
