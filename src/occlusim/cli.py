@@ -70,6 +70,8 @@ def _parse_speeds(spec: str) -> tuple[float, ...]:
             speeds = tuple(float(p) for p in spec.split(",") if p.strip())
         except ValueError:
             raise ConfigError(f"--speeds: expects numbers, got {spec!r}") from None
+        if not speeds:
+            raise ConfigError(f"--speeds: lists no speed, got {spec!r}")
     # Each speed runs once: a repeat would write its rows twice. A range
     # repeats one when its step is below the 6-decimal rounding.
     if len(set(speeds)) != len(speeds):

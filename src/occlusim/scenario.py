@@ -26,8 +26,9 @@ import sys
 from collections import namedtuple
 
 from .geometry import Vec2
-from .units import mph_to_mps, to_si
-from .world import AV_RADIUS_M, R_SUM_M, WorldState
+from .world import AV_RADIUS_M, METERS_PER_FOOT, R_SUM_M, WorldState
+
+MPS_PER_MPH = 0.44704  # exact: 1,609.344 m in 3,600 s
 
 # Width of the stopped transmitter's rectangular footprint, the occluder;
 # its length is the AV's, 2 * AV_RADIUS_M (14.6 ft).
@@ -47,7 +48,22 @@ class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
 
 
-# Rules that ScenarioConfig runs on its keys and config_for runs again on the speed alone.
+# Functions, not inline products: perfbench/tracer.py counts both (ROADMAP item 1).
+def mph_to_mps(mph: float) -> float:
+    return mph * MPS_PER_MPH
+
+
+def to_si(ft: float) -> float:  # feet, or feet per second, in meters (per second)
+    return ft * METERS_PER_FOOT
+
+
+# Rules that ScenarioConfig runs on its keys and config_for runs again on the speed and v2v.
+
+def _check_v2v(value: object) -> None:
+    if not isinstance(value, bool):  # an int's digits may be too many to print
+        shown = "an integer" if isinstance(value, int) else repr(value)
+        raise ConfigError(f"v2v: must be on or off (a bool), got {shown}")
+
 
 def _check_finite(key: str, value: object) -> None:
     # Every value but the seed, which random.Random takes at any size, must fit a float.
@@ -129,6 +145,7 @@ class ScenarioConfig:
         if values:
             raise TypeError(f"ScenarioConfig: unknown keys {', '.join(map(repr, values))}")
         # Every parameter is validated here and nowhere below.
+        _check_v2v(self.v2v)
         for key, value in attrs.items():
             _check_finite(key, value)
         positive = (
@@ -139,9 +156,9 @@ class ScenarioConfig:
         )
         for name in positive:
             _check_positive(name, attrs[name])
-        lane_m = to_si(self.lane_width_ft, "ft")
+        lane_m = to_si(self.lane_width_ft)
         attrs.update(zip(_STAGED, (
-            mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps, "ft_per_s"),
+            mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps),
             self.num_lanes * lane_m, (self.av_lane_index + 0.5) * lane_m,
             (self.transmitter_lane_index + 0.5) * lane_m), strict=True))
         _check_speeds(self)
@@ -362,21 +379,17 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
     )
 
 
-def replace(cfg: ScenarioConfig, **changes: object) -> ScenarioConfig:
-    """A copy of *cfg* with *changes* to its keys, validated and calibrated anew."""
-    attrs = vars(cfg)
-    return ScenarioConfig(**{key: attrs[key] for key in cfg.KEYS} | changes)
-
-
 def config_for(base: ScenarioConfig, av_speed_mph: float, v2v: bool) -> ScenarioConfig:
     """A copy of the validated *base* at a different test speed and strategy.
 
-    Only the rules that read the speed run again, in the constructor's
-    order: finite, positive, the staged ``av_speed_mps``, the m/s rule, the
-    step-length rule and calibration with its run-length cap. Every other
-    rule already passed on *base*, so the copy, or the error raised, is
-    the one that ``replace(base, av_speed_mph=..., v2v=...)`` gives.
+    Only the rules that read the speed or the strategy run again, in the
+    constructor's order: the bool rule on *v2v*, finite, positive, the
+    staged ``av_speed_mps``, the m/s rule, the step-length rule and
+    calibration with its run-length cap. Every other rule already passed
+    on *base*, so the copy, or the error raised, is the one that its
+    reference, the full rebuild ``tests/_oracle.py::replace``, gives.
     """
+    _check_v2v(v2v)
     _check_finite("av_speed_mph", av_speed_mph)
     _check_positive("av_speed_mph", av_speed_mph)
     cfg = base._copy()

@@ -34,16 +34,17 @@ from typing import TYPE_CHECKING
 
 from .braking import BrakePolicy, brake_pressure, deceleration_for
 from .ttc import TtcOutcome, ttc
-from .units import to_si
 
 if TYPE_CHECKING:  # scenario imports this module
     from .geometry import Vec2
     from .scenario import ScenarioConfig
 
+METERS_PER_FOOT = 0.3048  # exact, the international foot
+
 # Disc radii: half the subject car's body length, and the pedestrian's
 # reach envelope (7.3 ft and 5 ft); the discs touch at their sum.
-AV_RADIUS_M = to_si(7.3, "ft")
-PED_RADIUS_M = to_si(5.0, "ft")
+AV_RADIUS_M = 7.3 * METERS_PER_FOOT
+PED_RADIUS_M = 5.0 * METERS_PER_FOOT
 R_SUM_M = AV_RADIUS_M + PED_RADIUS_M
 _NEG_R_SUM_M = -R_SUM_M
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 
-from occlusim.units import METERS_PER_FOOT
+METERS_PER_FOOT = 0.3048
 
 # The guard a run compares its grid times against the entry and the send
 # slots with.

@@ -46,6 +46,12 @@ format and one ``%`` per row, every float cell formatted in its row.
 ``occlusim.harness.write_trace_csv`` formats the whole trace in one ``%``
 and reuses a speed or pressure text while the float object repeats, and
 must return the same text.
+
+``replace`` is a config rebuilt in full from another's keys with some of
+them changed, every rule and calibration run anew.
+``occlusim.scenario.config_for`` copies a validated base and re-runs only
+the rules that read the speed and the strategy, and must give the same
+config or the same error.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ import numpy as np
 from occlusim import world as world_mod
 from occlusim.braking import BrakePolicy, brake_pressure
 from occlusim.harness import NO_TTC_SENTINEL_S, TRACE_HEADER
-from occlusim.scenario import SimResult, build_world
+from occlusim.scenario import ScenarioConfig, SimResult, build_world
 from occlusim.ttc import ttc
 from occlusim.world import AV_RADIUS_M, PED_RADIUS_M, R_SUM_M, los_occluded, sense
 
@@ -74,6 +80,12 @@ _CHUNK = 2_000_000
 _TRACE_ROW = "%.4f,%.4f,%.4f,0.0000,%.4f,%.4f,%.4f,%s,%s"
 _TRACE_ROW_NO_TTC = "%.4f,%.4f,%.4f,0.0000,%.4f,10000,%.4f,%s,%s"
 _BOOL_TEXT = ("false", "true")
+
+
+def replace(cfg: ScenarioConfig, **changes: object) -> ScenarioConfig:
+    """A copy of *cfg* with *changes* to its keys, validated and calibrated anew."""
+    attrs = vars(cfg)
+    return ScenarioConfig(**{key: attrs[key] for key in cfg.KEYS} | changes)
 
 
 def brute_force_ttc(x: float, y: float, vx: float, vy: float, r: float,

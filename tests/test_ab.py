@@ -142,7 +142,7 @@ def test_src_line_count_is_the_newlines_of_every_module(tmp_path):
     copy = tmp_path / "copy"
     shutil.copytree(ROOT / "src" / "occlusim", copy / "src" / "occlusim",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    with open(copy / "src" / "occlusim" / "units.py", "a", encoding="utf-8") as fh:
+    with open(copy / "src" / "occlusim" / "ttc.py", "a", encoding="utf-8") as fh:
         fh.write("# one more line\n")
     assert ab.src_lines(copy) == ab.src_lines(ROOT) + 1
 

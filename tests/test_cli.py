@@ -224,6 +224,12 @@ def test_bad_sweep_speeds_are_config_error(tmp_path, capsys, monkeypatch, speeds
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("speeds", [",", "", " , "])
+def test_sweep_speeds_listing_no_speed_name_the_flag_not_a_parameter(tmp_path, capsys, speeds):
+    assert main(["sweep", "--speeds", speeds, "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --speeds: lists no speed, got {speeds!r}\n"
+
+
 def test_sweep_labels_tell_close_speeds_apart(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert main(["sweep", "--speeds", "100.0001,100.0002", "--out", str(out)]) == EXIT_OK

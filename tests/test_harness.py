@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import write_trace_csv_rowwise
+from _oracle import replace, write_trace_csv_rowwise
 from conftest import StepRecord, named_rows
 from occlusim import harness
 from occlusim import world as world_mod
@@ -25,7 +25,7 @@ from occlusim.harness import (
     write_trace_csv,
 )
 from occlusim.scenario import (AV_RADIUS_M, CLEARANCE_TAIL_S, ConfigError, ScenarioConfig,
-                               SimResult, build_world, config_for, replace)
+                               SimResult, build_world, config_for)
 from occlusim.world import R_SUM_M
 
 

@@ -23,12 +23,12 @@ import re
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from _oracle import los_occluded_loop, run_reference
+from _oracle import los_occluded_loop, replace, run_reference
 from conftest import CALIBRATED, named_rows
 from occlusim import ScenarioConfig, SweepSpec, run_scenario, sweep, write_results_csv
 from occlusim import world as world_mod
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH, TRACE_HEADER, write_trace_csv
-from occlusim.scenario import ConfigError, build_world, config_for, replace
+from occlusim.scenario import ConfigError, build_world, config_for
 from occlusim.world import AV_RADIUS_M
 
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)

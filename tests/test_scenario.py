@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracle import replace
 from occlusim.scenario import (
     AV_RADIUS_M,
     BODY_WIDTH_M,
@@ -18,7 +19,6 @@ from occlusim.scenario import (
     calibrate_entry,
     config_for,
     load_config,
-    replace,
     run_length_s,
 )
 from occlusim.cli import EXIT_CONFIG, main
@@ -404,6 +404,7 @@ class TestConfigFor:
     @example(base=ScenarioConfig(), speed=10**400, v2v=True)
     @example(base=ScenarioConfig(), speed=1000.0001, v2v=False)
     @example(base=ScenarioConfig(), speed=2.0, v2v=True)
+    @example(base=ScenarioConfig(), speed=45.0, v2v="off")
     def test_derived_copy_is_the_full_rebuild(self, base, speed, v2v):
         # config_for re-runs only the speed's rules on a copy of the
         # validated base, its results-only copy included: every attribute,
@@ -417,6 +418,20 @@ class TestConfigFor:
 
         derived = outcome(lambda: config_for(base, speed, v2v))
         assert derived == outcome(lambda: replace(base, av_speed_mph=speed, v2v=v2v))
+
+    # A truthy non-bool would read as the relay on, and a string would
+    # reach the finiteness rule, which cannot compare it.
+    @pytest.mark.parametrize(("v2v", "shown"), [(2, "an integer"), (1, "an integer"),
+                                                ("off", "'off'"), (None, "None"),
+                                                (10**5000, "an integer")],
+                             ids=["2", "1", "off", "None", "huge"])
+    def test_v2v_must_be_a_bool(self, v2v, shown):
+        message = f"v2v: must be on or off (a bool), got {shown}"
+        with pytest.raises(ConfigError) as built:
+            ScenarioConfig(v2v=v2v)
+        with pytest.raises(ConfigError) as derived:
+            config_for(ScenarioConfig(), 45.0, v2v)
+        assert str(built.value) == str(derived.value) == message
 
     @pytest.mark.parametrize(("argv", "message"), [
         (["run", "--speed", "nan"], "av_speed_mph: must be finite, got nan"),

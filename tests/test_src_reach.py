@@ -27,13 +27,23 @@ def _is_type_checking(test: ast.expr) -> bool:
             or isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
 
 
-def names_used(node: ast.AST):
-    """Each name *node* loads, reads as an attribute or imports, outside
-    annotations and outside the body of ``if TYPE_CHECKING:``: neither
-    runs when the package does."""
+def module_names(tree: ast.Module, stems: set[str]) -> set[str]:
+    """The names *tree* binds to a module of its own package, whose stems
+    are *stems*, as ``from . import world as world_mod`` binds one."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names if alias.name in stems}
+
+
+def names_used(node: ast.AST, modules: set[str]):
+    """Each name *node* loads, imports or reads as an attribute of one of
+    the names *modules*, bound to package modules, as in ``world_mod.step``;
+    ``"x".replace`` or ``cfg.step`` names no def. Annotations and the body
+    of ``if TYPE_CHECKING:`` are skipped: neither runs when the package does."""
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         yield node.id
-    elif isinstance(node, ast.Attribute):
+    elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+          and node.value.id in modules):
         yield node.attr
     elif isinstance(node, ast.alias):
         yield node.name
@@ -43,7 +53,7 @@ def names_used(node: ast.AST):
             continue
         for child in value if isinstance(value, list) else [value]:
             if isinstance(child, ast.AST):
-                yield from names_used(child)
+                yield from names_used(child, modules)
 
 
 def unreached(package: Path) -> list[str]:
@@ -55,7 +65,9 @@ def unreached(package: Path) -> list[str]:
     defs = [(module, node) for module, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     # What each top-level statement names; a def's own names it skips.
-    uses = {stmt: set(names_used(stmt)) for tree in trees.values() for stmt in tree.body}
+    bound = {module: module_names(tree, set(trees)) for module, tree in trees.items()}
+    uses = {stmt: set(names_used(stmt, bound[module]))
+            for module, tree in trees.items() for stmt in tree.body}
     return [f"{module}.{node.name}" for module, node in defs
             if f"{module}.{node.name}" not in ENTRY_POINTS
             and not any(node.name in names for stmt, names in uses.items() if stmt is not node)]
@@ -71,6 +83,15 @@ def test_check_sees_a_def_only_the_tests_call(tmp_path):
         "import math\n\nclass State:\n    pass\n\ndef step(s=State):\n    return math.pi\n\n"
         "def reference():\n    pass\n")
     assert unreached(tmp_path) == ["world.reference"]
+
+
+def test_check_counts_an_attribute_only_off_a_package_module(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from . import world as world_mod\n\ndef main():\n    return world_mod.step()\n")
+    (tmp_path / "world.py").write_text(
+        "def step():\n    return \"a_b\".replace(\"_\", \"\")\n\n"
+        "def replace(cfg):\n    return cfg\n")
+    assert unreached(tmp_path) == ["world.replace"]
 
 
 def test_check_ignores_own_body_annotations_and_type_checking_imports(tmp_path):

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracle import channel_step as channel_step_reference
-from _oracle import compute_control, los_occluded_loop, sense_clamped, step_composed
+from _oracle import compute_control, los_occluded_loop, replace, sense_clamped, step_composed
 from occlusim import world as world_mod
 from occlusim.braking import BrakePolicy
 from occlusim.geometry import Vec2
 from occlusim.harness import run_scenario, write_results_csv, write_trace_csv
-from occlusim.scenario import ScenarioConfig, build_world, config_for, replace
+from occlusim.scenario import ScenarioConfig, build_world, config_for
 from occlusim.ttc import ttc
 from occlusim.world import (
     _T_EPS,
