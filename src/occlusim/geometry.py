@@ -16,6 +16,3 @@ class Vec2:
     def __init__(self, x: float, y: float) -> None:
         self.x = x
         self.y = y
-
-    def __eq__(self, other: object) -> bool:
-        return (self.x, self.y) == (other.x, other.y) if other.__class__ is Vec2 else NotImplemented

@@ -87,7 +87,11 @@ class SweepSpec:
             try:
                 configs += (config_for(base, s, v2v) for v2v in (True, False))
             except ConfigError as exc:
-                raise ConfigError(f"{speed_label(s)} mph: {exc}") from None
+                try:  # a speed that no float holds is shown as it came, or named
+                    label = f"{speed_label(s)} mph"
+                except (TypeError, ValueError, OverflowError):
+                    label = "an integer" if isinstance(s, int) else repr(s)
+                raise ConfigError(f"{label}: {exc}") from None
         self.configs = tuple(configs)
 
 

@@ -21,6 +21,7 @@ like any other invalid config.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from collections import namedtuple
@@ -57,27 +58,42 @@ def to_si(ft: float) -> float:  # feet, or feet per second, in meters (per secon
     return ft * METERS_PER_FOOT
 
 
-# Rules that ScenarioConfig runs on its keys and config_for runs again on the speed and v2v.
+# Each key's own range beyond finite, as a test and what the key must do
+# to pass it; a key not listed may take any finite value.
+_POSITIVE = (lambda v: v > 0.0, "be positive")
+_RANGES = {
+    "av_speed_mph": _POSITIVE, "lane_width_ft": _POSITIVE,
+    "num_lanes": (lambda v: v >= 1, "be at least 1"),
+    "ped_speed_ftps": _POSITIVE, "approach_time_s": _POSITIVE,
+    "reveal_margin_s": _POSITIVE, "reveal_margin_slow_s": _POSITIVE, "tau_max_s": _POSITIVE,
+    "p_max_bar": _POSITIVE, "d_max_mps2": _POSITIVE, "av_sensor_range_m": _POSITIVE,
+    "av_sensor_fov_half_rad": (lambda v: 0.0 < v <= math.pi, "lie in (0, pi]"),
+    "tx_sensor_range_m": _POSITIVE, "v2v_range_m": _POSITIVE, "bsm_period_s": _POSITIVE,
+    "latency_s": (lambda v: v >= 0.0, "be nonnegative"),
+    "drop_prob": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"), "dt_s": _POSITIVE,
+}
+_EXPECTS = {bool: "on or off (a bool)", int: "an integer", float: "a number"}
 
-def _check_v2v(value: object) -> None:
-    if not isinstance(value, bool):  # an int's digits may be too many to print
-        shown = "an integer" if isinstance(value, int) else repr(value)
-        raise ConfigError(f"v2v: must be on or off (a bool), got {shown}")
 
-
-def _check_finite(key: str, value: object) -> None:
-    # Every value but the seed, which random.Random takes at any size, must fit a float.
+def _check_key(key: str, value: object) -> None:
+    """One key's rules, in order: its default's type (no number key takes a
+    bool), finite (but the seed: random.Random takes any int) and its range.
+    ScenarioConfig runs them on every key, config_for on the speed and v2v."""
+    kind, in_range, must = _RULES[key]
     try:
-        finite = key == "seed" or math.isfinite(value)
+        if (value.__class__ is bool) is not (kind is bool):
+            raise TypeError
+        number = operator.index(value) if kind is int else value
+        finite = kind is bool or key == "seed" or math.isfinite(number)
+    except TypeError:  # an int's digits may be too many to print
+        shown = "an integer" if kind is bool and isinstance(value, int) else repr(value)
+        raise ConfigError(f"{key}: must be {_EXPECTS[kind]}, got {shown}") from None
     except OverflowError:  # an int too big to convert; never print its digits
         finite, value = False, "an integer too big for a float"
     if not finite:
         raise ConfigError(f"{key}: must be finite, got {value}")
-
-
-def _check_positive(key: str, value: float) -> None:
-    if not value > 0.0:
-        raise ConfigError(f"{key}: must be positive, got {value}")
+    if in_range is not None and not in_range(value):
+        raise ConfigError(f"{key}: must {must}, got {value}")
 
 
 def _check_speeds(cfg: ScenarioConfig) -> None:
@@ -144,26 +160,15 @@ class ScenarioConfig:
             attrs[key] = values.pop(key, default)
         if values:
             raise TypeError(f"ScenarioConfig: unknown keys {', '.join(map(repr, values))}")
-        # Every parameter is validated here and nowhere below.
-        _check_v2v(self.v2v)
+        # Validated here and nowhere below: each key's rules in order, then two-key rules.
         for key, value in attrs.items():
-            _check_finite(key, value)
-        positive = (
-            "av_speed_mph", "lane_width_ft", "ped_speed_ftps", "approach_time_s",
-            "reveal_margin_s", "reveal_margin_slow_s", "tau_max_s", "p_max_bar",
-            "d_max_mps2", "av_sensor_range_m", "tx_sensor_range_m", "v2v_range_m",
-            "bsm_period_s", "dt_s",
-        )
-        for name in positive:
-            _check_positive(name, attrs[name])
+            _check_key(key, value)
         lane_m = to_si(self.lane_width_ft)
         attrs.update(zip(_STAGED, (
             mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps),
             self.num_lanes * lane_m, (self.av_lane_index + 0.5) * lane_m,
             (self.transmitter_lane_index + 0.5) * lane_m), strict=True))
         _check_speeds(self)
-        if self.num_lanes < 1:
-            raise ConfigError(f"num_lanes: must be at least 1, got {self.num_lanes}")
         for name in ("av_lane_index", "transmitter_lane_index"):
             idx = getattr(self, name)
             if not (0 <= idx < self.num_lanes):
@@ -175,14 +180,6 @@ class ScenarioConfig:
                 "transmitter_lane_index: the transmitter yields in an outer lane, "
                 "so its index must be below av_lane_index"
             )
-        if not (0.0 < self.av_sensor_fov_half_rad <= math.pi):
-            raise ConfigError(
-                f"av_sensor_fov_half_rad: must lie in (0, pi], got {self.av_sensor_fov_half_rad}"
-            )
-        if not (0.0 <= self.drop_prob <= 1.0):
-            raise ConfigError(f"drop_prob: must lie in [0, 1], got {self.drop_prob}")
-        if self.latency_s < 0.0:
-            raise ConfigError(f"latency_s: must be nonnegative, got {self.latency_s}")
         if self.reveal_knee_lo_mph >= self.reveal_knee_hi_mph:
             raise ConfigError(
                 "reveal_knee_lo_mph: must be below reveal_knee_hi_mph, got "
@@ -241,6 +238,8 @@ class ScenarioConfig:
 
 ScenarioConfig.KEYS = tuple(ScenarioConfig.__annotations__)  # the config keys, in order
 _DEFAULTS = {key: getattr(ScenarioConfig, key) for key in ScenarioConfig.KEYS}
+# Each key's own rules: its default's type (on/off, an integer or a number) and its range.
+_RULES = {k: (type(d), *_RANGES.get(k, (None, None))) for k, d in _DEFAULTS.items()}
 
 SimResult = namedtuple("SimResult", "av_speed_mph strategy detected_time_s first_ttc_s min_ttc_s "
                                     "collision collision_time_s max_pressure_bar")
@@ -254,7 +253,7 @@ _BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
                "off": False, "false": False, "no": False, "0": False}
 _READERS = {bool: (lambda value: _BOOL_WORDS[value.lower()], "on/off"),
             int: (int, "an integer"), float: (float, "a number")}
-_KEY_READERS = {key: _READERS[type(getattr(ScenarioConfig, key))] for key in ScenarioConfig.KEYS}
+_KEY_READERS = {key: _READERS[kind] for key, (kind, _, _) in _RULES.items()}
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -383,15 +382,14 @@ def config_for(base: ScenarioConfig, av_speed_mph: float, v2v: bool) -> Scenario
     """A copy of the validated *base* at a different test speed and strategy.
 
     Only the rules that read the speed or the strategy run again, in the
-    constructor's order: the bool rule on *v2v*, finite, positive, the
-    staged ``av_speed_mps``, the m/s rule, the step-length rule and
-    calibration with its run-length cap. Every other rule already passed
-    on *base*, so the copy, or the error raised, is the one that its
-    reference, the full rebuild ``tests/_oracle.py::replace``, gives.
+    constructor's order: the own rules of ``av_speed_mph`` and then of
+    ``v2v``, the staged ``av_speed_mps``, the m/s rule, the step-length
+    rule and calibration with its run-length cap. Every other rule already
+    passed on *base*, so the copy, or the error raised, is the one that
+    its reference, the full rebuild ``tests/_oracle.py::replace``, gives.
     """
-    _check_v2v(v2v)
-    _check_finite("av_speed_mph", av_speed_mph)
-    _check_positive("av_speed_mph", av_speed_mph)
+    _check_key("av_speed_mph", av_speed_mph)
+    _check_key("v2v", v2v)
     cfg = base._copy()
     attrs = vars(cfg)
     attrs["av_speed_mph"], attrs["v2v"] = av_speed_mph, v2v

@@ -135,6 +135,48 @@ def test_bytes_mode_counts_each_trees_sweep_steps(tmp_path, trees):
     assert longer.endswith("; steps: parent 23,811, change 32,800, 14 runs longer in the change")
 
 
+def test_error_corpus_is_rejected_and_names_every_ranged_key(trees):
+    pkg = trees(ROOT, "occlusim_ab_test_errors")
+    outcomes = [ab.config_outcome(pkg, text) for text in ab.ERRORS]
+    assert "accepted" not in outcomes
+    assert len(set(outcomes)) == len(outcomes)
+    named = {outcome.split(":")[0].removeprefix("error '") for outcome in outcomes}
+    assert set(pkg.scenario._RANGES) <= named
+
+
+def test_errors_mode_reports_a_tree_with_one_message_edited(tmp_path, trees, monkeypatch,
+                                                             capsys):
+    mutated = tmp_path / "mutated"
+    shutil.copytree(ROOT / "src" / "occlusim", mutated / "src" / "occlusim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    scenario = mutated / "src" / "occlusim" / "scenario.py"
+    text = scenario.read_text(encoding="utf-8")
+    assert text.count('"be nonnegative"') == 1
+    scenario.write_text(text.replace('"be nonnegative"', '"be non-negative"'), encoding="utf-8")
+
+    parent = trees(ROOT, "occlusim_ab_test_errors_parent")
+    same = trees(ROOT, "occlusim_ab_test_errors_same")
+    changed = trees(mutated, "occlusim_ab_test_errors_changed")
+    assert ab.first_error_difference(parent, same) == (None, f"{len(ab.ERRORS)} configs")
+    differs, detail = ab.first_error_difference(parent, changed)
+    assert differs == "config 'latency_s = -0.1\\n'"
+    assert detail == ("parent error 'latency_s: must be nonnegative, got -0.1', "
+                      "change error 'latency_s: must be non-negative, got -0.1'")
+    # The command prints both byte digests, then the config that differs.
+    monkeypatch.setattr(ab, "matrix", lambda: [])
+    monkeypatch.setattr(ab, "first_sweep_difference", lambda parent, change: (None, "0 sweeps"))
+    for tree, last in ((ROOT, f"same errors: {len(ab.ERRORS)} configs"),
+                       (mutated, f"differs: {differs}: {detail}")):
+        try:
+            assert ab.main([str(ROOT), str(tree)]) == (tree == mutated)
+        finally:
+            ab.unload("occlusim_ab_parent")
+            ab.unload("occlusim_ab_change")
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == ["same bytes: 0 runs, sha256 " + hashlib.sha256().hexdigest(),
+                           "same bytes: 0 sweeps", last]
+
+
 def test_src_line_count_is_the_newlines_of_every_module(tmp_path):
     files = sorted((ROOT / "src" / "occlusim").glob("*.py"))
     assert ab.src_lines(ROOT) == sum(len(p.read_text(encoding="utf-8").splitlines())

@@ -1,10 +1,12 @@
 import gc
 import math
 import platform
+import re
 import struct
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -413,6 +415,20 @@ class TestSweep:
     def test_error_names_the_exact_speed(self):
         with pytest.raises(ConfigError, match=r"^1000\.0001 mph: dt_s: "):
             SweepSpec(speeds_mph=(45.0, 1000.0001))
+
+    @pytest.mark.parametrize(("speed", "label"), [
+        (None, "None"), ("abc", "'abc'"), ("45", "45 mph"), (10**5000, "an integer"),
+    ], ids=["None", "abc", "45", "huge"])
+    def test_speed_that_is_not_a_number_is_labelled_as_it_came(self, speed, label):
+        # speed_label reads only what float() takes; any other speed is shown
+        # by repr, and an int no float holds is named, not printed.
+        with pytest.raises(ConfigError, match=rf"^{re.escape(label)}: av_speed_mph: must be "):
+            SweepSpec(speeds_mph=(45.0, speed))
+
+    def test_numpy_speeds_accepted(self):
+        speeds = tuple(np.arange(10, 75, 5))
+        assert [cfg.av_speed_mph for cfg in SweepSpec(speeds_mph=speeds).configs[::2]] == list(
+            range(10, 75, 5))
 
     def test_calibration_checked_at_every_speed(self):
         # The slow margin still calibrates at 10 mph; 15 mph is the first

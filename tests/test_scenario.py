@@ -3,11 +3,13 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracle import replace
+from occlusim import scenario
 from occlusim.scenario import (
     AV_RADIUS_M,
     BODY_WIDTH_M,
@@ -43,6 +45,16 @@ OUT_OF_BOUNDS = [
     ("latency_s", -0.1), ("drop_prob", 1.5), ("bsm_period_s", 0.0),
     ("dt_s", 0.0), ("dt_s", -0.02),
 ] + [(key, value) for key in FLOAT_KEYS for value in (math.nan, math.inf, -math.inf)]
+
+INT_KEYS = [k for k in ScenarioConfig.KEYS if type(getattr(ScenarioConfig, k)) is int]
+
+# A value of the wrong type for each key: text or None for any, a bool for
+# a number key, a fraction or a list for an integer key, a number for v2v.
+WRONG_TYPES = (
+    [(key, value) for key in ScenarioConfig.KEYS for value in ("45", None)]
+    + [(key, value) for key in [*FLOAT_KEYS, *INT_KEYS] for value in (True, False)]
+    + [(key, 1.5) for key in INT_KEYS] + [("num_lanes", 4.5), ("seed", [1]), ("v2v", 2)]
+)
 
 # Keys that may take any finite value; the rest are bounded below by zero.
 SIGNED_KEYS = {"ped_start_offset_m", "tx_stop_gap_m"}
@@ -211,6 +223,36 @@ class TestValidation:
     def test_out_of_bounds_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}: "):
             ScenarioConfig(**{key: value})
+
+    @pytest.mark.parametrize(("key", "value"), WRONG_TYPES)
+    def test_wrong_typed_value_names_key(self, key, value):
+        # The type rule, not a later rule that the value trips, names the key.
+        with pytest.raises(ConfigError, match=rf"^{key}: must be (on or off \(a bool\)|an integer"
+                                              r"|a number), got "):
+            ScenarioConfig(**{key: value})
+
+    @pytest.mark.parametrize(("key", "value", "message"), [
+        ("num_lanes", 4.5, "num_lanes: must be an integer, got 4.5"),
+        ("av_lane_index", 1.5, "av_lane_index: must be an integer, got 1.5"),
+        ("seed", [1], "seed: must be an integer, got [1]"),
+        ("av_speed_mph", True, "av_speed_mph: must be a number, got True"),
+        ("latency_s", False, "latency_s: must be a number, got False"),
+        ("dt_s", True, "dt_s: must be a number, got True"),
+        ("dt_s", "0.02", "dt_s: must be a number, got '0.02'"),
+    ], ids=["num_lanes", "av_lane_index", "seed", "av_speed_mph", "latency_s", "dt_s-bool",
+            "dt_s-text"])
+    def test_wrong_type_message(self, key, value, message):
+        with pytest.raises(ConfigError) as caught:
+            ScenarioConfig(**{key: value})
+        assert str(caught.value) == message
+
+    def test_numpy_numbers_accepted(self):
+        assert ScenarioConfig(num_lanes=np.int64(4)) == ScenarioConfig()
+        assert config_for(ScenarioConfig(), np.float64(45.0), True) == ScenarioConfig()
+
+    def test_every_ranged_key_is_a_config_key(self):
+        # A misspelled key in the range table would silently drop its rule.
+        assert set(scenario._RANGES) <= set(ScenarioConfig.KEYS)
 
     @pytest.mark.parametrize("key", ["num_lanes", "av_lane_index", "transmitter_lane_index"])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -405,6 +447,9 @@ class TestConfigFor:
     @example(base=ScenarioConfig(), speed=1000.0001, v2v=False)
     @example(base=ScenarioConfig(), speed=2.0, v2v=True)
     @example(base=ScenarioConfig(), speed=45.0, v2v="off")
+    @example(base=ScenarioConfig(), speed="45", v2v=True)
+    @example(base=ScenarioConfig(), speed=None, v2v=True)
+    @example(base=ScenarioConfig(), speed=True, v2v=True)
     def test_derived_copy_is_the_full_rebuild(self, base, speed, v2v):
         # config_for re-runs only the speed's rules on a copy of the
         # validated base, its results-only copy included: every attribute,

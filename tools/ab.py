@@ -19,7 +19,11 @@ first run or sweep whose output differs and exits 1, or prints one sha256
 over the runs' outputs and one over the sweeps' and exits 0. Beside the
 sweeps' sha256 it prints each tree's steps over all the sweeps, counted as
 the trace rows of each sweep run (a run records one row per step), and how
-many runs took more steps in the change than in the parent.
+many runs took more steps in the change than in the parent. Last, it
+loads each config text of a fixed corpus of rejected ones, one per rule
+that a config file can break, and compares each tree's ``ConfigError``
+text, or its acceptance: it prints the first config whose outcome differs
+and exits 1, or prints how many configs gave the same errors.
 
 timing: alternates in-process passes of the two trees, the change first on
 every other pair, over four workloads: a sweep of the default config, a
@@ -94,6 +98,32 @@ BASES = {
     "bsm_period_s=0.1": "bsm_period_s = 0.1\n",
     "tx_sensor_range_m=10": "tx_sensor_range_m = 10\n",
 }
+
+
+# Config texts that each break one rule a file can break, by one value
+# where one does it: the file grammar, each key's own rules (finite, then
+# its range), the rules that read two keys, and calibration. A file's
+# values are read by their keys' types, so none is of a wrong type.
+ERRORS = (
+    "this is not a key value pair\n", "av_sped_mph = 45\n", "seed = 1\nseed = 2\n",
+    "v2v = maybe\n", "num_lanes = 2.5\n", "dt_s = fast\n", "num_lanes = 1" + "0" * 5000 + "\n",
+    "ped_start_offset_m = nan\n", "tx_stop_gap_m = inf\n", "reveal_knee_lo_mph = -inf\n",
+    "av_lane_index = 1" + "0" * 400 + "\n",
+    "av_speed_mph = 0\n", "lane_width_ft = -1\n", "num_lanes = 0\n", "ped_speed_ftps = 0\n",
+    "approach_time_s = 0\n", "reveal_margin_s = 0\n", "reveal_margin_slow_s = 0\n",
+    "tau_max_s = 0\n", "p_max_bar = -5\n", "d_max_mps2 = 0\n", "av_sensor_range_m = 0\n",
+    "av_sensor_fov_half_rad = 0\n", "av_sensor_fov_half_rad = 3.5\n", "tx_sensor_range_m = 0\n",
+    "v2v_range_m = 0\n", "bsm_period_s = 0\n", "latency_s = -0.1\n", "drop_prob = 1.5\n",
+    "dt_s = -0.02\n",
+    "av_speed_mph = 5e-324\n", "ped_speed_ftps = 5e-324\n", "av_speed_mph = 420\n",
+    "av_lane_index = 4\n", "transmitter_lane_index = -1\n", "av_lane_index = 0\n",
+    "transmitter_lane_index = 2\n", "reveal_knee_lo_mph = 15\n",
+    "lane_width_ft = 2\n", "reveal_margin_s = 4.0\n",
+    "av_speed_mph = 10\nreveal_margin_slow_s = 4.0\n",
+    "ped_start_offset_m = 10\n", "ped_start_offset_m = -60\n", "approach_time_s = 5\n",
+    "approach_time_s = 1e200\n", "dt_s = 4e-6\n",
+    "ped_speed_ftps = 1e-3\nped_start_offset_m = -1.0\napproach_time_s = 13000.0\n",
+)
 
 
 def src_digest(tree: Path) -> str:
@@ -214,6 +244,28 @@ def first_sweep_difference(parent: ModuleType, change: ModuleType,
     longer = sum(b > a for a, b in zip(a_steps, b_steps, strict=True))
     return None, (f"{len(bases)} sweeps, sha256 {h.hexdigest()}; steps: parent "
                   f"{sum(a_steps):,}, change {sum(b_steps):,}, {longer} runs longer in the change")
+
+
+def config_outcome(pkg: ModuleType, text: str) -> str:
+    """The ``ConfigError`` text that *pkg* raises on loading the config
+    text *text*, or "accepted"."""
+    try:
+        pkg.scenario.load_config(text)
+    except pkg.scenario.ConfigError as exc:
+        return f"error {str(exc)!r}"
+    return "accepted"
+
+
+def first_error_difference(parent: ModuleType, change: ModuleType,
+                           texts: tuple[str, ...] = ERRORS) -> tuple[str | None, str]:
+    """The first config text of *texts* whose outcome differs between the
+    trees, with both outcomes, or None and the number of texts."""
+    for text in texts:
+        a, b = config_outcome(parent, text), config_outcome(change, text)
+        if a != b:
+            shown = repr(text if len(text) <= 60 else text[:60] + "...")
+            return f"config {shown}", f"parent {a}, change {b}"
+    return None, f"{len(texts)} configs"
 
 
 def _base_config(pkg: ModuleType, base: str):
@@ -347,13 +399,15 @@ def main(argv: list[str] | None = None) -> int:
     change = load_tree(args.change, "occlusim_ab_change")
 
     if args.timing is None:
-        for compare in (lambda: first_difference(parent, change, matrix()),
-                        lambda: first_sweep_difference(parent, change)):
+        compares = (("bytes", lambda: first_difference(parent, change, matrix())),
+                    ("bytes", lambda: first_sweep_difference(parent, change)),
+                    ("errors", lambda: first_error_difference(parent, change)))
+        for same, compare in compares:
             differs, detail = compare()
             if differs is not None:
                 print(f"differs: {differs}: {detail}")
                 return 1
-            print(f"same bytes: {detail}")
+            print(f"same {same}: {detail}")
         return 0
 
     for label, (base, prepare, measure) in WORKLOADS.items():
