@@ -75,9 +75,11 @@ _RANGES = {
 _EXPECTS = {bool: "on or off (a bool)", int: "an integer", float: "a number"}
 
 
-def _check_key(key: str, value: object) -> None:
+def _check_key(key: str, value: object) -> bool | int | float:
     """One key's rules, in order: its default's type (no number key takes a
-    bool), finite (but the seed: random.Random takes any int) and its range.
+    bool), finite (but the seed: random.Random takes any int), held exactly
+    by a float (a float key) and its range. Returns the value to store, of
+    the default's own type, so a run sees only plain bools, ints and floats.
     ScenarioConfig runs them on every key, config_for on the speed and v2v."""
     kind, in_range, must = _RULES[key]
     try:
@@ -92,8 +94,14 @@ def _check_key(key: str, value: object) -> None:
         finite, value = False, "an integer too big for a float"
     if not finite:
         raise ConfigError(f"{key}: must be finite, got {value}")
+    if kind is float:  # math.isfinite took it, so float() does too
+        number = float(value)
+        if number != value:
+            raise ConfigError(f"{key}: must be a number that a float holds exactly, "
+                              f"got {value!r}")
     if in_range is not None and not in_range(value):
         raise ConfigError(f"{key}: must {must}, got {value}")
+    return number
 
 
 def _check_speeds(cfg: ScenarioConfig) -> None:
@@ -162,7 +170,7 @@ class ScenarioConfig:
             raise TypeError(f"ScenarioConfig: unknown keys {', '.join(map(repr, values))}")
         # Validated here and nowhere below: each key's rules in order, then two-key rules.
         for key, value in attrs.items():
-            _check_key(key, value)
+            attrs[key] = _check_key(key, value)
         lane_m = to_si(self.lane_width_ft)
         attrs.update(zip(_STAGED, (
             mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps),
@@ -388,8 +396,8 @@ def config_for(base: ScenarioConfig, av_speed_mph: float, v2v: bool) -> Scenario
     passed on *base*, so the copy, or the error raised, is the one that
     its reference, the full rebuild ``tests/_oracle.py::replace``, gives.
     """
-    _check_key("av_speed_mph", av_speed_mph)
-    _check_key("v2v", v2v)
+    av_speed_mph = _check_key("av_speed_mph", av_speed_mph)
+    v2v = _check_key("v2v", v2v)
     cfg = base._copy()
     attrs = vars(cfg)
     attrs["av_speed_mph"], attrs["v2v"] = av_speed_mph, v2v

@@ -1,14 +1,22 @@
 """tools/ab.py loads two source trees side by side and tells their
-outputs apart, and this tree's outputs over its byte matrix and its sweeps
-match stored digests."""
+outputs apart, and this tree's outputs over each base config's byte matrix
+runs and sweep match the digests stored in tests/outputs_sha256.json.
+
+After an intended and explained output change, re-store that file with
+
+    PYTHONPATH=src python tests/test_ab.py
+"""
 
 import hashlib
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
+
+import occlusim
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("ab_tool", ROOT / "tools" / "ab.py")
@@ -189,25 +197,31 @@ def test_src_line_count_is_the_newlines_of_every_module(tmp_path):
     assert ab.src_lines(copy) == ab.src_lines(ROOT) + 1
 
 
-# The two sha256s tools/ab.py's bytes mode prints for this tree: one over
-# every run of its matrix, one over the sweeps of its bases. Change them
-# only with an output change that is intended and explained.
-MATRIX_SHA256 = "a3fc1d2b2caa4afb756d8c62521530482a00a1f1f5a96795340179129dc3c163"
-SWEEPS_SHA256 = "1a3e172c615476b91659ba0881b56cfe158843547a0b63df9b61e4c2d3d0f7b5"
+# Each base config's sha256 over its matrix runs' outputs and over its
+# sweep's, by label. Re-store them only with an output change that is
+# intended and explained.
+DIGESTS = ROOT / "tests" / "outputs_sha256.json"
 MOVED = ("outputs moved: `python tools/ab.py <parent checkout> .` names the first "
-         "run or sweep that differs; `python tools/ab.py . .` prints this tree's digests")
+         "run or sweep that differs; `PYTHONPATH=src python tests/test_ab.py` re-stores "
+         "this tree's digests")
 
 
-def test_byte_matrix_and_sweeps_match_their_stored_digests(trees):
-    pkg = trees(ROOT, "occlusim_ab_test_matrix")
+def base_digests(pkg, label: str) -> dict[str, str]:
+    """The sha256 of the outputs of base *label*'s matrix runs, in matrix
+    order, and of its sweep's output, each run by *pkg*."""
+    base = ab.BASES[label]
     runs = hashlib.sha256()
-    for _, base, speed, v2v, braked in ab.matrix():
+    for _, _, speed, v2v, braked in ab.matrix({label: base}):
         runs.update(ab.run_output(pkg, base, speed, v2v, braked))
-    assert runs.hexdigest() == MATRIX_SHA256, MOVED
-    sweeps = hashlib.sha256()
-    for base in ab.BASES.values():
-        sweeps.update(ab.sweep_output(pkg, base))
-    assert sweeps.hexdigest() == SWEEPS_SHA256, MOVED
+    sweep = hashlib.sha256(ab.sweep_output(pkg, base))
+    return {"runs": runs.hexdigest(), "sweep": sweep.hexdigest()}
+
+
+@pytest.mark.parametrize("label", ab.BASES)
+def test_base_outputs_match_stored_digests(label):
+    stored = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert list(stored) == list(ab.BASES)
+    assert base_digests(occlusim, label) == stored[label], f"{label}: {MOVED}"
 
 
 def test_trace_workload_runs_and_writes_every_trace_of_the_grid(trees):
@@ -303,3 +317,10 @@ def test_a_claim_resolves_only_by_nine_tenths_of_ten_pairs_and_the_parents_iqr()
     assert ab.resolved(parent, [p - 1.0 for p in parent[:9]] + parent[9:])
     # Nine pairs, all won by far, are too few.
     assert not ab.resolved(parent[:9], [p - 1.0 for p in parent[:9]])
+
+
+if __name__ == "__main__":
+    # One line per base, so that a base whose outputs move shows as one line.
+    rows = (f"{json.dumps(label)}: {json.dumps(base_digests(occlusim, label))}"
+            for label in ab.BASES)
+    DIGESTS.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")

@@ -4,8 +4,8 @@ import sys
 import pytest
 
 from occlusim import cli, harness
-from occlusim.cli import (EXIT_CONFIG, EXIT_OK, MAX_RANGE_SPEEDS, _parse_speeds, build_parser,
-                          main)
+from occlusim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, MAX_RANGE_SPEEDS, _parse_speeds,
+                          build_parser, main)
 from occlusim.harness import RESULTS_HEADER, TRACE_HEADER
 from occlusim.scenario import ConfigError, ScenarioConfig
 
@@ -284,6 +284,16 @@ def test_unstageable_config_exits_1_naming_key(tmp_path, capsys, lines, key):
 
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == EXIT_CONFIG
+
+
+def test_exit_codes_are_the_documented_ones():
+    assert (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME) == (0, 1, 2)
+
+
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "results.csv"
+    assert main(["run", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 def test_calls_in_one_process_share_the_parser_and_nothing_else(tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 The reference files under perfbench/reference are the benchmark's golden
 outputs; these tests only read them. A change that moves any value, even
-in the last printed digit, fails here. Configs other than the default are
-pinned by tests/test_golden_grid.py, and by tests/test_ab.py over
-tools/ab.py's byte matrix and sweeps.
+in the last printed digit, fails here; perfbench/make_reference.py
+re-stores them. Every tools/ab.py base config, the default's traced runs
+and the other configs' runs and sweeps, is pinned by tests/test_ab.py
+against tests/outputs_sha256.json, which ``PYTHONPATH=src python
+tests/test_ab.py`` re-stores.
 """
 
 import hashlib

@@ -1,6 +1,8 @@
 import math
 import re
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from occlusim.scenario import (
     run_length_s,
 )
 from occlusim.cli import EXIT_CONFIG, main
-from occlusim.harness import run_scenario
+from occlusim.harness import run_scenario, write_results_csv, write_trace_csv
 
 FLOAT_KEYS = [k for k in ScenarioConfig.KEYS if isinstance(getattr(ScenarioConfig, k), float)]
 
@@ -55,6 +57,13 @@ WRONG_TYPES = (
     + [(key, value) for key in [*FLOAT_KEYS, *INT_KEYS] for value in (True, False)]
     + [(key, 1.5) for key in INT_KEYS] + [("num_lanes", 4.5), ("seed", [1]), ("v2v", 2)]
 )
+
+# Every number key at its default, as a numpy scalar of the default's kind.
+NUMPY_DEFAULTS = {key: (np.int64 if key in INT_KEYS else np.float64)(getattr(ScenarioConfig, key))
+                  for key in [*FLOAT_KEYS, *INT_KEYS]}
+
+# A lossy channel, so that the seed and every channel key reach the run.
+LOSSY = {"latency_s": 0.1, "drop_prob": 0.3}
 
 # Keys that may take any finite value; the rest are bounded below by zero.
 SIGNED_KEYS = {"ped_start_offset_m", "tx_stop_gap_m"}
@@ -247,8 +256,32 @@ class TestValidation:
         assert str(caught.value) == message
 
     def test_numpy_numbers_accepted(self):
-        assert ScenarioConfig(num_lanes=np.int64(4)) == ScenarioConfig()
-        assert config_for(ScenarioConfig(), np.float64(45.0), True) == ScenarioConfig()
+        # Each is stored as a plain number of its default's type.
+        kinds = [type(getattr(ScenarioConfig, key)) for key in ScenarioConfig.KEYS]
+        for cfg in (ScenarioConfig(**NUMPY_DEFAULTS), ScenarioConfig(tau_max_s=Decimal("10")),
+                    config_for(ScenarioConfig(), np.float64(45.0), True)):
+            assert cfg == ScenarioConfig()
+            assert [type(getattr(cfg, key)) for key in cfg.KEYS] == kinds
+
+    @pytest.mark.parametrize("key", NUMPY_DEFAULTS)
+    def test_numpy_number_runs_as_its_plain_value(self, key):
+        # A numpy number in the world makes numpy bools, which cannot index a tuple.
+        plain = ScenarioConfig(**LOSSY)
+        given = ScenarioConfig(**{**LOSSY, key: type(NUMPY_DEFAULTS[key])(getattr(plain, key))})
+        (a, a_trace), (b, b_trace) = run_scenario(plain), run_scenario(given)
+        assert write_results_csv([b]) == write_results_csv([a])
+        assert write_trace_csv(b_trace) == write_trace_csv(a_trace)
+
+    @pytest.mark.parametrize(("key", "value"), [
+        ("tau_max_s", Decimal("0.1")), ("dt_s", Fraction(1, 3)), ("approach_time_s", 2**53 + 1),
+    ], ids=["decimal", "fraction", "int-past-2**53"])
+    def test_number_that_no_float_holds_is_refused(self, key, value):
+        with pytest.raises(ConfigError) as caught:
+            ScenarioConfig(**{key: value})
+        assert str(caught.value) == (f"{key}: must be a number that a float holds exactly, "
+                                     f"got {value!r}")
+        with pytest.raises(ConfigError, match="^av_speed_mph: must be a number that a float "):
+            config_for(ScenarioConfig(), value, True)
 
     def test_every_ranged_key_is_a_config_key(self):
         # A misspelled key in the range table would silently drop its rule.

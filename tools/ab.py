@@ -9,21 +9,19 @@ relatively), so neither shadows the other or an installed ``occlusim``.
 
 bytes: runs a fixed matrix in both trees and compares every results and
 trace CSV: the 13 default speeds, both strategies, braked and unbraked,
-over 17 base configs: the default; ``dt_s`` 0.005, 0.1 and 1/64; four
-seeded lossy channels; ``dt_s`` 0.05; ``av_sensor_fov_half_rad`` pi;
-``latency_s`` 0.3; ``drop_prob`` 0.5 with seeds 0, 1 and 2;
-``v2v_range_m`` 100; ``bsm_period_s`` 0.1; and ``tx_sensor_range_m`` 10.
-Then it compares the results CSV of a sweep of each base config, since a
-sweep's runs need not take the path of the matrix's runs. It prints the
-first run or sweep whose output differs and exits 1, or prints one sha256
-over the runs' outputs and one over the sweeps' and exits 0. Beside the
-sweeps' sha256 it prints each tree's steps over all the sweeps, counted as
-the trace rows of each sweep run (a run records one row per step), and how
-many runs took more steps in the change than in the parent. Last, it
-loads each config text of a fixed corpus of rejected ones, one per rule
-that a config file can break, and compares each tree's ``ConfigError``
-text, or its acceptance: it prints the first config whose outcome differs
-and exits 1, or prints how many configs gave the same errors.
+over the 17 base configs of ``BASES``. Then it compares the results CSV of
+a sweep of each base, since a sweep's runs need not take the matrix's
+path. It prints the first run or sweep whose output differs and exits 1,
+or one sha256 over the runs' outputs and one over the sweeps', each
+tree's steps over all the sweeps (their runs' ``world.step`` calls) and
+how many runs took more steps in the change. Last, it compares each
+tree's ``ConfigError`` text, or its acceptance, for a fixed corpus of
+rejected config texts, one per rule that a file can break: it prints the
+first config whose outcome differs and exits 1, or how many gave the same
+errors. It stores no digest: ``tests/outputs_sha256.json`` holds each
+base's, re-stored by ``PYTHONPATH=src python tests/test_ab.py`` after an
+intended output change; ``perfbench/reference/`` and the README's table
+hold the default sweep's bytes.
 
 timing: alternates in-process passes of the two trees, the change first on
 every other pair, over four workloads: a sweep of the default config, a
@@ -185,23 +183,27 @@ def matrix(bases: dict[str, str] = BASES, speeds=SPEEDS_MPH):
 def sweep_output(pkg: ModuleType, base: str, steps: list[int] | None = None) -> bytes:
     """Results CSV of a sweep of the base config text *base*, run by *pkg*.
     Appends to the list *steps*, if given, the steps of each of the sweep's
-    runs: its trace rows, one per step, counted by wrapping
-    ``harness.run_scenario`` during the sweep."""
-    harness = pkg.harness
+    runs: its ``world.step`` calls, counted by wrapping ``world.step`` as
+    ``perfbench/run.py``'s warm-up does and split per run by wrapping
+    ``harness.run_scenario``, both during the sweep."""
+    harness, world = pkg.harness, pkg.world
     spec = harness.SweepSpec(base=pkg.scenario.load_config(base))
     steps = [] if steps is None else steps
-    run = harness.run_scenario
+    run, step = harness.run_scenario, world.step
 
     def counted_run(*args, **kwargs):
-        result = run(*args, **kwargs)
-        steps.append(len(result[1]))
-        return result
+        steps.append(0)
+        return run(*args, **kwargs)
 
-    harness.run_scenario = counted_run
+    def counted_step(*args, **kwargs):
+        steps[-1] += 1
+        return step(*args, **kwargs)
+
+    harness.run_scenario, world.step = counted_run, counted_step
     try:
         return harness.write_results_csv(harness.sweep(spec)).encode()
     finally:
-        harness.run_scenario = run
+        harness.run_scenario, world.step = run, step
 
 
 def _first_line_difference(a: bytes, b: bytes) -> str:
@@ -233,8 +235,7 @@ def first_sweep_difference(parent: ModuleType, change: ModuleType,
     sweep's output, each tree's simulated steps over all the sweeps and
     the number of runs that took more steps in the change."""
     h = hashlib.sha256()
-    a_steps: list[int] = []
-    b_steps: list[int] = []
+    a_steps, b_steps = [], []
     for label, base in bases.items():
         a = sweep_output(parent, base, a_steps)
         b = sweep_output(change, base, b_steps)
@@ -247,8 +248,7 @@ def first_sweep_difference(parent: ModuleType, change: ModuleType,
 
 
 def config_outcome(pkg: ModuleType, text: str) -> str:
-    """The ``ConfigError`` text that *pkg* raises on loading the config
-    text *text*, or "accepted"."""
+    """The ``ConfigError`` text that *pkg* raises loading *text*, or "accepted"."""
     try:
         pkg.scenario.load_config(text)
     except pkg.scenario.ConfigError as exc:
@@ -284,8 +284,7 @@ def _grid_traces(pkg: ModuleType, base: str) -> list[list[tuple]]:
 
 
 def _sweep_seconds(pkg: ModuleType, cfg) -> float:
-    """Time one sweep of the base config *cfg*, its runs' configs' building
-    included."""
+    """Time one sweep of the base config *cfg*, building its runs' configs included."""
     gc.collect()
     start = time.perf_counter()
     pkg.harness.sweep(pkg.harness.SweepSpec(base=cfg))
