@@ -224,6 +224,15 @@ def test_base_outputs_match_stored_digests(label):
     assert base_digests(occlusim, label) == stored[label], f"{label}: {MOVED}"
 
 
+def test_byte_matrix_and_sweeps_match_their_stored_digests(trees):
+    # The whole matrix and every sweep, run by a tree loaded as tools/ab.py
+    # loads one rather than by the imported package.
+    pkg = trees(ROOT, "occlusim_ab_test_matrix")
+    stored = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    moved = [label for label in ab.BASES if base_digests(pkg, label) != stored[label]]
+    assert not moved, f"{', '.join(moved)}: {MOVED}"
+
+
 def test_trace_workload_runs_and_writes_every_trace_of_the_grid(trees):
     parent = trees(ROOT, "occlusim_ab_test_trace_parent")
     change = trees(ROOT, "occlusim_ab_test_trace_change")
