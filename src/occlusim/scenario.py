@@ -63,7 +63,7 @@ def to_si(ft: float) -> float:  # feet, or feet per second, in meters (per secon
 _POSITIVE = (lambda v: v > 0.0, "be positive")
 _RANGES = {
     "av_speed_mph": _POSITIVE, "lane_width_ft": _POSITIVE,
-    "num_lanes": (lambda v: v >= 1, "be at least 1"),
+    "num_lanes": (lambda v: v >= 2, "be at least 2"),  # the AV's lane and the transmitter's
     "ped_speed_ftps": _POSITIVE, "approach_time_s": _POSITIVE,
     "reveal_margin_s": _POSITIVE, "reveal_margin_slow_s": _POSITIVE, "tau_max_s": _POSITIVE,
     "p_max_bar": _POSITIVE, "d_max_mps2": _POSITIVE, "av_sensor_range_m": _POSITIVE,
@@ -77,13 +77,17 @@ _EXPECTS = {bool: "on or off (a bool)", int: "an integer", float: "a number"}
 
 def _check_key(key: str, value: object) -> bool | int | float:
     """One key's rules, in order: its default's type (no number key takes a
-    bool), finite (but the seed: random.Random takes any int), held exactly
-    by a float (a float key) and its range. Returns the value to store, of
-    the default's own type, so a run sees only plain bools, ints and floats.
-    ScenarioConfig runs them on every key, config_for on the speed and v2v."""
+    bool, Python's or numpy's), finite (but the seed: random.Random takes any
+    int), held exactly by a float (a float key) and its range. Returns the
+    value to store, of the default's own type, so a run sees only plain
+    bools, ints and floats. ScenarioConfig runs them on every key,
+    config_for on the speed and v2v."""
     kind, in_range, must = _RULES[key]
     try:
-        if (value.__class__ is bool) is not (kind is bool):
+        # numpy's bool is no bool subclass: numpy.bool, numpy.bool_ before numpy 2.
+        cls = value.__class__
+        if (cls is not bool if kind is bool
+                else cls is not kind and cls.__name__ in ("bool", "bool_")):
             raise TypeError
         number = operator.index(value) if kind is int else value
         finite = kind is bool or key == "seed" or math.isfinite(number)
@@ -212,11 +216,6 @@ class ScenarioConfig:
         raise AttributeError(f"ScenarioConfig is read-only: cannot change {name!r}")
 
     __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ScenarioConfig:
-            return NotImplemented
-        return all(getattr(self, key) == getattr(other, key) for key in self.KEYS)
 
     def __repr__(self) -> str:
         return f"ScenarioConfig({', '.join(f'{k}={getattr(self, k)!r}' for k in self.KEYS)})"

@@ -149,7 +149,7 @@ def los_occluded(sensor_x: float, sensor_y: float, target_x: float, target_y: fl
         if t0 > t1:
             return False
     # Endpoint-only grazes do not block (open segment).
-    return t0 < t1 and t1 > 0.0 and t0 < 1.0
+    return t0 < t1
 
 
 def sense(sensor_x: float, sensor_y: float, range_m: float, cos_fov: float,

@@ -52,6 +52,10 @@ them changed, every rule and calibration run anew.
 ``occlusim.scenario.config_for`` copies a validated base and re-runs only
 the rules that read the speed and the strategy, and must give the same
 config or the same error.
+
+``same_config`` tells whether two configs hold equal keys. A
+``ScenarioConfig`` defines no ``==``: only tests compare configs, and
+between two configs ``==`` is identity.
 """
 
 from __future__ import annotations
@@ -86,6 +90,12 @@ def replace(cfg: ScenarioConfig, **changes: object) -> ScenarioConfig:
     """A copy of *cfg* with *changes* to its keys, validated and calibrated anew."""
     attrs = vars(cfg)
     return ScenarioConfig(**{key: attrs[key] for key in cfg.KEYS} | changes)
+
+
+def same_config(a: ScenarioConfig, b: ScenarioConfig) -> bool:
+    """Whether *a* and *b* are both configs whose keys are equal."""
+    return (a.__class__ is b.__class__ is ScenarioConfig
+            and all(getattr(a, key) == getattr(b, key) for key in ScenarioConfig.KEYS))
 
 
 def brute_force_ttc(x: float, y: float, vx: float, vy: float, r: float,

@@ -87,6 +87,29 @@ def test_sweep_default_is_full_table(tmp_path):
     assert len(out.read_text().splitlines()) == 27  # header + 26 rows
 
 
+def test_run_that_never_detects_prints_the_sentinel(tmp_path, capsys):
+    # A 0.5 m sensor never sees the pedestrian: no detection and no TTC.
+    cfg = tmp_path / "blind.cfg"
+    cfg.write_text("av_sensor_range_m = 0.5\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", str(cfg), "--v2v", "off", "--out", str(out)]) == EXIT_OK
+    assert "detected=- first_ttc=none" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1] == "45,without_v2v,,10000,10000,true,19.8800,0.0000"
+
+
+def test_run_that_brakes_to_a_standstill_stays_there(tmp_path):
+    # 1000 m/s^2 stops the AV within a step, short of the pedestrian.
+    cfg = tmp_path / "strong_brake.cfg"
+    cfg.write_text("d_max_mps2 = 1000\n")
+    out, trace = tmp_path / "r.csv", tmp_path / "trace.csv"
+    assert main(["run", "--config", str(cfg), "--speed", "10", "--v2v", "off",
+                 "--out", str(out), "--trace", str(trace)]) == EXIT_OK
+    rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    stopped = [row for row in rows if row[2] == "0.0000"]
+    assert stopped and stopped == rows[-len(stopped):]
+    assert out.read_text().splitlines()[1].split(",")[5] == "false"
+
+
 def test_seed_has_no_effect_on_the_ideal_channel(tmp_path):
     # With no drops the seeded generator is never drawn from.
     outputs = []
