@@ -79,6 +79,7 @@ class SweepSpec:
 
     def __init__(self, speeds_mph: tuple[float, ...] = DEFAULT_SWEEP_SPEEDS_MPH,
                  base: ScenarioConfig | None = None) -> None:
+        speeds_mph = tuple(speeds_mph)  # an array's truth is an error, a generator's always true
         if not speeds_mph:
             raise ConfigError("speeds_mph must not be empty")
         base = ScenarioConfig() if base is None else base

@@ -80,8 +80,8 @@ def _check_key(key: str, value: object) -> bool | int | float:
     bool, Python's or numpy's), finite (but the seed: random.Random takes any
     int), held exactly by a float (a float key) and its range. Returns the
     value to store, of the default's own type, so a run sees only plain
-    bools, ints and floats. ScenarioConfig runs them on every key,
-    config_for on the speed and v2v."""
+    bools, ints and floats. _derive runs them on each key a config changes
+    from its base: the constructor's keywords, config_for's speed and v2v."""
     kind, in_range, must = _RULES[key]
     try:
         # numpy's bool is no bool subclass: numpy.bool, numpy.bool_ before numpy 2.
@@ -122,18 +122,52 @@ def _check_speeds(cfg: ScenarioConfig) -> None:
                           f"{R_SUM_M:.3f} m, but {cfg.dt_s} s moves it {step_m:.4g} m")
 
 
-def _stage_entry(cfg: ScenarioConfig, attrs: dict[str, object]) -> None:
+def _derive(cfg: ScenarioConfig, base: dict[str, object],
+            changes: dict[str, object]) -> ScenarioConfig:
+    """Fill the blank *cfg* from *base*, the attributes of a validated config
+    or the defaults, with *changes*, given in key order. Validated here and
+    nowhere below: each changed key's own rules, then every rule that reads
+    two keys, on every config, and calibration last."""
+    attrs = vars(cfg)
+    attrs.update(base)
+    for key, value in changes.items():
+        attrs[key] = _check_key(key, value)
+    lane_m = to_si(cfg.lane_width_ft)
+    attrs.update(zip(_STAGED, (
+        mph_to_mps(cfg.av_speed_mph), to_si(cfg.ped_speed_ftps),
+        cfg.num_lanes * lane_m, (cfg.av_lane_index + 0.5) * lane_m,
+        (cfg.transmitter_lane_index + 0.5) * lane_m), strict=True))
+    _check_speeds(cfg)
+    for name in ("av_lane_index", "transmitter_lane_index"):
+        idx = getattr(cfg, name)
+        if not (0 <= idx < cfg.num_lanes):
+            raise ConfigError(f"{name}: must lie in [0, {cfg.num_lanes}), got {idx}")
+    if cfg.av_lane_index == cfg.transmitter_lane_index:
+        raise ConfigError("av_lane_index: must differ from transmitter_lane_index")
+    if cfg.transmitter_lane_index > cfg.av_lane_index:
+        raise ConfigError(
+            "transmitter_lane_index: the transmitter yields in an outer lane, "
+            "so its index must be below av_lane_index"
+        )
+    if cfg.reveal_knee_lo_mph >= cfg.reveal_knee_hi_mph:
+        raise ConfigError(
+            "reveal_knee_lo_mph: must be below reveal_knee_hi_mph, got "
+            f"{cfg.reveal_knee_lo_mph} >= {cfg.reveal_knee_hi_mph}"
+        )
     # Last, the config must stage the conflict within the run-length cap.
     attrs["ped_entry_time_s"] = calibrate_entry(cfg)
     attrs["tail_s"] = CLEARANCE_TAIL_S  # not a key: see run_scenario
+    return cfg
 
 
 class ScenarioConfig:
     """One experiment's inputs, in the units used at the file boundary.
 
     Its keys, listed in ``KEYS``, are the annotated defaults below. It is
-    built by keyword and read-only. Construction validates every key, sets
-    the ``_STAGED`` SI facts once and calibrates ``ped_entry_time_s``.
+    built by keyword and read-only. Construction derives it from the
+    defaults: it validates each given key and every rule that reads two
+    keys, sets the ``_STAGED`` SI facts once and calibrates
+    ``ped_entry_time_s``.
     """
 
     av_speed_mph: float = 45.0
@@ -167,49 +201,16 @@ class ScenarioConfig:
         # Each key is set once, in order, so all configs share one order.
         # With the staged facts a config has 33 attributes, too many for
         # CPython 3.11's shared key table, so each config has its own dict.
-        attrs = vars(self)
-        for key, default in _DEFAULTS.items():
-            attrs[key] = values.pop(key, default)
+        changes = {key: values.pop(key) for key in _DEFAULTS if key in values}
         if values:
             raise TypeError(f"ScenarioConfig: unknown keys {', '.join(map(repr, values))}")
-        # Validated here and nowhere below: each key's rules in order, then two-key rules.
-        for key, value in attrs.items():
-            attrs[key] = _check_key(key, value)
-        lane_m = to_si(self.lane_width_ft)
-        attrs.update(zip(_STAGED, (
-            mph_to_mps(self.av_speed_mph), to_si(self.ped_speed_ftps),
-            self.num_lanes * lane_m, (self.av_lane_index + 0.5) * lane_m,
-            (self.transmitter_lane_index + 0.5) * lane_m), strict=True))
-        _check_speeds(self)
-        for name in ("av_lane_index", "transmitter_lane_index"):
-            idx = getattr(self, name)
-            if not (0 <= idx < self.num_lanes):
-                raise ConfigError(f"{name}: must lie in [0, {self.num_lanes}), got {idx}")
-        if self.av_lane_index == self.transmitter_lane_index:
-            raise ConfigError("av_lane_index: must differ from transmitter_lane_index")
-        if self.transmitter_lane_index > self.av_lane_index:
-            raise ConfigError(
-                "transmitter_lane_index: the transmitter yields in an outer lane, "
-                "so its index must be below av_lane_index"
-            )
-        if self.reveal_knee_lo_mph >= self.reveal_knee_hi_mph:
-            raise ConfigError(
-                "reveal_knee_lo_mph: must be below reveal_knee_hi_mph, got "
-                f"{self.reveal_knee_lo_mph} >= {self.reveal_knee_hi_mph}"
-            )
-        _stage_entry(self, attrs)
-
-    def _copy(self) -> ScenarioConfig:
-        """This config with every attribute the same object, in order, not validated again."""
-        copy = object.__new__(ScenarioConfig)
-        object.__setattr__(copy, "__dict__", vars(self).copy())
-        return copy
+        _derive(self, _DEFAULTS, changes)  # the defaults pass their own rules: see the tests
 
     # A copy, not a run_scenario flag: perfbench/tracer.py's hooks take exactly (cfg, braking=True).
     def results_only(self) -> ScenarioConfig:
         """This config without the clearance tail."""
-        copy = self._copy()
-        object.__setattr__(copy, "tail_s", 0.0)
+        copy = object.__new__(ScenarioConfig)
+        vars(copy).update(vars(self), tail_s=0.0)
         return copy
 
     def __setattr__(self, name: str, value: object = None) -> None:
@@ -224,23 +225,6 @@ class ScenarioConfig:
         """Lateral position of the stopped transmitter's inner edge, where
         the pedestrian first clears the AV's blocked sight line."""
         return self.tx_lane_y + BODY_WIDTH_M / 2.0
-
-    def reveal_margin_for(self, **override: float) -> float:
-        """Seconds between the pedestrian clearing the sight line and the
-        unbraked disc contact at this config's speed, interpolated between
-        the slow and fast margins across the knee speeds. *override* replaces
-        the value of ``reveal_margin_s`` or ``reveal_margin_slow_s``."""
-        fast = override.get("reveal_margin_s", self.reveal_margin_s)
-        slow = override.get("reveal_margin_slow_s", self.reveal_margin_slow_s)
-        v = self.av_speed_mps
-        lo = mph_to_mps(self.reveal_knee_lo_mph)
-        hi = mph_to_mps(self.reveal_knee_hi_mph)
-        if v <= lo:
-            return slow
-        if v >= hi:
-            return fast
-        frac = (hi - v) / (hi - lo)
-        return fast + (slow - fast) * frac
 
 
 ScenarioConfig.KEYS = tuple(ScenarioConfig.__annotations__)  # the config keys, in order
@@ -307,20 +291,32 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
     MAX_RUN_STEPS. Where several keys could be at fault, it names the
     first one whose default would let the check pass, else a fallback key.
     """
-    edge_y = cfg.sightline_edge_y()
-    contact_y = edge_y + cfg.reveal_margin_for() * cfg.ped_speed_mps
+    edge_y, v = cfg.sightline_edge_y(), cfg.av_speed_mps
+    lo, hi = mph_to_mps(cfg.reveal_knee_lo_mph), mph_to_mps(cfg.reveal_knee_hi_mph)
+
+    def contact_y_for(fast: float, slow: float) -> float:
+        # The pedestrian's lateral position at contact: the reveal margin at
+        # this speed, interpolated between the slow and fast margins across
+        # the knee speeds, walked on past the sight-line edge.
+        margin = (slow if v <= lo else fast if v >= hi
+                  else fast + (slow - fast) * ((hi - v) / (hi - lo)))
+        return edge_y + margin * cfg.ped_speed_mps
+
+    fast, slow = cfg.reveal_margin_s, cfg.reveal_margin_slow_s
+    contact_y = contact_y_for(fast, slow)
     dy = cfg.av_lane_y - contact_y
     if not (0.0 < dy < R_SUM_M):
-        for key in ("reveal_margin_s", "reveal_margin_slow_s"):
-            margin = cfg.reveal_margin_for(**{key: getattr(ScenarioConfig, key)})
-            if 0.0 < cfg.av_lane_y - (edge_y + margin * cfg.ped_speed_mps) < R_SUM_M:
+        defaults = ScenarioConfig.reveal_margin_s, ScenarioConfig.reveal_margin_slow_s
+        for key, margins in (("reveal_margin_s", (defaults[0], slow)),
+                             ("reveal_margin_slow_s", (fast, defaults[1]))):
+            if 0.0 < cfg.av_lane_y - contact_y_for(*margins) < R_SUM_M:
                 break
         else:
             key = "lane_width_ft"
         raise ConfigError(f"{key}: contact out of reach: the pedestrian's offset from the AV's "
                           f"lane center {dy:.4g} m must lie in (0, {R_SUM_M:.4g})")
     contact_dx = math.sqrt(R_SUM_M * R_SUM_M - dy * dy)
-    t_contact = cfg.approach_time_s - contact_dx / cfg.av_speed_mps
+    t_contact = cfg.approach_time_s - contact_dx / v
     walk_time = (contact_y - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     if walk_time <= 0.0:
         raise ConfigError(f"ped_start_offset_m: the start {cfg.ped_start_offset_m:.4g} m is past "
@@ -386,21 +382,8 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
 
 
 def config_for(base: ScenarioConfig, av_speed_mph: float, v2v: bool) -> ScenarioConfig:
-    """A copy of the validated *base* at a different test speed and strategy.
-
-    Only the rules that read the speed or the strategy run again, in the
-    constructor's order: the own rules of ``av_speed_mph`` and then of
-    ``v2v``, the staged ``av_speed_mps``, the m/s rule, the step-length
-    rule and calibration with its run-length cap. Every other rule already
-    passed on *base*, so the copy, or the error raised, is the one that
-    its reference, the full rebuild ``tests/_oracle.py::replace``, gives.
-    """
-    av_speed_mph = _check_key("av_speed_mph", av_speed_mph)
-    v2v = _check_key("v2v", v2v)
-    cfg = base._copy()
-    attrs = vars(cfg)
-    attrs["av_speed_mph"], attrs["v2v"] = av_speed_mph, v2v
-    attrs["av_speed_mps"] = mph_to_mps(av_speed_mph)
-    _check_speeds(cfg)
-    _stage_entry(cfg, attrs)
-    return cfg
+    """A copy of the validated *base* at a different test speed and
+    strategy, derived and checked as the constructor derives a config from
+    the defaults."""
+    return _derive(object.__new__(ScenarioConfig), vars(base),
+                   {"av_speed_mph": av_speed_mph, "v2v": v2v})

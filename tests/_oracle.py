@@ -49,9 +49,9 @@ must return the same text.
 
 ``replace`` is a config rebuilt in full from another's keys with some of
 them changed, every rule and calibration run anew.
-``occlusim.scenario.config_for`` copies a validated base and re-runs only
-the rules that read the speed and the strategy, and must give the same
-config or the same error.
+``occlusim.scenario.config_for`` copies a validated base and checks only
+the speed and the strategy of the key rules, and must give the same config
+or the same error.
 
 ``same_config`` tells whether two configs hold equal keys. A
 ``ScenarioConfig`` defines no ``==``: only tests compare configs, and

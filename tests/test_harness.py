@@ -400,8 +400,10 @@ class TestSweep:
         ]
 
     def test_empty_speed_list_rejected(self):
-        with pytest.raises(ValueError):
-            SweepSpec(speeds_mph=())
+        # A numpy array and a generator are read as the tuple of their speeds.
+        for speeds in ((), np.arange(0.0), (s for s in ())):
+            with pytest.raises(ConfigError, match="^speeds_mph must not be empty$"):
+                SweepSpec(speeds_mph=speeds)
 
     def test_nonpositive_speed_rejected(self):
         with pytest.raises(ValueError):
@@ -426,9 +428,15 @@ class TestSweep:
             SweepSpec(speeds_mph=(45.0, speed))
 
     def test_numpy_speeds_accepted(self):
-        speeds = tuple(np.arange(10, 75, 5))
-        assert [cfg.av_speed_mph for cfg in SweepSpec(speeds_mph=speeds).configs[::2]] == list(
-            range(10, 75, 5))
+        # An array, its tuple, a generator and numpy ints sweep as the default
+        # grid: each speed is stored as a plain float, so the bytes are the same.
+        grid = np.arange(10.0, 75.0, 5.0)
+        default = write_results_csv(sweep(SweepSpec()))
+        for speeds in (grid, tuple(grid), (s for s in grid), tuple(np.arange(10, 75, 5))):
+            spec = SweepSpec(speeds_mph=speeds)
+            assert [cfg.av_speed_mph for cfg in spec.configs[::2]] == list(range(10, 75, 5))
+            assert {type(cfg.av_speed_mph) for cfg in spec.configs} == {float}
+            assert write_results_csv(sweep(spec)) == default
 
     def test_calibration_checked_at_every_speed(self):
         # The slow margin still calibrates at 10 mph; 15 mph is the first

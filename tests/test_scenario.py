@@ -293,6 +293,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^av_speed_mph: must be a number that a float "):
             config_for(ScenarioConfig(), value, True)
 
+    def test_every_default_passes_its_own_rules_unchanged(self):
+        # The constructor checks only the keys it is given, so the defaults,
+        # code and not input, meet their own rules here.
+        for key in ScenarioConfig.KEYS:
+            default = getattr(ScenarioConfig, key)
+            checked = scenario._check_key(key, default)
+            assert (type(checked), checked) == (type(default), default), key
+        built, rebuilt = ScenarioConfig(), replace(ScenarioConfig())
+        assert list(vars(built).items()) == list(vars(rebuilt).items())
+
     def test_every_ranged_key_is_a_config_key(self):
         # A misspelled key in the range table would silently drop its rule.
         assert set(scenario._RANGES) <= set(ScenarioConfig.KEYS)
@@ -494,10 +504,10 @@ class TestConfigFor:
     @example(base=ScenarioConfig(), speed=None, v2v=True)
     @example(base=ScenarioConfig(), speed=True, v2v=True)
     def test_derived_copy_is_the_full_rebuild(self, base, speed, v2v):
-        # config_for re-runs only the speed's rules on a copy of the
-        # validated base, its results-only copy included: every attribute,
-        # its value, type and place, or the error message, is what
-        # rebuilding all 26 keys gives.
+        # config_for checks only the speed and the strategy, then every
+        # two-key rule, on a copy of the validated base, its results-only
+        # copy included: every attribute, its value, type and place, or
+        # the error message, is what rebuilding all 26 keys gives.
         def outcome(build):
             try:
                 return [(key, value, repr(value)) for key, value in vars(build()).items()]

@@ -101,7 +101,8 @@ BASES = {
 # Config texts that each break one rule a file can break, by one value
 # where one does it: the file grammar, each key's own rules (finite, then
 # its range), the rules that read two keys, and calibration. A file's
-# values are read by their keys' types, so none is of a wrong type.
+# values are read by their keys' types, so none is of a wrong type. The
+# last six break two rules each, so a change in which one is named shows.
 ERRORS = (
     "this is not a key value pair\n", "av_sped_mph = 45\n", "seed = 1\nseed = 2\n",
     "v2v = maybe\n", "num_lanes = 2.5\n", "dt_s = fast\n", "num_lanes = 1" + "0" * 5000 + "\n",
@@ -121,6 +122,11 @@ ERRORS = (
     "ped_start_offset_m = 10\n", "ped_start_offset_m = -60\n", "approach_time_s = 5\n",
     "approach_time_s = 1e200\n", "dt_s = 4e-6\n",
     "ped_speed_ftps = 1e-3\nped_start_offset_m = -1.0\napproach_time_s = 13000.0\n",
+    # The later key first in the file; the earlier key's own rule, the lane rules before
+    # the knee rule, and a key's own rule before calibration are named.
+    "av_sensor_fov_half_rad = 4\nav_speed_mph = -3\n", "drop_prob = 1.5\nlatency_s = -0.2\n",
+    "dt_s = 1\nnum_lanes = -1\n", "ped_start_offset_m = inf\nlane_width_ft = -2\n",
+    "reveal_knee_lo_mph = 16\nav_lane_index = 5\n", "approach_time_s = 5\ndt_s = -1\n",
 )
 
 
