@@ -105,7 +105,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         spec = SweepSpec(speeds_mph=speeds, base=base)
     except ConfigError as exc:
-        raise ConfigError(f"--speeds: {exc}") from None
+        raise ConfigError(str(exc) if args.speeds is None else f"--speeds: {exc}") from None
     results = sweep(spec)
     save_text(args.out, write_results_csv(results))
     collisions = sum(1 for r in results if r.collision)

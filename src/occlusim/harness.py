@@ -35,16 +35,18 @@ sentinel ``10000``; elsewhere, trace rows included, no TTC is None.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from . import world as world_mod
-from .braking import BrakePolicy
 from .scenario import (CLEARANCE_TAIL_S, ConfigError, ScenarioConfig, SimResult, build_world,
                        config_for)
 from .world import AV_RADIUS_M, R_SUM_M, los_occluded
 
 NO_TTC_SENTINEL_S = 10000.0
 
-# A TTC is None or nonnegative, so none is at or below this law's threshold.
-_UNBRAKED = BrakePolicy(tau_max_s=-1.0)
+# A TTC is None or nonnegative, so none is at or below this threshold, and
+# the brake law, returning 0, reads no other key.
+_UNBRAKED = SimpleNamespace(tau_max_s=-1.0)
 
 # A results-only run's path misses once cross^2 - R^2 a > 2**-30 |X|^2 a. ttc()'s
 # b*b - a*c, exactly R^2 a - cross^2, rounds by a few ulps of |X|^2 a, as b*b and a*c are

@@ -1,5 +1,5 @@
 """Discrete-time world: three actors, line-of-sight occlusion, onboard
-sensing, the V2V relay, proportional braking, and contact detection.
+sensing, the V2V relay, the proportional brake law, and contact detection.
 
 One :class:`WorldState` is owned by exactly one run and stepped
 sequentially; it holds only what the next step reads, and distinct runs
@@ -32,7 +32,6 @@ import random
 from collections import deque
 from typing import TYPE_CHECKING
 
-from .braking import BrakePolicy, brake_pressure, deceleration_for
 from .ttc import TtcOutcome, ttc
 
 if TYPE_CHECKING:  # scenario imports this module
@@ -216,11 +215,26 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
             world.latest_ped_info = in_flight.popleft()
 
 
+def brake_pressure(t: TtcOutcome, cfg: ScenarioConfig) -> float:
+    """The brake law: commanded pressure in bars for a TTC outcome. 0 (hold
+    speed) with no valid TTC or one above ``tau_max_s``; otherwise linear
+    from 0 at ``tau_max_s`` up to ``p_max_bar`` at TTC 0."""
+    if t is None or t > cfg.tau_max_s:
+        return 0.0
+    return (cfg.tau_max_s - t) / cfg.tau_max_s * cfg.p_max_bar
+
+
+def deceleration_for(pressure_bar: float, cfg: ScenarioConfig) -> float:
+    """Deceleration magnitude (m/s^2) produced by a pressure command,
+    linear up to ``d_max_mps2`` at ``p_max_bar``."""
+    return pressure_bar / cfg.p_max_bar * cfg.d_max_mps2
+
+
 # What a step without a pedestrian estimate returns, indexed by contact.
 _NO_ESTIMATE = ((None, 0.0, None, False), (None, 0.0, None, True))
 
 
-def step(world: WorldState, dt: float, policy: BrakePolicy | ScenarioConfig,
+def step(world: WorldState, dt: float, policy: ScenarioConfig,
          channel: ScenarioConfig, v2v_enabled: bool) -> tuple[TtcOutcome, float, str | None, bool]:
     """Advance the world by one timestep and return what it observed:
     (TTC, pressure, estimate source, contact), the control decision as the

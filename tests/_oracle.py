@@ -61,15 +61,16 @@ between two configs ``==`` is identity.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from occlusim import world as world_mod
-from occlusim.braking import BrakePolicy, brake_pressure
 from occlusim.harness import NO_TTC_SENTINEL_S, TRACE_HEADER
 from occlusim.scenario import ScenarioConfig, SimResult, build_world
 from occlusim.ttc import ttc
-from occlusim.world import AV_RADIUS_M, PED_RADIUS_M, R_SUM_M, los_occluded, sense
+from occlusim.world import (AV_RADIUS_M, PED_RADIUS_M, R_SUM_M, brake_pressure, los_occluded,
+                            sense)
 
 FINE_DT = 1e-5
 # How far, as a share of |X|^2 |V|^2, a results-only run's relative path
@@ -297,7 +298,7 @@ def run_reference(cfg, braking: bool = True) -> tuple[SimResult, list[tuple]]:
     cross = X x V. An unbraked run uses a law whose threshold no TTC is at
     or below."""
     w = build_world(cfg)
-    policy = cfg if braking else BrakePolicy(tau_max_s=-1.0)
+    policy = cfg if braking else SimpleNamespace(tau_max_s=-1.0)
     clearance_y = cfg.av_lane_y + world_mod.R_SUM_M
     sight = (w.av_y, w.occluder)
     rows = []

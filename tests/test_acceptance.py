@@ -33,7 +33,7 @@ import pytest
 from _oracle import brute_force_ttc
 from conftest import SWEEP_SPEEDS
 from occlusim import ScenarioConfig, SweepSpec, sweep, write_results_csv
-from occlusim.braking import BrakePolicy, brake_pressure
+from occlusim.world import brake_pressure
 from occlusim.ttc import ttc
 
 R_SUM = 3.74904
@@ -75,7 +75,7 @@ def test_criterion_1_ttc_oracle_equivalence():
 
 
 def test_criterion_2_brake_law_exactness():
-    policy = BrakePolicy()
+    policy = ScenarioConfig()
     checks = [
         brake_pressure(6.0, policy) == 80.0,
         brake_pressure(12.0, policy) == 0.0,

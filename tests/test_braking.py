@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from occlusim.braking import BrakePolicy, brake_pressure, deceleration_for
 from occlusim.scenario import ScenarioConfig
+from occlusim.world import brake_pressure, deceleration_for
 
 
 @pytest.fixture
 def policy():
-    return BrakePolicy()
+    return ScenarioConfig()
 
 
 class TestBrakePressure:
@@ -73,17 +73,17 @@ class TestPolicyValidation:
 
 
 class TestConfigAsPolicy:
-    """A run's config drives the law exactly as a BrakePolicy holding the
-    same three keys does."""
+    """The law reads its three keys from the run's config: at the defaults
+    and away from them it meets its closed forms."""
 
     @pytest.mark.parametrize("keys", [{}, {"tau_max_s": 5.0, "p_max_bar": 120.0,
                                            "d_max_mps2": 6.0}])
     def test_same_pressure_and_deceleration(self, keys):
         cfg = ScenarioConfig(**keys)
-        policy = BrakePolicy(**keys)
-        assert (policy.tau_max_s, policy.p_max_bar, policy.d_max_mps2) == (
-            cfg.tau_max_s, cfg.p_max_bar, cfg.d_max_mps2)
-        for tau in (None, 0.0, 2.5, 6.0, 10.0, 12.0):
-            assert brake_pressure(tau, cfg) == brake_pressure(tau, policy)
-        for pressure in (0.0, 80.0, 200.0):
-            assert deceleration_for(pressure, cfg) == deceleration_for(pressure, policy)
+        tau, p_max, d_max = (keys.get("tau_max_s", 10.0), keys.get("p_max_bar", 200.0),
+                             keys.get("d_max_mps2", 8.0))
+        assert brake_pressure(None, cfg) == 0.0
+        for t in (0.0, 2.5, 4.0, 5.0, 6.0, 10.0, 12.0):
+            assert brake_pressure(t, cfg) == ((tau - t) / tau * p_max if t <= tau else 0.0), t
+        for pressure in (0.0, 48.0, 80.0, 120.0, 200.0):
+            assert deceleration_for(pressure, cfg) == pressure / p_max * d_max, pressure

@@ -395,5 +395,5 @@ def test_sweep_config_error_names_speed_before_any_run(tmp_path, capsys, monkeyp
     cfg.write_text("dt_s = 0.15\n")
     out = tmp_path / "s.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: --speeds: 60 mph: dt_s: ")
+    assert capsys.readouterr().err.startswith("config error: 60 mph: dt_s: ")
     assert not out.exists()

@@ -326,6 +326,40 @@ class TestRunScenario:
         # That step had the relay's estimate, and no TTC; its row shows none.
         assert steps[-1][:3] == (None, 0.0, "v2v") and named_rows(trace)[-1].source is None
 
+    def test_results_only_run_ends_only_once_its_path_misses_by_more_than_the_margin(
+            self, monkeypatch):
+        # A scripted world: its first step detects; on its second the
+        # relative path misses the disc by exactly the margin, which does not
+        # end the run; on its third, with the pedestrian an ulp farther on,
+        # it misses by more, which does. A fourth step would collide.
+        av_x, av_speed = -95.204, 11.315
+        tie_y, past_y = -1.00116268391169, -1.001162683911689
+        cfg = ScenarioConfig().results_only()
+        vy, av_y = cfg.ped_speed_mps, cfg.av_lane_y
+
+        def gap(ped_y):  # the miss rule's two sides, subtracted
+            x, y, vx = 0.0 - av_x, ped_y - av_y, 0.0 - av_speed
+            a, cross = vx * vx + vy * vy, x * vy - y * vx
+            return cross * cross - R_SUM_M * R_SUM_M * a - 2.0 ** -30 * (x * x + y * y) * a
+
+        assert gap(tie_y) == 0.0 < gap(past_y)
+        # Each step's pedestrian y (None: the world is left as it is) and
+        # what the step returns.
+        script = iter([(None, (5.0, 0.0, "v2v", False)), (tie_y, (None, 0.0, "v2v", False)),
+                       (past_y, (None, 0.0, "v2v", False)), (None, (None, 0.0, "v2v", True))])
+
+        def scripted(w, dt, *args):
+            ped_y, observed = next(script)
+            w.t_s += dt
+            if ped_y is not None:
+                w.av_x, w.av_speed, w.ped_y = av_x, av_speed, ped_y
+            return observed
+
+        monkeypatch.setattr(world_mod, "step", scripted)
+        result, trace = run_scenario(cfg)
+        assert len(trace) == 3 and not result.collision
+        assert named_rows(trace)[-1].ped_y_m == past_y
+
     @pytest.mark.parametrize("mph,v2v", [(45.0, True), (10.0, False)])
     def test_unbraked_run_commands_and_applies_no_pressure(self, monkeypatch, mph, v2v):
         calls = []

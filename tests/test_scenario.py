@@ -404,6 +404,58 @@ class TestCalibration:
         with pytest.raises(ConfigError, match="^approach_time_s: "):
             replace(longest, approach_time_s=longest.approach_time_s + 2.0)
 
+    # Each blame rule below meets its boundary exactly: the approach times,
+    # lane widths and walking speeds were found by stepping a float one ulp
+    # at a time, and each test asserts the tie it stages.
+
+    @pytest.mark.parametrize(("lane_width_ft", "ped_speed_ftps", "twin_margin_s", "dy"), [
+        (12.0, 50.26246719160106, 0.1, 0.0), (16.0, 4.1513560804899585, 0.3, R_SUM_M)])
+    def test_contact_on_a_reach_bound_at_the_default_margin_blames_the_lane(
+            self, lane_width_ft, ped_speed_ftps, twin_margin_s, dy):
+        # The default fast margin stages the contact's offset exactly on a
+        # bound of the open reach (0, R_SUM_M), so neither margin's default
+        # passes, and the fallback key is named.
+        keys = {"lane_width_ft": lane_width_ft, "ped_speed_ftps": ped_speed_ftps}
+        twin = ScenarioConfig(**keys, reveal_margin_s=twin_margin_s)
+        assert twin.av_lane_y - (twin.sightline_edge_y()
+                                 + ScenarioConfig.reveal_margin_s * twin.ped_speed_mps) == dy
+        with pytest.raises(ConfigError, match="^lane_width_ft: contact out of reach"):
+            ScenarioConfig(**keys)
+
+    def test_late_start_blames_the_offset_when_its_default_enters_at_zero(self):
+        # At this approach the default start enters at t = 0 exactly, the
+        # earliest entry accepted, so a start farther back is at fault; one
+        # ulp shorter, the default start is late too.
+        approach_s = 17.31912696680855
+        assert ScenarioConfig(approach_time_s=approach_s).ped_entry_time_s == 0.0
+        with pytest.raises(ConfigError, match="^ped_start_offset_m: .* cannot reach"):
+            ScenarioConfig(approach_time_s=approach_s, ped_start_offset_m=-30.0)
+        with pytest.raises(ConfigError, match="^approach_time_s: .* cannot reach"):
+            ScenarioConfig(approach_time_s=math.nextafter(approach_s, 0.0))
+
+    def test_run_at_the_cap_at_the_default_step_blames_a_finer_step(self):
+        approach_s = 19989.98034743925
+        cfg = ScenarioConfig(approach_time_s=approach_s)
+        assert run_length_s(cfg, cfg.ped_entry_time_s) / cfg.dt_s == MAX_RUN_STEPS
+        with pytest.raises(ConfigError, match="^dt_s: the run would take"):
+            ScenarioConfig(approach_time_s=approach_s, dt_s=0.01)
+
+    def test_run_over_the_cap_blames_the_approach_when_it_ties_the_walk_on(self):
+        # A crawl from close by, as in test_run_longer_than_cap_names_dominant_key's
+        # last case, but with the unbraked AV's arrival at the contact exactly as
+        # long as the walk on past it: the approach is named; one ulp shorter, the walk.
+        keys = {"ped_speed_ftps": 1e-3, "ped_start_offset_m": -1.0}
+        approach_s = 21347.19035364788
+        cfg = ScenarioConfig(**keys, approach_time_s=approach_s, dt_s=0.1)  # under the cap
+        contact_y = cfg.sightline_edge_y() + cfg.reveal_margin_s * cfg.ped_speed_mps
+        dy = cfg.av_lane_y - contact_y
+        t_contact = approach_s - math.sqrt(R_SUM_M * R_SUM_M - dy * dy) / cfg.av_speed_mps
+        assert t_contact == (cfg.av_lane_y + R_SUM_M - contact_y) / cfg.ped_speed_mps
+        with pytest.raises(ConfigError, match="^approach_time_s: the run would take"):
+            ScenarioConfig(**keys, approach_time_s=approach_s)
+        with pytest.raises(ConfigError, match="^ped_speed_ftps: the run would take"):
+            ScenarioConfig(**keys, approach_time_s=math.nextafter(approach_s, 0.0))
+
     def test_run_length_matches_trace_rows(self, sweep_runs):
         # Every run that does not collide ends by the clearance tail, so its
         # row count is the closed-form length in steps, rounded up three

@@ -76,7 +76,6 @@ _API = "an input guard that only a Python caller reaches: "
 _LOS = ("a physics branch that no corpus run takes, reached by tests/test_world.py::TestLosOccluded"
         "::test_boundary_cases_match_loop_form: ")
 UNRUN = {
-    ("braking", "from .scenario import ScenarioConfig"): (1, _TYPING),
     ("world", "from .geometry import Vec2"): (1, _TYPING),
     ("world", "from .scenario import ScenarioConfig"): (1, _TYPING),
     ("cli", "raise SystemExit(main())"): (

@@ -2,6 +2,7 @@ import copy
 import math
 import random
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from _oracle import channel_step as channel_step_reference
 from _oracle import compute_control, los_occluded_loop, replace, sense_clamped, step_composed
 from occlusim import world as world_mod
-from occlusim.braking import BrakePolicy
 from occlusim.geometry import Vec2
 from occlusim.harness import run_scenario, write_results_csv, write_trace_csv
 from occlusim.scenario import ScenarioConfig, build_world, config_for
@@ -89,7 +89,7 @@ SENSE_COORD = st.one_of(COORD, TINY)
 
 # The channel is the run's config: ideal apart from a 300 m radio range.
 IDEAL = ScenarioConfig(v2v_range_m=300.0)
-POLICY = BrakePolicy()
+POLICY = ScenarioConfig()
 
 
 class TestLosOccluded:
@@ -551,7 +551,7 @@ class TestComputeControl:
 # lossy, and one that drops every broadcast. A brake law no TTC engages.
 CHANNELS = (IDEAL, replace(IDEAL, latency_s=0.1), replace(IDEAL, drop_prob=0.5),
             replace(IDEAL, drop_prob=1.0))
-UNBRAKED = BrakePolicy(tau_max_s=-1.0)
+UNBRAKED = SimpleNamespace(tau_max_s=-1.0)
 
 
 @st.composite

@@ -36,12 +36,10 @@ parent's by more than the parent's interquartile range, the rule for
 claiming a gain, and with ``unresolved`` otherwise. Both trees share one
 process and the parent is loaded first, so their heap and cache state
 differ and one run understates its own spread: quote a timing figure from
-two runs, each in a fresh process. When both trees hold the same source
-text for every function a workload times (``harness.write_trace_csv`` and
-``world.los_occluded`` for ``trace text``), its pair count is followed by
-``(same code on both sides: this run's noise floor)``: that ratio is an
-A/A control, and a gap on the other workloads no wider than its distance
-from 1 is noise.
+two runs, each in a fresh process, each beside a run of the parent against
+itself in a fresh process (``python tools/ab.py P P --timing 20``), in
+which every line is an A/A control. A gap no wider than that run's
+distance from 1 is noise.
 
 Both modes label each side with a sha256 of its ``src/occlusim/*.py`` and
 those files' line count. Start-up, CLI and memory figures stay with
@@ -54,7 +52,6 @@ import argparse
 import gc
 import hashlib
 import importlib.util
-import inspect
 import random
 import statistics
 import sys
@@ -328,22 +325,6 @@ WORKLOADS = {
     "trace text": (BASES["default"], _grid_traces, _text_seconds),
 }
 
-# Every function that a timing workload runs, as "module.function", by
-# label: listed only where that set is closed, so that the same source text
-# on both sides makes the workload an A/A control.
-TIMED_CODE = {"trace text": ("harness.write_trace_csv", "world.los_occluded")}
-
-
-def same_code(parent: ModuleType, change: ModuleType, names) -> bool:
-    """True when each "module.function" in *names* has the same source
-    text in both trees."""
-    def source(pkg: ModuleType, name: str) -> str:
-        module, function = name.split(".")
-        return inspect.getsource(getattr(getattr(pkg, module), function))
-
-    return all(source(parent, name) == source(change, name) for name in names)
-
-
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """The first quartile, the median and the third quartile of *values*."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -417,14 +398,11 @@ def main(argv: list[str] | None = None) -> int:
 
     for label, (base, prepare, measure) in WORKLOADS.items():
         t = timing(parent, change, base, args.timing, prepare, measure)
-        names = TIMED_CODE.get(label)
-        control = (" (same code on both sides: this run's noise floor)"
-                   if names and same_code(parent, change, names) else "")
         sides = ", ".join(f"{side} {q2:.2f} ms (quartiles {q1:.2f}-{q3:.2f})"
                           for side, (q1, q2, q3) in (("parent", t["parent_ms"]),
                                                      ("change", t["change_ms"])))
         print(f"{label}: {sides}, ratio median {t['ratio']:.4f} "
-              f"(IQR {t['q1']:.4f}-{t['q3']:.4f}), change won {t['won']}/{t['pairs']}{control}, "
+              f"(IQR {t['q1']:.4f}-{t['q3']:.4f}), change won {t['won']}/{t['pairs']}, "
               f"{'resolved' if t['resolved'] else 'unresolved'}")
     return 0
 
