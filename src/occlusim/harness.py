@@ -128,7 +128,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     """
     w = build_world(cfg)
     policy = cfg if braking else _UNBRAKED
-    clearance_y = cfg.av_lane_y + R_SUM_M
+    clearance_y = cfg.clearance_y
 
     trace: list[tuple] = []
     detected_at: float | None = None

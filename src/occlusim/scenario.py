@@ -41,8 +41,10 @@ CLEARANCE_TAIL_S = 5.0
 # The most steps a run may take; calibrate_entry rejects longer runs.
 MAX_RUN_STEPS = 1_000_000
 
-# The SI facts, in m/s and m, that each config converts once from its road-unit keys.
-_STAGED = ("av_speed_mps", "ped_speed_mps", "road_width_m", "av_lane_y", "tx_lane_y")
+# The SI facts, in m/s and m, that each config works out once from its road-unit keys; the
+# last two are the conflict's lines: the stopped transmitter's inner edge and the lane clearance.
+_STAGED = ("av_speed_mps", "ped_speed_mps", "road_width_m", "av_lane_y", "tx_lane_y",
+           "sightline_edge_y", "clearance_y")
 
 
 class ConfigError(ValueError):
@@ -133,10 +135,10 @@ def _derive(cfg: ScenarioConfig, base: dict[str, object],
     for key, value in changes.items():
         attrs[key] = _check_key(key, value)
     lane_m = to_si(cfg.lane_width_ft)
+    av_y, tx_y = (cfg.av_lane_index + 0.5) * lane_m, (cfg.transmitter_lane_index + 0.5) * lane_m
     attrs.update(zip(_STAGED, (
-        mph_to_mps(cfg.av_speed_mph), to_si(cfg.ped_speed_ftps),
-        cfg.num_lanes * lane_m, (cfg.av_lane_index + 0.5) * lane_m,
-        (cfg.transmitter_lane_index + 0.5) * lane_m), strict=True))
+        mph_to_mps(cfg.av_speed_mph), to_si(cfg.ped_speed_ftps), cfg.num_lanes * lane_m,
+        av_y, tx_y, tx_y + BODY_WIDTH_M / 2.0, av_y + R_SUM_M), strict=True))
     _check_speeds(cfg)
     for name in ("av_lane_index", "transmitter_lane_index"):
         idx = getattr(cfg, name)
@@ -199,7 +201,7 @@ class ScenarioConfig:
 
     def __init__(self, **values: object) -> None:
         # Each key is set once, in order, so all configs share one order.
-        # With the staged facts a config has 33 attributes, too many for
+        # With the staged facts a config has 35 attributes, too many for
         # CPython 3.11's shared key table, so each config has its own dict.
         changes = {key: values.pop(key) for key in _DEFAULTS if key in values}
         if values:
@@ -220,11 +222,6 @@ class ScenarioConfig:
 
     def __repr__(self) -> str:
         return f"ScenarioConfig({', '.join(f'{k}={getattr(self, k)!r}' for k in self.KEYS)})"
-
-    def sightline_edge_y(self) -> float:
-        """Lateral position of the stopped transmitter's inner edge, where
-        the pedestrian first clears the AV's blocked sight line."""
-        return self.tx_lane_y + BODY_WIDTH_M / 2.0
 
 
 ScenarioConfig.KEYS = tuple(ScenarioConfig.__annotations__)  # the config keys, in order
@@ -291,7 +288,7 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
     MAX_RUN_STEPS. Where several keys could be at fault, it names the
     first one whose default would let the check pass, else a fallback key.
     """
-    edge_y, v = cfg.sightline_edge_y(), cfg.av_speed_mps
+    edge_y, v = cfg.sightline_edge_y, cfg.av_speed_mps
     lo, hi = mph_to_mps(cfg.reveal_knee_lo_mph), mph_to_mps(cfg.reveal_knee_hi_mph)
 
     def contact_y_for(fast: float, slow: float) -> float:
@@ -316,11 +313,17 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
         raise ConfigError(f"{key}: contact out of reach: the pedestrian's offset from the AV's "
                           f"lane center {dy:.4g} m must lie in (0, {R_SUM_M:.4g})")
     contact_dx = math.sqrt(R_SUM_M * R_SUM_M - dy * dy)
-    t_contact = cfg.approach_time_s - contact_dx / v
     walk_time = (contact_y - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     if walk_time <= 0.0:
         raise ConfigError(f"ped_start_offset_m: the start {cfg.ped_start_offset_m:.4g} m is past "
                           f"the contact point {contact_y:.4g} m")
+    # A speed so small that an actor needs forever to reach the contact, which no
+    # other key can make up for.
+    for key, span_s in (("av_speed_mph", contact_dx / v), ("ped_speed_ftps", walk_time)):
+        if not math.isfinite(span_s):
+            raise ConfigError(f"{key}: must be fast enough to reach the contact point in "
+                              f"finite time, got {getattr(cfg, key)}")
+    t_contact = cfg.approach_time_s - contact_dx / v
     entry = t_contact - walk_time
     if entry < 0.0:
         default_walk = (contact_y - ScenarioConfig.ped_start_offset_m) / cfg.ped_speed_mps
@@ -332,7 +335,7 @@ def calibrate_entry(cfg: ScenarioConfig) -> float:
         # Blame the step if the run would fit at the default one, else the
         # longer of the two spans the run is made of (up to rounding): the
         # approach until contact and the walk on from contact to clearance.
-        walk_on_s = (cfg.av_lane_y + R_SUM_M - contact_y) / cfg.ped_speed_mps
+        walk_on_s = (cfg.clearance_y - contact_y) / cfg.ped_speed_mps
         key = ("dt_s" if length_s / ScenarioConfig.dt_s <= MAX_RUN_STEPS
                else "approach_time_s" if t_contact >= walk_on_s else "ped_speed_ftps")
         raise ConfigError(f"{key}: the run would take {length_s / cfg.dt_s:.4g} steps, "
@@ -344,7 +347,7 @@ def run_length_s(cfg: ScenarioConfig, entry: float) -> float:
     """Closed-form duration of a run without collision: the entry time,
     the walk until the pedestrian clears the AV's lane, and the tail, which
     the cap counts even though a sweep's run ends before it."""
-    walk_s = (cfg.av_lane_y + R_SUM_M - cfg.ped_start_offset_m) / cfg.ped_speed_mps
+    walk_s = (cfg.clearance_y - cfg.ped_start_offset_m) / cfg.ped_speed_mps
     return entry + walk_s + CLEARANCE_TAIL_S
 
 
@@ -370,7 +373,7 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
         transmitter=Vec2(tx_x, tx_y),
         # Its inner side is the sight-line edge that calibration stages.
         occluder=(tx_x - AV_RADIUS_M, tx_x + AV_RADIUS_M,
-                  tx_y - BODY_WIDTH_M / 2.0, cfg.sightline_edge_y()),
+                  tx_y - BODY_WIDTH_M / 2.0, cfg.sightline_edge_y),
         # The pedestrian moves along the walk line and is sensed only
         # once active.
         ped_y=cfg.ped_start_offset_m,

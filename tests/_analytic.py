@@ -13,7 +13,7 @@ center; an AV that never brakes keeps its speed from its start
 ``approach_time_s`` before the walk line.
 
 ``reveal_time`` is when the pedestrian clears the AV's blocked sight line:
-the transmitter's inner edge, ``cfg.sightline_edge_y()``. A run without
+the transmitter's inner edge, ``cfg.sightline_edge_y``. A run without
 the relay detects it within one step after this time.
 
 ``first_delivery_time`` is when the relay's first message reaches the AV.
@@ -78,7 +78,7 @@ def unbraked_av_x(cfg, t_s: float) -> float:
 
 def reveal_time(cfg) -> float:
     """When the pedestrian's center reaches the sight-line edge."""
-    walk_m = cfg.sightline_edge_y() - cfg.ped_start_offset_m
+    walk_m = cfg.sightline_edge_y - cfg.ped_start_offset_m
     return first_step_time(cfg) + walk_m / cfg.ped_speed_mps
 
 

@@ -17,6 +17,7 @@ from occlusim import harness
 from occlusim import world as world_mod
 from occlusim.geometry import Vec2
 from occlusim.harness import (
+    DEFAULT_SWEEP_SPEEDS_MPH,
     NO_TTC_SENTINEL_S,
     RESULTS_HEADER,
     TRACE_HEADER,
@@ -379,12 +380,19 @@ class TestRunScenario:
         run_scenario(cfg)
         assert calls
 
-    @pytest.mark.parametrize("dt_s", [0.005, 0.01, 0.02, 0.05, 0.1])
+    @pytest.mark.parametrize("dt_s", [0.005, 0.01, 0.02, 0.05, 0.1, 0.119, 0.125, 0.15, 0.18])
     def test_collision_pattern_holds_at_every_step_size(self, dt_s):
         # Criteria 3 and 9: the relay avoids at every speed, the run without
         # it avoids at 10 mph and collides from 15 mph on, and every
-        # unbraked run collides.
-        spec = SweepSpec(base=ScenarioConfig(dt_s=dt_s))
+        # unbraked run collides. Up to the default base's largest step, each
+        # case runs the speeds that the step-length rule admits.
+        base = ScenarioConfig(dt_s=dt_s)
+        refused = {0.125: (70.0,), 0.15: (60.0, 65.0, 70.0),
+                   0.18: (50.0, 55.0, 60.0, 65.0, 70.0)}.get(dt_s, ())
+        for mph in refused:
+            with pytest.raises(ConfigError, match="^dt_s: one step may move an actor"):
+                config_for(base, mph, False)
+        spec = SweepSpec([s for s in DEFAULT_SWEEP_SPEEDS_MPH if s not in refused], base)
         for cfg, result in zip(spec.configs, sweep(spec), strict=True):
             assert result.collision is (not cfg.v2v and cfg.av_speed_mph >= 15.0), cfg
             assert run_scenario(cfg, braking=False)[0].collision is True, cfg

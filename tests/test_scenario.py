@@ -341,7 +341,8 @@ class TestValidation:
         assert cfg.tx_lane_y == pytest.approx(1.8288, abs=1e-12)
         assert cfg.road_width_m == pytest.approx(14.6304, abs=1e-12)
         assert R_SUM_M == pytest.approx(3.74904, abs=1e-12)
-        assert cfg.sightline_edge_y() == pytest.approx(2.7288, abs=1e-12)
+        assert cfg.sightline_edge_y == pytest.approx(2.7288, abs=1e-12)
+        assert cfg.clearance_y == cfg.av_lane_y + R_SUM_M
 
 
 class TestCalibration:
@@ -378,6 +379,14 @@ class TestCalibration:
     def test_start_past_conflict_raises(self):
         with pytest.raises(ConfigError, match="^ped_start_offset_m: .* past the contact point"):
             ScenarioConfig(ped_start_offset_m=10.0)
+
+    @pytest.mark.parametrize(("key", "speed"), [("av_speed_mph", 1e-308), ("ped_speed_ftps", 1e-310)])
+    def test_speed_too_small_for_a_finite_time_to_the_contact_is_named(self, key, speed):
+        # The AV's time from the contact offset to the walk line, or the
+        # pedestrian's walk to the contact, overflows: no approach time fits it.
+        with pytest.raises(ConfigError, match=rf"^{key}: must be fast enough to reach the "
+                                              rf"contact point in finite time, got {speed}$"):
+            ScenarioConfig(**{key: speed})
 
     @pytest.mark.parametrize(("overrides", "key"), [
         ({"approach_time_s": 1e200}, "approach_time_s"),
@@ -417,7 +426,7 @@ class TestCalibration:
         # passes, and the fallback key is named.
         keys = {"lane_width_ft": lane_width_ft, "ped_speed_ftps": ped_speed_ftps}
         twin = ScenarioConfig(**keys, reveal_margin_s=twin_margin_s)
-        assert twin.av_lane_y - (twin.sightline_edge_y()
+        assert twin.av_lane_y - (twin.sightline_edge_y
                                  + ScenarioConfig.reveal_margin_s * twin.ped_speed_mps) == dy
         with pytest.raises(ConfigError, match="^lane_width_ft: contact out of reach"):
             ScenarioConfig(**keys)
@@ -447,7 +456,7 @@ class TestCalibration:
         keys = {"ped_speed_ftps": 1e-3, "ped_start_offset_m": -1.0}
         approach_s = 21347.19035364788
         cfg = ScenarioConfig(**keys, approach_time_s=approach_s, dt_s=0.1)  # under the cap
-        contact_y = cfg.sightline_edge_y() + cfg.reveal_margin_s * cfg.ped_speed_mps
+        contact_y = cfg.sightline_edge_y + cfg.reveal_margin_s * cfg.ped_speed_mps
         dy = cfg.av_lane_y - contact_y
         t_contact = approach_s - math.sqrt(R_SUM_M * R_SUM_M - dy * dy) / cfg.av_speed_mps
         assert t_contact == (cfg.av_lane_y + R_SUM_M - contact_y) / cfg.ped_speed_mps
@@ -513,7 +522,7 @@ class TestBuildWorld:
         # must be blocked by exactly that footprint.
         cfg = ScenarioConfig(**overrides)
         min_x, max_x, min_y, max_y = build_world(cfg).occluder
-        assert cfg.sightline_edge_y() == max_y
+        assert cfg.sightline_edge_y == max_y
         assert max_x - min_x == pytest.approx(2 * AV_RADIUS_M, rel=1e-12)
         assert max_y - min_y == pytest.approx(BODY_WIDTH_M, rel=1e-12)
 

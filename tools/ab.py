@@ -111,7 +111,8 @@ ERRORS = (
     "av_sensor_fov_half_rad = 0\n", "av_sensor_fov_half_rad = 3.5\n", "tx_sensor_range_m = 0\n",
     "v2v_range_m = 0\n", "bsm_period_s = 0\n", "latency_s = -0.1\n", "drop_prob = 1.5\n",
     "dt_s = -0.02\n",
-    "av_speed_mph = 5e-324\n", "ped_speed_ftps = 5e-324\n", "av_speed_mph = 420\n",
+    "av_speed_mph = 5e-324\n", "ped_speed_ftps = 5e-324\n", "av_speed_mph = 1e-320\n",
+    "ped_speed_ftps = 1e-320\n", "av_speed_mph = 420\n",
     "av_lane_index = 4\n", "transmitter_lane_index = -1\n", "av_lane_index = 0\n",
     "transmitter_lane_index = 2\n", "reveal_knee_lo_mph = 15\n",
     "lane_width_ft = 2\n", "reveal_margin_s = 4.0\n",
