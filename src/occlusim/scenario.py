@@ -78,12 +78,14 @@ _EXPECTS = {bool: "on or off (a bool)", int: "an integer", float: "a number"}
 
 
 def _check_key(key: str, value: object) -> bool | int | float:
-    """One key's rules, in order: its default's type (no number key takes a
-    bool, Python's or numpy's), finite (but the seed: random.Random takes any
-    int), held exactly by a float (a float key) and its range. Returns the
-    value to store, of the default's own type, so a run sees only plain
-    bools, ints and floats. _derive runs them on each key a config changes
-    from its base: the constructor's keywords, config_for's speed and v2v."""
+    """One key's rules, in order: its default's type (``v2v`` takes only a
+    bool, an integer key what ``operator.index`` takes and a number key what
+    ``math.isfinite`` takes, but no bool, Python's or numpy's), finite (but
+    the seed: random.Random takes any int), held exactly by a float (a float
+    key) and its range. Returns the value to store, of the default's own
+    type, so a run sees only plain bools, ints and floats. _derive runs them
+    on each key a config changes from its base: the constructor's keywords,
+    config_for's speed and v2v."""
     kind, in_range, must = _RULES[key]
     try:
         # numpy's bool is no bool subclass: numpy.bool, numpy.bool_ before numpy 2.
@@ -169,7 +171,12 @@ class ScenarioConfig:
     built by keyword and read-only. Construction derives it from the
     defaults: it validates each given key and every rule that reads two
     keys, sets the ``_STAGED`` SI facts once and calibrates
-    ``ped_entry_time_s``.
+    ``ped_entry_time_s``. The defaults are code, not input, so their own
+    rules run in a test (``test_every_default_passes_its_own_rules_unchanged``),
+    not at each construction.
+
+    It has no ``==`` of its own: two configs compare by identity, and the
+    tests compare keys with ``tests/_oracle.py::same_config``.
     """
 
     av_speed_mph: float = 45.0
@@ -206,11 +213,14 @@ class ScenarioConfig:
         changes = {key: values.pop(key) for key in _DEFAULTS if key in values}
         if values:
             raise TypeError(f"ScenarioConfig: unknown keys {', '.join(map(repr, values))}")
-        _derive(self, _DEFAULTS, changes)  # the defaults pass their own rules: see the tests
+        _derive(self, _DEFAULTS, changes)
 
     # A copy, not a run_scenario flag: perfbench/tracer.py's hooks take exactly (cfg, braking=True).
     def results_only(self) -> ScenarioConfig:
-        """This config without the clearance tail."""
+        """This config without the clearance tail: a copy, keys and staged
+        facts alike, with ``tail_s`` 0 (not a key), neither validated nor
+        calibrated again. Its run ends by ``harness.run_scenario``'s miss rule,
+        and keeps the tail only when that rule never fires."""
         copy = object.__new__(ScenarioConfig)
         vars(copy).update(vars(self), tail_s=0.0)
         return copy
@@ -387,6 +397,7 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
 def config_for(base: ScenarioConfig, av_speed_mph: float, v2v: bool) -> ScenarioConfig:
     """A copy of the validated *base* at a different test speed and
     strategy, derived and checked as the constructor derives a config from
-    the defaults."""
+    the defaults. So it accepts and rejects exactly what the full rebuild,
+    ``tests/_oracle.py::replace``, does, with the same messages."""
     return _derive(object.__new__(ScenarioConfig), vars(base),
                    {"av_speed_mph": av_speed_mph, "v2v": v2v})

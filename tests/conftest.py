@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import sys
 from collections import namedtuple
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -15,6 +17,13 @@ from occlusim.scenario import config_for
 
 # The package's default grid; tools/ab.py keeps its own, fixed across trees.
 SWEEP_SPEEDS = DEFAULT_SWEEP_SPEEDS_MPH
+
+# tools/ab.py, loaded once as a module for the tests that drive it or read
+# its tables.
+_spec = importlib.util.spec_from_file_location(
+    "ab_tool", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
 
 # A named view of one trace row, for tests to read fields by name;
 # run_scenario records each row as a plain tuple in this order.

@@ -8,7 +8,6 @@ After an intended and explained output change, re-store that file with
 """
 
 import hashlib
-import importlib.util
 import json
 import shutil
 import sys
@@ -17,11 +16,9 @@ from pathlib import Path
 import pytest
 
 import occlusim
+from conftest import ab
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("ab_tool", ROOT / "tools" / "ab.py")
-ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab)
 
 
 @pytest.fixture

@@ -7,19 +7,25 @@ Criteria 4 and 6 encode targets that the modeled physics cannot fully
 reach; they are asserted as stated and fail honestly:
 
 - Criterion 4 requires a sub-0.2 s first TTC in the 10 mph no-relay run.
-  With the disc-overlap collision rule, a stop from 10 mph needs roughly
-  0.4 s of warning (at 8 m/s^2 peak deceleration a later detection always
-  ends in overlap), yet criterion 3 requires that same run to avoid the
-  collision. The scenario gives the 10 mph case the warning it needs, so
-  its first TTC is ~0.8 s and the other twelve speeds stay below 0.2 s.
+  With the disc-overlap collision rule and 8 m/s^2 peak deceleration, that
+  run collides at every reveal margin up to 0.45 s, where its first TTC
+  lies below the margin, and avoids from 0.46 s
+  (``test_harness.py::TestRunScenario::test_10mph_without_v2v_needs_over_045_s_of_warning``),
+  yet criterion 3 requires it to avoid the collision. The scenario gives
+  the 10 mph case the warning it needs, so its first TTC is ~0.8 s and the
+  other twelve speeds stay below 0.2 s.
 - Criterion 6 requires the TTC trace to be nondecreasing from the first
-  brake application. Proportional braking starts gently, and a gentle
-  deceleration cannot outpace the clock: TTC rises monotonically only if
-  decel * ttc exceeds the closing speed at braking onset, which is
-  impossible above ~45 mph closing given 8 m/s^2 at full pressure (and
-  never holds at onset when detection happens above the 10 s threshold).
-  Every with-relay run therefore shows a shallow initial TTC dip before
-  the rise.
+  brake application. Proportional braking starts gently, at a fraction of
+  full pressure. For disc contact, with X and V
+  the pedestrian's position and velocity relative to the AV and A = (a, 0)
+  the relative acceleration of an AV decelerating at a, the TTC tau moves
+  at dtau/dt = -1 - tau (P.A) / (P.V), where P = X + V tau is the contact
+  offset (P.V < 0 while the discs close). So the TTC rises iff
+  tau * a * P_x > -P.V, which a small a does not meet at onset. Every
+  with-relay run therefore shows a shallow initial TTC dip before the
+  rise: 7.42 s down to 7.16 s at 45 mph. The one-dimensional rule, that
+  TTC rises once decel * ttc exceeds the closing speed, misreads 91 of the
+  217 braked steps of the 10 mph run.
 """
 
 from __future__ import annotations

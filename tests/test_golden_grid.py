@@ -10,20 +10,15 @@ tools/ab.py's matrix order. The store is re-stored only by
 """
 
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
 import occlusim
+from conftest import ab
 from occlusim import SweepSpec, run_scenario, write_results_csv
 from occlusim.harness import write_trace_csv
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("ab_tool", ROOT / "tools" / "ab.py")
-ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab)
-
-DIGESTS = ROOT / "tests" / "outputs_sha256.json"
+DIGESTS = Path(__file__).resolve().parent / "outputs_sha256.json"
 
 
 def test_unbraked_runs_match_stored_digest():

@@ -62,6 +62,20 @@ class TestRunScenario:
         assert round(-(closest.av_x_m + AV_RADIUS_M), 1) == 1.3
         assert round(closest.av_speed_mps, 2) == 0.66
 
+    @pytest.mark.parametrize("margin_s,collides", [
+        *((m, True) for m in (0.20, 0.25, 0.30, 0.35, 0.40, 0.45)),
+        *((m, False) for m in (0.46, 0.50, 0.85)),
+    ])
+    def test_10mph_without_v2v_needs_over_045_s_of_warning(self, margin_s, collides):
+        # README: at 10 mph a margin of 0.45 s or less ends in disc overlap
+        # regardless of braking, while 0.46 s is enough. This is why
+        # criterion 4's sub-0.2 s first TTC and criterion 3's miss cannot
+        # both hold there: the sight line always opens under the margin.
+        cfg = ScenarioConfig(av_speed_mph=10, v2v=False, reveal_margin_slow_s=margin_s)
+        result, _ = run_scenario(cfg)
+        assert result.collision is collides
+        assert result.first_ttc_s < margin_s
+
     def test_detection_with_v2v_strictly_earlier(self, sweep_runs):
         for mph in (10.0, 20.0, 45.0, 70.0):
             with_r, _ = sweep_runs[(mph, True)]
@@ -574,6 +588,14 @@ class TestSerialization:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         assert f"\n{RESULTS_HEADER}\n" in readme
         assert f"(`{TRACE_HEADER}`)" in readme
+
+    def test_readme_module_table_matches_src(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = list(re.finditer(r"^\| `occlusim\.(\w+)` \|.*", readme, re.M))
+        modules = {path.stem for path in Path(harness.__file__).parent.glob("*.py")}
+        # One row per module but __init__, and none for a module that is gone.
+        assert Counter(row[1] for row in rows) == Counter(modules - {"__init__"})
+        assert [row[0] for row in rows if len(row[0]) > 200] == []
 
     def test_trace_csv_layout(self):
         # Both rows share one run's sight: the default sensor lane and the
