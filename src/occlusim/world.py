@@ -183,10 +183,8 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
     its range boundary is inclusive. A message is accepted only if the AV
     is within ``v2v_range_m`` at send time and the seeded ``drop_prob``
     draw passes; the slot and the draw are spent in radio range or not.
-    Every accepted message is delivered once ``latency_s`` has passed since
-    its send; the newest delivered wins. A zero-latency link delivers it on
-    the step it was sent without queueing it, unless older messages are
-    still in flight; every other link passes it through ``in_flight``.
+    Every accepted message is queued in ``in_flight`` and delivered once
+    ``latency_s`` has passed since its send; the newest delivered wins.
     """
     t_s = world.t_s
     in_flight = world.in_flight
@@ -201,18 +199,10 @@ def channel_step(world: WorldState, channel: ScenarioConfig, dt: float) -> None:
         in_range = gap <= range_m and math.hypot(gap, world.av_tx_dy) <= range_m
         dropped = drop_prob > 0.0 and world.rng.random() < drop_prob
         if in_range and not dropped:
-            msg = V2VMessage(t_s, ped_y, world.ped_vy)
-            # Nothing queued and no latency: the message is due now and the newest.
-            if not in_flight and channel.latency_s == 0.0:
-                world.latest_ped_info = msg
-                return
-            in_flight.append(msg)
+            in_flight.append(V2VMessage(t_s, ped_y, world.ped_vy))
 
-    if in_flight:
-        latency_s = channel.latency_s
-        due_s = t_s + _T_EPS
-        while in_flight and in_flight[0][0] + latency_s <= due_s:
-            world.latest_ped_info = in_flight.popleft()
+    while in_flight and in_flight[0][0] + channel.latency_s <= t_s + _T_EPS:
+        world.latest_ped_info = in_flight.popleft()
 
 
 def brake_pressure(t: TtcOutcome, cfg: ScenarioConfig) -> float:

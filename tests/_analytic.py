@@ -33,6 +33,14 @@ AV that never brakes and the pedestrian overlap.
 positions of the unbraked AV and the pedestrian and their velocities. A
 run cannot brake before its first estimate, so its first TTC is this at
 its detection time, whatever its brake law.
+
+``ttc_rate`` is how fast the time to contact moves under a relative
+acceleration (a, 0), the pedestrian's as seen from an AV decelerating at
+a. Differentiating |P| = R_SUM_M along the motion, for the contact offset
+P = X + V tau, gives dtau/dt = -1 - tau (P.A) / (P.V). A braked run's TTC
+rises from one step to the next when this is positive at the step's start
+and falls when it is negative, except on a step within which it changes
+sign.
 """
 
 from __future__ import annotations
@@ -122,10 +130,27 @@ def first_ttc(cfg, t_s: float) -> float | None:
     pedestrian's position X and velocity V relative to the AV."""
     ped_y = cfg.ped_start_offset_m + cfg.ped_speed_mps * max(t_s - first_step_time(cfg), 0.0)
     x, y = 0.0 - unbraked_av_x(cfg, t_s), ped_y - cfg.av_lane_y
-    vx, vy = -cfg.av_speed_mps, cfg.ped_speed_mps
     if math.hypot(x, y) <= R_SUM_M:
         return 0.0
-    a, half_b, c = vx * vx + vy * vy, x * vx + y * vy, x * x + y * y - R_SUM_M * R_SUM_M
+    return _contact_root(x, y, -cfg.av_speed_mps, cfg.ped_speed_mps, R_SUM_M)
+
+
+def ttc_rate(x: float, y: float, vx: float, vy: float, a: float,
+             r_sum: float) -> float | None:
+    """dtau/dt for the pedestrian at (x, y) moving at (vx, vy) relative to
+    an AV that decelerates at *a*, for discs that touch at *r_sum* apart:
+    -1 - tau (P.A) / (P.V) with P = X + V tau and A = (a, 0). None when the
+    discs are apart and their paths never bring them within *r_sum* ahead."""
+    tau = _contact_root(x, y, vx, vy, r_sum)
+    if tau is None:
+        return None
+    px, py = x + vx * tau, y + vy * tau
+    return -1.0 - tau * (px * a) / (px * vx + py * vy)
+
+
+def _contact_root(x: float, y: float, vx: float, vy: float, r_sum: float) -> float | None:
+    """The smaller root of |X + V t| = *r_sum* if it lies ahead, else None."""
+    a, half_b, c = vx * vx + vy * vy, x * vx + y * vy, x * x + y * y - r_sum * r_sum
     discriminant = half_b * half_b - a * c
     if discriminant < 0.0:
         return None

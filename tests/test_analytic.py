@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import Phase, given, settings
 
-from _analytic import (first_delivery_time, first_grid_time, first_ttc, reveal_time,
-                       unbraked_contact_time)
-from conftest import CALIBRATED
+from _analytic import (R_SUM_M, first_delivery_time, first_grid_time, first_ttc, reveal_time,
+                       ttc_rate, unbraked_contact_time)
+from conftest import CALIBRATED, SWEEP_SPEEDS
 from occlusim import ScenarioConfig, run_scenario
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH
 from occlusim.scenario import config_for
@@ -97,3 +97,40 @@ def test_drawn_runs_meet_every_closed_form(keys):
         assert abs(result.first_ttc_s - expected) <= 1e-9, (braking, result, expected)
         if not braking:
             assert result.collision_time_s == unbraked_contact_time(cfg), result
+
+
+def test_criterion_6_dips_have_the_sign_of_the_exact_ttc_rate(sweep_runs):
+    # Criterion 6 fails because proportional braking starts too gently to
+    # turn the TTC at once. Row k's TTC came from row k-1's state, and row
+    # k's pressure decelerates the AV until row k+1's TTC is taken, so the
+    # disc-contact rate at row k-1's state under that deceleration gives
+    # the sign of the TTC's change. The one exception a run may have is the
+    # step on which that rate, taken again at row k's state, changes sign:
+    # the TTC turns within it. The dips counted by criterion 6's rule are
+    # the ones its failure reports.
+    dip_steps = {}
+    for mph in SWEEP_SPEEDS:
+        cfg = config_for(ScenarioConfig(), mph, True)
+        trace = sweep_runs[(mph, True)][1]
+
+        def rate_at(state, decel):
+            return ttc_rate(0.0 - state.av_x_m, state.ped_y_m - cfg.av_lane_y,
+                            -state.av_speed_mps, cfg.ped_speed_mps, decel, R_SUM_M)
+
+        turns = []
+        for before, row, after in zip(trace, trace[1:], trace[2:]):
+            if row.pressure_bar <= 0.0 or row.ttc_s is None or after.ttc_s is None:
+                continue
+            decel = row.pressure_bar / cfg.p_max_bar * cfg.d_max_mps2
+            rate = rate_at(before, decel)
+            if (rate > 0.0) != (rate_at(row, decel) > 0.0):
+                turns.append(row.t_s)
+                continue
+            assert (after.ttc_s > row.ttc_s) == (rate > 0.0), (mph, row.t_s, rate)
+        assert len(turns) <= 1, (mph, turns)
+
+        start = next(i for i, r in enumerate(trace) if r.pressure_bar > 0.0)
+        clear = next(i for i in range(start, len(trace)) if trace[i].ttc_s is None)
+        segment = [r.ttc_s for r in trace[start:clear]]
+        dip_steps[mph] = sum(b < a - 1e-9 for a, b in zip(segment, segment[1:]))
+    assert (dip_steps[10.0], dip_steps[15.0], dip_steps[20.0]) == (79, 110, 137)

@@ -12,7 +12,7 @@ from _oracle import channel_step as channel_step_reference
 from _oracle import compute_control, los_occluded_loop, replace, sense_clamped, step_composed
 from occlusim import world as world_mod
 from occlusim.geometry import Vec2
-from occlusim.harness import run_scenario, write_results_csv, write_trace_csv
+from occlusim.harness import SweepSpec, run_scenario, write_results_csv, write_trace_csv
 from occlusim.scenario import ScenarioConfig, build_world, config_for
 from occlusim.ttc import ttc
 from occlusim.world import (
@@ -397,10 +397,10 @@ class TestChannel:
 
 
     @pytest.mark.parametrize("latency_s", [0.0, 0.3])
-    def test_zero_latency_link_never_queues(self, monkeypatch, latency_s):
-        # A zero-latency link hands each accepted message to the AV on the
-        # step it is built; a delayed one queues every message. Either way
-        # each built message is delivered or, at the end, still queued.
+    def test_every_accepted_message_passes_through_the_queue(self, monkeypatch, latency_s):
+        # Every link, a zero-latency one too, queues each accepted message
+        # on the step it is built; each built message is then delivered or,
+        # at the end, still queued.
         made = []
         build = world_mod.V2VMessage
 
@@ -418,33 +418,22 @@ class TestChannel:
             if w.latest_ped_info is not latest:
                 latest = w.latest_ped_info
                 delivered += 1
-        assert w.in_flight.appends == (len(made) if latency_s else 0)
+        assert w.in_flight.appends == len(made)
         assert len(made) > 0 and delivered == len(made) - len(w.in_flight)
         assert bool(w.in_flight) == bool(latency_s)
 
     @pytest.mark.parametrize("speed", [10.0, 45.0, 70.0])
     @pytest.mark.parametrize("drop_prob", [0.0, 0.5])
-    def test_sub_guard_latency_queues_yet_matches_the_zero_latency_link(self, monkeypatch,
-                                                                        speed, drop_prob):
-        # A latency below the clock guard is due on the sending step too,
-        # but only a zero latency skips the queue: both paths give the same
-        # results and trace bytes.
-        queues = []
-
-        def counting():
-            queues.append(AppendCounting())
-            return queues[-1]
-
-        monkeypatch.setattr(world_mod, "deque", counting)
+    def test_sub_guard_latency_matches_the_zero_latency_link(self, speed, drop_prob):
+        # A latency below the clock guard is due on the sending step, as a
+        # zero latency is: both give the same results and trace bytes.
         assert 0.0 < 5e-10 < _T_EPS
-        outputs, appends = [], []
+        outputs = []
         for latency_s in (0.0, 5e-10):
             cfg = ScenarioConfig(av_speed_mph=speed, latency_s=latency_s, drop_prob=drop_prob,
                                  seed=1)
             result, trace = run_scenario(cfg)
             outputs.append(write_results_csv([result]) + write_trace_csv(trace))
-            appends.append(queues.pop().appends)
-        assert appends[0] == 0 < appends[1]
         assert outputs[0] == outputs[1]
 
 
@@ -459,8 +448,8 @@ class AppendCounting(deque):
 
 
 def world_slots(w: WorldState) -> dict:
-    """Every WorldState slot by value; the generator by its state."""
-    return {name: w.rng.getstate() if name == "rng" else copy.deepcopy(getattr(w, name))
+    """Every WorldState slot by value; the generator, if any, by its state."""
+    return {name: (w.rng and w.rng.getstate()) if name == "rng" else copy.deepcopy(getattr(w, name))
             for name in WorldState.__slots__}
 
 
@@ -672,6 +661,31 @@ class TestStep:
         w = make_world(entry=5.0)
         step(w, 0.02, POLICY, IDEAL, v2v_enabled=True)
         assert w.ped_y == 2.0
+
+    def test_interleaved_worlds_step_as_they_do_alone(self):
+        # Separate runs share nothing mutable: stepping every world of two
+        # sweeps round-robin gives each the returns and the end state it
+        # has alone. The lossy grid's relay-on runs share one seed and each
+        # holds a queue.
+        configs = [cfg for base in (ScenarioConfig(),
+                                    ScenarioConfig(latency_s=0.3, drop_prob=0.5, seed=1))
+                   for cfg in SweepSpec(base=base).configs]
+        assert len(configs) == 52
+        lengths = [len(run_scenario(cfg)[1]) for cfg in configs]
+
+        def run(worlds, order):
+            returns = [[] for _ in worlds]
+            for i in order:
+                cfg = configs[i]
+                returns[i].append(step(worlds[i], cfg.dt_s, cfg, cfg, cfg.v2v))
+            return returns, [world_slots(w) for w in worlds]
+
+        alone = run([build_world(cfg) for cfg in configs],
+                    [i for i, n in enumerate(lengths) for _ in range(n)])
+        interleaved = run([build_world(cfg) for cfg in configs],
+                          [i for k in range(max(lengths))
+                           for i, n in enumerate(lengths) if k < n])
+        assert interleaved == alone
 
     def test_speed_never_increases(self):
         w = make_world(av_pos=(-80.0, 5.4864), av_speed=15.0)

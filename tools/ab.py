@@ -35,11 +35,20 @@ at least nine tenths of at least ten pairs and its median lies below the
 parent's by more than the parent's interquartile range, the rule for
 claiming a gain, and with ``unresolved`` otherwise. Both trees share one
 process and the parent is loaded first, so their heap and cache state
-differ and one run understates its own spread: quote a timing figure from
-two runs, each in a fresh process, each beside a run of the parent against
+differ and one run understates its own spread. The load order can also
+bias the sweeps, and not by a fixed amount: one tree against itself
+(``python tools/ab.py P P --timing 14`` at 0437e67, 2-core VM, Python
+3.11.7) read default sweep 0.969, lossy0 0.976, default traces 0.993 and
+trace text 1.002, the second-loaded tree's sweeps about 3% fast, and two
+later runs on the same host read default sweep 0.988 and 1.008. So quote
+a timing figure from two runs, each in a fresh process, one in each load
+order (``P C`` and ``C P``), each beside a run of the parent against
 itself in a fresh process (``python tools/ab.py P P --timing 20``), in
-which every line is an A/A control. A gap no wider than that run's
-distance from 1 is noise.
+which every line is an A/A control, and read each line against the same
+line of that A/A run. The trace text line is no control for the others:
+the bias barely moves it, and ``BENCH_33.json``, read against it, could
+not see the bias. A gap no wider than that line's distance from 1 is
+noise.
 
 Both modes label each side with a sha256 of its ``src/occlusim/*.py`` and
 those files' line count. Start-up, CLI and memory figures stay with
