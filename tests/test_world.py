@@ -424,16 +424,27 @@ class TestChannel:
 
     @pytest.mark.parametrize("speed", [10.0, 45.0, 70.0])
     @pytest.mark.parametrize("drop_prob", [0.0, 0.5])
-    def test_sub_guard_latency_matches_the_zero_latency_link(self, speed, drop_prob):
+    def test_sub_guard_latency_queues_yet_matches_the_zero_latency_link(self, monkeypatch,
+                                                                        speed, drop_prob):
         # A latency below the clock guard is due on the sending step, as a
-        # zero latency is: both give the same results and trace bytes.
+        # zero latency is: both links queue the same messages and give the
+        # same results and trace bytes.
+        queues = []
+
+        def counting():
+            queues.append(AppendCounting())
+            return queues[-1]
+
+        monkeypatch.setattr(world_mod, "deque", counting)
         assert 0.0 < 5e-10 < _T_EPS
-        outputs = []
+        outputs, appends = [], []
         for latency_s in (0.0, 5e-10):
             cfg = ScenarioConfig(av_speed_mph=speed, latency_s=latency_s, drop_prob=drop_prob,
                                  seed=1)
             result, trace = run_scenario(cfg)
             outputs.append(write_results_csv([result]) + write_trace_csv(trace))
+            appends.append(queues.pop().appends)
+        assert appends[0] == appends[1] > 0
         assert outputs[0] == outputs[1]
 
 
