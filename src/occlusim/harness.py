@@ -35,18 +35,12 @@ sentinel ``10000``; elsewhere, trace rows included, no TTC is None.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 from . import world as world_mod
 from .scenario import (CLEARANCE_TAIL_S, ConfigError, ScenarioConfig, SimResult, build_world,
                        config_for)
 from .world import AV_RADIUS_M, R_SUM_M, los_occluded
 
 NO_TTC_SENTINEL_S = 10000.0
-
-# A TTC is None or nonnegative, so none is at or below this threshold, and
-# the brake law, returning 0, reads no other key.
-_UNBRAKED = SimpleNamespace(tau_max_s=-1.0)
 
 # A results-only run's path misses once cross^2 - R^2 a > 2**-30 |X|^2 a. ttc()'s
 # b*b - a*c, exactly R^2 a - cross^2, rounds by a few ulps of |X|^2 a, as b*b and a*c are
@@ -76,8 +70,8 @@ class SweepSpec:
     """The runs of a sweep over speeds from a base configuration; both
     strategies run at every speed with identical seeds so the pair is
     directly comparable. ``configs`` holds every run's config, ordered by
-    speed and then strategy (with_v2v before without_v2v). No base means
-    the default one."""
+    speed and then strategy (with_v2v before without_v2v). No speed may
+    repeat, and no base means the default one."""
 
     def __init__(self, speeds_mph: tuple[float, ...] = DEFAULT_SWEEP_SPEEDS_MPH,
                  base: ScenarioConfig | None = None) -> None:
@@ -86,6 +80,7 @@ class SweepSpec:
             raise ConfigError("speeds_mph must not be empty")
         base = ScenarioConfig() if base is None else base
         configs = []
+        seen: set[float] = set()
         for s in speeds_mph:
             try:
                 configs += (config_for(base, s, v2v) for v2v in (True, False))
@@ -95,6 +90,11 @@ class SweepSpec:
                 except (TypeError, ValueError, OverflowError):
                     label = "an integer" if isinstance(s, int) else repr(s)
                 raise ConfigError(f"{label}: {exc}") from None
+            # Each speed runs once, compared as stored: a repeat would write its rows twice.
+            speed = configs[-1].av_speed_mph
+            if speed in seen:
+                raise ConfigError(f"{speed_label(speed)} mph: repeats a speed")
+            seen.add(speed)
         self.configs = tuple(configs)
 
 
@@ -105,14 +105,10 @@ def speed_label(mph: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, list[tuple]]:
+def run_scenario(cfg: ScenarioConfig) -> tuple[SimResult, list[tuple]]:
     """Run one scenario to completion and return its result row and its
     trace: one plain-tuple row per step, laid out as the module says, with
     the TTC (None when there is none) and estimate source the step returned.
-
-    ``braking=False`` runs the same world under a brake law that no TTC
-    engages, so every step commands and applies 0.0; tests use it to verify
-    that the calibrated scenario collides when unmitigated.
 
     Each step records its row, then branches once on its estimate: most
     have none, and so nothing to keep. The stop rules run on every step.
@@ -127,7 +123,6 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     velocity, off by rounding only), so no later TTC is valid either.
     """
     w = build_world(cfg)
-    policy = cfg if braking else _UNBRAKED
     clearance_y = cfg.clearance_y
 
     trace: list[tuple] = []
@@ -151,7 +146,7 @@ def run_scenario(cfg: ScenarioConfig, braking: bool = True) -> tuple[SimResult, 
     stops_early = not cfg.tail_s
 
     while True:
-        ttc_s, pressure, source, contact = step(w, dt, policy, cfg, v2v)
+        ttc_s, pressure, source, contact = step(w, dt, cfg, cfg, v2v)
 
         # The documented row; write_trace_csv works out the occluded cell.
         t_next = w.t_s

@@ -215,7 +215,7 @@ class ScenarioConfig:
             raise TypeError(f"ScenarioConfig: unknown keys {', '.join(map(repr, values))}")
         _derive(self, _DEFAULTS, changes)
 
-    # A copy, not a run_scenario flag: perfbench/tracer.py's hooks take exactly (cfg, braking=True).
+    # A copy, not a run_scenario parameter: perfbench/tracer.py's run_scenario hooks take a config.
     def results_only(self) -> ScenarioConfig:
         """This config without the clearance tail: a copy, keys and staged
         facts alike, with ``tail_s`` 0 (not a key), neither validated nor
@@ -276,7 +276,9 @@ def load_config(text: str) -> ScenarioConfig:
         try:
             data[key] = read(value)
         except (KeyError, ValueError):
-            limit, digits = sys.get_int_max_str_digits(), value.lstrip("+-").replace("_", "")
+            # CPython before 3.10.7 has neither int()'s cap nor its getter: 0, no cap.
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            digits = value.lstrip("+-").replace("_", "")
             if read is int and len(digits) > limit > 0 and digits.isdecimal():  # int()'s cap
                 raise ConfigError(f"line {lineno}: {key} expects an integer, got one of more "
                                   f"than {limit} digits ({value[:16]}...)") from None

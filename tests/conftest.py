@@ -70,6 +70,6 @@ def unmitigated_runs():
     """Braking-disabled runs at every sweep speed (the collision premise)."""
     base = ScenarioConfig()
     return {
-        speed: run_scenario(config_for(base, speed, True), braking=False)[0]
+        speed: run_scenario(ab.unbraked(config_for(base, speed, True)))[0]
         for speed in SWEEP_SPEEDS
     }

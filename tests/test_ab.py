@@ -85,11 +85,10 @@ def test_bytes_mode_reports_a_difference_only_a_sweep_shows(tmp_path, trees, mon
                     ignore=shutil.ignore_patterns("__pycache__"))
     harness = mutated / "src" / "occlusim" / "harness.py"
     text = harness.read_text(encoding="utf-8")
-    call = "run_scenario(cfg.results_only())[0]"
+    call = "for cfg in spec.configs]"
     assert text.count(call) == 1
-    # The sweep runs unbraked; a run called by itself is untouched.
-    harness.write_text(text.replace(call, "run_scenario(cfg.results_only(), False)[0]"),
-                       encoding="utf-8")
+    # The sweep runs its configs last to first; a run called by itself is untouched.
+    harness.write_text(text.replace(call, "for cfg in spec.configs[::-1]]"), encoding="utf-8")
 
     parent = trees(ROOT, "occlusim_ab_test_sweep_parent")
     changed = trees(mutated, "occlusim_ab_test_sweep_changed")

@@ -5,7 +5,7 @@ from hypothesis import Phase, given, settings
 
 from _analytic import (R_SUM_M, first_delivery_time, first_grid_time, first_ttc, reveal_time,
                        ttc_rate, unbraked_contact_time)
-from conftest import CALIBRATED, SWEEP_SPEEDS
+from conftest import CALIBRATED, SWEEP_SPEEDS, ab
 from occlusim import ScenarioConfig, run_scenario
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH
 from occlusim.scenario import config_for
@@ -19,8 +19,8 @@ def test_detection_without_v2v_lies_within_one_step_after_the_reveal(dt_s):
     for speed in DEFAULT_SWEEP_SPEEDS_MPH:
         cfg = config_for(base, speed, False)
         reveal = reveal_time(cfg)
-        for braking in (True, False):
-            detected = run_scenario(cfg, braking)[0].detected_time_s
+        for braking, run_cfg in ((True, cfg), (False, ab.unbraked(cfg))):
+            detected = run_scenario(run_cfg)[0].detected_time_s
             assert 0.0 < detected - reveal <= dt_s, (speed, braking, detected, reveal)
 
 
@@ -50,7 +50,7 @@ def test_unbraked_collision_time_is_the_first_grid_time_the_discs_overlap(dt_s):
     for speed in DEFAULT_SWEEP_SPEEDS_MPH:
         for v2v in (True, False):
             cfg = config_for(base, speed, v2v)
-            result = run_scenario(cfg, braking=False)[0]
+            result = run_scenario(ab.unbraked(cfg))[0]
             assert result.collision_time_s == unbraked_contact_time(cfg), (speed, v2v)
 
 
@@ -84,8 +84,9 @@ def test_drawn_runs_meet_every_closed_form(keys):
     reveal = reveal_time(cfg)
     delivery = first_delivery_time(cfg) if cfg.v2v else None
     relayed = None if delivery is None else first_grid_time(cfg, delivery)
-    for braking in (True, False):
-        result = run_scenario(cfg.results_only(), braking)[0]
+    short = cfg.results_only()
+    for braking, run_cfg in ((True, short), (False, ab.unbraked(short))):
+        result = run_scenario(run_cfg)[0]
         detected = result.detected_time_s
         if relayed is not None and relayed <= reveal:
             assert detected == relayed, (braking, detected, relayed)

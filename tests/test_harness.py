@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import replace, same_config, write_trace_csv_rowwise
-from conftest import StepRecord, named_rows
+from conftest import StepRecord, ab, named_rows
 from occlusim import harness
 from occlusim import world as world_mod
 from occlusim.geometry import Vec2
@@ -386,7 +386,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(world_mod, "deceleration_for", counted)
         cfg = config_for(ScenarioConfig(), mph, v2v)
-        result, trace = run_scenario(cfg, braking=False)
+        result, trace = run_scenario(ab.unbraked(cfg))
         assert all(row.pressure_bar == 0.0 for row in named_rows(trace))
         assert result.max_pressure_bar == 0.0
         assert calls == []
@@ -409,7 +409,7 @@ class TestRunScenario:
         spec = SweepSpec([s for s in DEFAULT_SWEEP_SPEEDS_MPH if s not in refused], base)
         for cfg, result in zip(spec.configs, sweep(spec), strict=True):
             assert result.collision is (not cfg.v2v and cfg.av_speed_mph >= 15.0), cfg
-            assert run_scenario(cfg, braking=False)[0].collision is True, cfg
+            assert run_scenario(ab.unbraked(cfg))[0].collision is True, cfg
 
 
 class TestAllocation:
@@ -470,6 +470,15 @@ class TestSweep:
         with pytest.raises(ConfigError, match="av_speed_mph"):
             SweepSpec(speeds_mph=speeds)
 
+    @pytest.mark.parametrize(("speeds", "label"), [
+        ((10.0, 10.0), "10"), ((45.0, 10.0, 45.0), "45"), ((1e1, 10.0), "10"),
+        ((45, 45.0), "45"), (np.array([20.0, 45.0, 20.0]), "20"), ((45.0, 45.0, "abc"), "45"),
+    ], ids=["10,10", "45,10,45.0", "1e1,10", "int-and-float", "numpy", "before-a-bad-speed"])
+    def test_repeated_speed_rejected(self, speeds, label):
+        # Each speed runs once, compared as stored: a repeat would write its rows twice.
+        with pytest.raises(ConfigError, match=rf"^{label} mph: repeats a speed$"):
+            SweepSpec(speeds_mph=speeds)
+
     def test_error_names_the_exact_speed(self):
         with pytest.raises(ConfigError, match=r"^1000\.0001 mph: dt_s: "):
             SweepSpec(speeds_mph=(45.0, 1000.0001))
@@ -479,7 +488,9 @@ class TestSweep:
     ], ids=["None", "abc", "45", "huge"])
     def test_speed_that_is_not_a_number_is_labelled_as_it_came(self, speed, label):
         # speed_label reads only what float() takes; any other speed is shown
-        # by repr, and an int no float holds is named, not printed.
+        # by repr, and an int no float holds is named, not printed. The text
+        # "45" after 45.0 keeps its own error: repeats are checked on the
+        # stored speed.
         with pytest.raises(ConfigError, match=rf"^{re.escape(label)}: av_speed_mph: must be "):
             SweepSpec(speeds_mph=(45.0, speed))
 

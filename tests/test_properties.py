@@ -24,7 +24,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from _oracle import los_occluded_loop, replace, run_reference
-from conftest import CALIBRATED, named_rows
+from conftest import CALIBRATED, ab, named_rows
 from occlusim import ScenarioConfig, SweepSpec, run_scenario, sweep, write_results_csv
 from occlusim import world as world_mod
 from occlusim.harness import DEFAULT_SWEEP_SPEEDS_MPH, TRACE_HEADER, write_trace_csv
@@ -109,7 +109,7 @@ def test_every_trace_keeps_its_invariants(keys):
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(keys=CALIBRATED)
 def test_every_unbraked_calibrated_run_collides(keys):
-    assert run_scenario(ScenarioConfig(**keys), braking=False)[0].collision
+    assert run_scenario(ab.unbraked(ScenarioConfig(**keys)))[0].collision
 
 
 # Not shrunk, like test_run_matches_the_reference_run below: a failure
@@ -119,9 +119,9 @@ def test_every_unbraked_calibrated_run_collides(keys):
 @given(keys=CALIBRATED)
 def test_results_only_run_is_a_prefix_of_the_full_run_with_its_result(keys):
     cfg = ScenarioConfig(**keys)
-    for braking in (True, False):
-        result, trace = run_scenario(cfg, braking)
-        short_result, short_trace = run_scenario(cfg.results_only(), braking)
+    for run_cfg in (cfg, ab.unbraked(cfg)):
+        result, trace = run_scenario(run_cfg)
+        short_result, short_trace = run_scenario(run_cfg.results_only())
         assert short_result == result
         assert trace[:len(short_trace)] == short_trace
         # A detected run that clears ends before the full run's tail does.
@@ -139,8 +139,9 @@ def test_results_only_run_is_a_prefix_of_the_full_run_with_its_result(keys):
 def test_run_matches_the_reference_run(keys):
     full = ScenarioConfig(**keys)
     for cfg in (full, full.results_only()):
-        for braking in (True, False):
-            result, trace = run_scenario(cfg, braking)
+        # The reference runs its own unbraked law, not the copy's.
+        for braking, run_cfg in ((True, cfg), (False, ab.unbraked(cfg))):
+            result, trace = run_scenario(run_cfg)
             ref_result, ref_trace = run_reference(cfg, braking)
             assert result == ref_result
             # Row by row, so a failure prints one row, and by repr, which

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracle import replace, same_config
+from conftest import ab
 from occlusim import scenario
 from occlusim.scenario import (
     AV_RADIUS_M,
@@ -187,6 +188,17 @@ class TestLoadConfig:
         assert str(caught.value) == (f"line 1: {key} expects an integer, got one of more than "
                                      f"4300 digits ({value[:16]}...)")
 
+    @pytest.mark.parametrize(("key", "value", "expects"), [
+        ("dt_s", "fast", "a number"), ("v2v", "maybe", "on/off"),
+    ])
+    def test_bad_value_is_named_where_int_has_no_digit_limit(self, monkeypatch, key, value,
+                                                              expects):
+        # CPython 3.10.0-3.10.6, which pyproject.toml admits, has no
+        # sys.get_int_max_str_digits; reading it there raised AttributeError.
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        with pytest.raises(ConfigError, match=rf"^line 1: {key} expects {expects}, got '{value}'$"):
+            load_config(f"{key} = {value}\n")
+
     def test_bool_words(self):
         assert load_config("v2v = on\n").v2v is True
         assert load_config("v2v = false\n").v2v is False
@@ -355,11 +367,11 @@ class TestCalibration:
         e_slow, e_fast = calibrate_entry(slow), calibrate_entry(fast)
         assert e_slow != e_fast
         for cfg in (slow, fast):
-            result, _ = run_scenario(cfg, braking=False)
+            result, _ = run_scenario(ab.unbraked(cfg))
             assert result.collision
 
     def test_unmitigated_45mph_collides(self):
-        result, _ = run_scenario(config_for(ScenarioConfig(), 45.0, True), braking=False)
+        result, _ = run_scenario(ab.unbraked(config_for(ScenarioConfig(), 45.0, True)))
         assert result.collision
 
     def test_10mph_without_v2v_avoids_with_braking(self):

@@ -12,7 +12,10 @@ so that import-time lines count too. It takes each module's executable
 lines from its code objects and names every one that did not run and that
 no ``UNRUN`` entry holds. An entry that holds a line that runs, or no line
 at all, fails the check as well. The check cannot see a module-level
-placeholder such as ``world.replace``: import runs it.
+placeholder such as ``world.replace``: import runs it. Nor can it see an arm
+of a one-line conditional: the line runs whichever arm is taken, so a
+test-only arm, such as the one that ``run_scenario``'s former ``braking``
+option chose, went unseen.
 """
 
 import importlib.util

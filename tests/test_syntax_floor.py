@@ -1,6 +1,7 @@
-"""The package and tools/ab.py parse as Python 3.10, the oldest version
-that pyproject.toml's ``requires-python = ">=3.10"`` admits, whatever
-interpreter runs the tests."""
+"""The package, tools/ab.py and the test code of both test paths parse
+as Python 3.10, the oldest version that pyproject.toml's
+``requires-python = ">=3.10"`` admits, whatever interpreter runs the
+tests."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FLOOR = (3, 10)
-SOURCES = [*sorted((ROOT / "src" / "occlusim").glob("*.py")), ROOT / "tools" / "ab.py"]
+SOURCES = [*sorted((ROOT / "src" / "occlusim").glob("*.py")), ROOT / "tools" / "ab.py",
+           *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def test_floor_is_the_declared_one():

@@ -9,9 +9,12 @@ relatively), so neither shadows the other or an installed ``occlusim``.
 
 bytes: runs a fixed matrix in both trees and compares every results and
 trace CSV: the 13 default speeds, both strategies, braked and unbraked,
-over the 17 base configs of ``BASES``. Then it compares the results CSV of
-a sweep of each base, since a sweep's runs need not take the matrix's
-path. It prints the first run or sweep whose output differs and exits 1,
+over the 17 base configs of ``BASES``. An unbraked run is the run of
+``unbraked(cfg)``, a copy of its config whose brake law no TTC engages, so
+every step commands and applies no pressure: the collision premise that
+calibration stages, which no command runs. Then it compares the results
+CSV of a sweep of each base, since a sweep's runs need not take the
+matrix's path. It prints the first run or sweep whose output differs and exits 1,
 or one sha256 over the runs' outputs and one over the sweeps', each
 tree's steps over all the sweeps (their runs' ``world.step`` calls) and
 how many runs took more steps in the change. Last, it compares each
@@ -176,10 +179,21 @@ def unload(name: str) -> None:
         del sys.modules[key]
 
 
+def unbraked(cfg):
+    """A copy of *cfg*, keys and staged facts alike, with ``tau_max_s``
+    -1.0: a TTC is None or nonnegative, so none engages the brake law, and
+    nothing else reads that key. Built without the constructor, as
+    ``ScenarioConfig.results_only()`` builds its copy, since the
+    constructor refuses a negative ``tau_max_s``."""
+    copy = object.__new__(cfg.__class__)
+    vars(copy).update(vars(cfg), tau_max_s=-1.0)
+    return copy
+
+
 def run_output(pkg: ModuleType, base: str, speed: float, v2v: bool, braked: bool) -> bytes:
     """Results CSV then trace CSV of one run, its config built by *pkg*."""
     cfg = pkg.scenario.config_for(pkg.scenario.load_config(base), float(speed), v2v)
-    result, trace = pkg.harness.run_scenario(cfg, braking=braked)
+    result, trace = pkg.harness.run_scenario(cfg if braked else unbraked(cfg))
     text = pkg.harness.write_results_csv([result]) + pkg.harness.write_trace_csv(trace)
     return text.encode()
 
