@@ -188,7 +188,6 @@ class ScenarioConfig:
     ped_speed_ftps: float = 4.0
     ped_start_offset_m: float = -18.0
     approach_time_s: float = 20.0
-    tx_stop_gap_m: float = -0.02
     reveal_margin_s: float = 0.18
     reveal_margin_slow_s: float = 0.85
     reveal_knee_lo_mph: float = 10.0
@@ -208,7 +207,7 @@ class ScenarioConfig:
 
     def __init__(self, **values: object) -> None:
         # Each key is set once, in order, so all configs share one order.
-        # With the staged facts a config has 35 attributes, too many for
+        # With the staged facts a config has 34 attributes, too many for
         # CPython 3.11's shared key table, so each config has its own dict.
         changes = {key: values.pop(key) for key in _DEFAULTS if key in values}
         if values:
@@ -368,11 +367,11 @@ def build_world(cfg: ScenarioConfig) -> WorldState:
     with the run's fixed sensing geometry worked out once."""
     v = cfg.av_speed_mps
 
-    # The transmitter has already yielded: stopped in the outer lane with
-    # its bumper at the walk line (a small overlap keeps the footprint
-    # containment test robust while the pedestrian passes the bumper).
-    # Its body is as long as the AV's, so its half-length is AV_RADIUS_M.
-    tx_x = -cfg.tx_stop_gap_m - AV_RADIUS_M
+    # The transmitter has already yielded: stopped in the outer lane with its bumper a fixed
+    # 0.02 m past the walk line, which calibration's staging assumes (the overlap keeps the
+    # footprint containment test robust while the pedestrian passes the bumper). Its body is
+    # as long as the AV's, so its half-length is AV_RADIUS_M.
+    tx_x = 0.02 - AV_RADIUS_M
     tx_y = cfg.tx_lane_y
 
     return WorldState(

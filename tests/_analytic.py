@@ -8,9 +8,9 @@ the stepped world cannot read the same on both sides of a check against it.
 A run steps on the time grid 0, dt, 2 dt, ..., each time the last plus
 dt. The pedestrian enters on the first grid time at or after its
 calibrated entry and then walks at constant speed; the stopped
-transmitter's center sits at ``-tx_stop_gap_m - AV_RADIUS_M`` on its lane
-center; an AV that never brakes keeps its speed from its start
-``approach_time_s`` before the walk line.
+transmitter's center sits at ``0.02 - AV_RADIUS_M`` on its lane center,
+its bumper 0.02 m past the walk line; an AV that never brakes keeps its
+speed from its start ``approach_time_s`` before the walk line.
 
 ``reveal_time`` is when the pedestrian clears the AV's blocked sight line:
 the transmitter's inner edge, ``cfg.sightline_edge_y``. A run without
@@ -94,7 +94,7 @@ def first_delivery_time(cfg) -> float | None:
     """When the first message that reaches the AV arrives, or None when the
     AV has passed out of radio range before any send slot finds it in
     range."""
-    tx_x = -cfg.tx_stop_gap_m - AV_RADIUS_M
+    tx_x = 0.02 - AV_RADIUS_M
     dy = cfg.av_lane_y - cfg.tx_lane_y
     next_send_s = first_step_time(cfg)
     for t_s in grid(cfg):

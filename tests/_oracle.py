@@ -25,9 +25,10 @@ pressure. ``occlusim.world.step`` makes the same decision inline, the
 package's only one.
 
 ``channel_step`` is the V2V channel's step in its queue form, with every
-term worked out on each call and the transmitter placed from the config, as
-``occlusim.scenario.build_world`` places it. ``occlusim.world.channel_step``
-reads the terms that the world staged when it was built.
+term worked out on each call from the transmitter's center in the world,
+where ``occlusim.scenario.build_world`` places it.
+``occlusim.world.channel_step`` reads the terms that the world staged when
+it was built.
 
 ``step_composed`` is one world step composed from separate pieces: this
 module's ``channel_step``, then its ``compute_control`` on the world as the
@@ -243,12 +244,12 @@ def compute_control(world, policy):
 
 def channel_step(world, cfg) -> None:
     """Broadcast and delivery for one step of the pedestrian's activity, as
-    :func:`occlusim.world.channel_step` documents them. The transmitter
-    stands ``cfg.tx_stop_gap_m`` short of the walk line in its lane, and its
-    tracker sits at its front-center. Every send slot in tracker range spends
-    a drop draw, in radio range or not."""
+    :func:`occlusim.world.channel_step` documents them. The transmitter's
+    center is the world's (``tx_x``, ``tx_y``), where ``build_world`` placed
+    it, and its tracker sits at its front-center. Every send slot in tracker
+    range spends a drop draw, in radio range or not."""
     t_s, ped_y = world.t_s, world.ped_y
-    tx_x, tx_y = -cfg.tx_stop_gap_m - AV_RADIUS_M, cfg.tx_lane_y
+    tx_x, tx_y = world.tx_x, world.tx_y
     dx, dy = 0.0 - (tx_x + AV_RADIUS_M), ped_y - tx_y
     in_tracker_range = dx * dx + dy * dy <= cfg.tx_sensor_range_m * cfg.tx_sensor_range_m
     if in_tracker_range and t_s >= world.next_send_s - T_EPS:

@@ -207,7 +207,7 @@ def test_infeasible_calibration_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("ped_start_offset_m", "nan"), ("tx_stop_gap_m", "inf"), ("latency_s", "inf"),
+    ("ped_start_offset_m", "nan"), ("approach_time_s", "inf"), ("latency_s", "inf"),
 ])
 def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.cfg"

@@ -53,10 +53,12 @@ INT_KEYS = [k for k in ScenarioConfig.KEYS if type(getattr(ScenarioConfig, k)) i
 
 # A value of the wrong type for each key: text or None for any, a bool for
 # a number key, a fraction or a list for an integer key, a number for v2v.
+# The list case is named: its automatic ID, its index, shifts with the key count.
 WRONG_TYPES = (
     [(key, value) for key in ScenarioConfig.KEYS for value in ("45", None)]
     + [(key, value) for key in [*FLOAT_KEYS, *INT_KEYS] for value in (True, False)]
-    + [(key, 1.5) for key in INT_KEYS] + [("num_lanes", 4.5), ("seed", [1]), ("v2v", 2)]
+    + [(key, 1.5) for key in INT_KEYS] + [("num_lanes", 4.5), ("v2v", 2),
+                                          pytest.param("seed", [1], id="seed-list")]
 )
 
 # Every number key at its default, as a numpy scalar of the default's kind.
@@ -67,7 +69,7 @@ NUMPY_DEFAULTS = {key: (np.int64 if key in INT_KEYS else np.float64)(getattr(Sce
 LOSSY = {"latency_s": 0.1, "drop_prob": 0.3}
 
 # Keys that may take any finite value; the rest are bounded below by zero.
-SIGNED_KEYS = {"ped_start_offset_m", "tx_stop_gap_m"}
+SIGNED_KEYS = {"ped_start_offset_m"}
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 BOUNDED = {
     "av_sensor_fov_half_rad": st.floats(0.0, math.pi, exclude_min=True),
@@ -511,15 +513,15 @@ class TestBuildWorld:
         assert w.av_x == pytest.approx(-cfg.av_speed_mps * 20.0, rel=1e-12)
         assert w.av_y == pytest.approx(5.4864)
         assert w.av_speed == pytest.approx(cfg.av_speed_mps)
-        # Stopped in its lane with its bumper just past the walk line.
-        tx_x = -cfg.tx_stop_gap_m - AV_RADIUS_M
+        # Stopped in its lane with its bumper 0.02 m past the walk line.
+        tx_x = 0.02 - AV_RADIUS_M
         assert (w.tx_x, w.tx_y) == (tx_x, cfg.tx_lane_y)
         # The channel's fixed terms, staged with the same operands in the same order.
         dx = 0.0 - (tx_x + AV_RADIUS_M)
         assert w.tx_dx_sq == dx * dx
         assert w.av_tx_dy == cfg.av_lane_y - cfg.tx_lane_y
         bumper = w.occluder[1]
-        assert bumper == pytest.approx(-cfg.tx_stop_gap_m, abs=1e-12)
+        assert bumper == pytest.approx(0.02, abs=1e-12)
         assert (w.ped_y, w.ped_vy) == (cfg.ped_start_offset_m, cfg.ped_speed_mps)
         assert cfg.ped_entry_time_s == pytest.approx(calibrate_entry(cfg))
         assert w.active_from_s == cfg.ped_entry_time_s - 1e-9
@@ -547,6 +549,17 @@ class TestBuildWorld:
         assert w1.rng.random() == w2.rng.random()
         assert build_world(ScenarioConfig(seed=5)).rng is None
         assert build_world(ScenarioConfig(seed=5, drop_prob=0.5, v2v=False)).rng is None
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(valid_configs())
+    def test_every_accepted_config_builds_a_finite_world(self, cfg):
+        # Nothing in a run can overflow, starting with the world it is
+        # built as: every float slot, the footprint's bounds included.
+        w = build_world(cfg)
+        values = [getattr(w, name) for name in type(w).__slots__]
+        floats = [x for value in values for x in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(x, float)]
+        assert len(floats) > 4 and all(map(math.isfinite, floats))
 
 
 class TestConfigFor:
@@ -580,7 +593,7 @@ class TestConfigFor:
         # config_for checks only the speed and the strategy, then every
         # two-key rule, on a copy of the validated base, its results-only
         # copy included: every attribute, its value, type and place, or
-        # the error message, is what rebuilding all 26 keys gives.
+        # the error message, is what rebuilding all 25 keys gives.
         def outcome(build):
             try:
                 return [(key, value, repr(value)) for key, value in vars(build()).items()]
@@ -620,6 +633,16 @@ class TestConfigRecord:
         with pytest.raises(TypeError, match="'t_end_s'"):
             replace(ScenarioConfig(), t_end_s=30.0)
 
+    def test_transmitter_gap_is_no_key_at_either_boundary(self, tmp_path, capsys):
+        # The stopped transmitter's place is fixed, as calibration stages it.
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text("tx_stop_gap_m = -0.02\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: line 1: unknown key 'tx_stop_gap_m'\n"
+        assert not (tmp_path / "r.csv").exists()
+        with pytest.raises(TypeError, match="'tx_stop_gap_m'"):
+            ScenarioConfig(tx_stop_gap_m=-0.02)
+
     def test_config_refuses_assignment_and_deletion(self):
         cfg = ScenarioConfig()
         with pytest.raises(AttributeError, match="read-only"):
@@ -632,7 +655,7 @@ class TestConfigRecord:
         cfg = ScenarioConfig(seed=7)
         assert ScenarioConfig.KEYS[:2] == ("av_speed_mph", "v2v")
         assert ScenarioConfig.KEYS[-2:] == ("dt_s", "seed")
-        assert len(ScenarioConfig.KEYS) == 26
+        assert len(ScenarioConfig.KEYS) == 25
         assert repr(cfg) == "ScenarioConfig(" + ", ".join(
             f"{key}={getattr(cfg, key)!r}" for key in ScenarioConfig.KEYS) + ")"
         assert "ped_entry_time_s" not in repr(cfg)

@@ -123,8 +123,8 @@ UNRUN = {
     ("world.los_occluded", "if not (min_y <= sensor_y <= max_y):"): (
         1, _LOS + "no run puts the pedestrian exactly on the sensor's y (dy == 0)"),
     ("world.los_occluded", "t1 = tb"): (
-        1, _LOS + "the transmitter stops 0.02 m past the walk line (tx_stop_gap_m), so "
-                  "the x slab never ends before the target"),
+        1, _LOS + "the transmitter stops a fixed 0.02 m past the walk line, which no key "
+                  "sets, so the x slab never ends before the target"),
     ("world.los_occluded", "return False"): (3, _LOS + "the dx == 0, x slab and dy == 0 exits"),
 }
 

@@ -203,9 +203,9 @@ class TestSense:
         assert sense(*args) == sense_clamped(*args)
 
 
-# The transmitter as build_world places it for IDEAL's keys: the reference
-# channel reads it from the config, the world from its own slots.
-TX_POS = (-IDEAL.tx_stop_gap_m - AV_RADIUS_M, IDEAL.tx_lane_y)
+# The transmitter as build_world places it for IDEAL's keys, its bumper
+# 0.02 m past the walk line.
+TX_POS = (0.02 - AV_RADIUS_M, IDEAL.tx_lane_y)
 
 
 def ulps_from(x: float, n: int) -> float:
@@ -570,15 +570,12 @@ def pre_step_worlds(draw):
         # On the roadway, in range and in view, with the occluder behind the AV.
         av_x = draw(st.floats(-140.0, -5.0))
         ped_y = draw(st.floats(0.0, 14.6304))
-        gap, sensor_range = 200.0 - AV_RADIUS_M, 150.0  # the transmitter at x = -200
+        tx_pos, sensor_range = (-200.0, IDEAL.tx_lane_y), 150.0
     else:
         # The AV's sensor reaches nothing; the transmitter relays nearby.
         av_x = draw(st.floats(-140.0, 5.0))
         ped_y = draw(st.floats(-5.0, 20.0))
-        gap, sensor_range = IDEAL.tx_stop_gap_m, 0.01
-    # Placed as build_world places it: the reference channel reads the
-    # transmitter from the config, the step from the world.
-    tx_pos = (-gap - AV_RADIUS_M, IDEAL.tx_lane_y)
+        tx_pos, sensor_range = TX_POS, 0.01
     w = make_world(av_pos=(av_x, draw(st.floats(0.0, 10.0))), av_speed=draw(st.floats(0.0, 30.0)),
                    ped_y=ped_y, ped_vy=draw(st.floats(0.0, 2.0)), tx_pos=tx_pos, entry=entry,
                    sensor_range=sensor_range, seed=draw(st.integers(0, 3)))
@@ -592,7 +589,7 @@ def pre_step_worlds(draw):
         w.in_flight.extend((s_at, ped_y, w.ped_vy) for s_at in sent)
     channel = CHANNELS[-1] if source is None else draw(st.sampled_from(CHANNELS))
     args = (draw(st.sampled_from((0.005, 0.02, 0.1))), draw(st.sampled_from((POLICY, UNBRAKED))),
-            replace(channel, tx_stop_gap_m=gap), draw(st.booleans()))
+            channel, draw(st.booleans()))
     return w, args, source
 
 

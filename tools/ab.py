@@ -115,7 +115,7 @@ BASES = {
 ERRORS = (
     "this is not a key value pair\n", "av_sped_mph = 45\n", "seed = 1\nseed = 2\n",
     "v2v = maybe\n", "num_lanes = 2.5\n", "dt_s = fast\n", "num_lanes = 1" + "0" * 5000 + "\n",
-    "ped_start_offset_m = nan\n", "tx_stop_gap_m = inf\n", "reveal_knee_lo_mph = -inf\n",
+    "ped_start_offset_m = nan\n", "approach_time_s = inf\n", "reveal_knee_lo_mph = -inf\n",
     "av_lane_index = 1" + "0" * 400 + "\n",
     "av_speed_mph = 0\n", "lane_width_ft = -1\n", "num_lanes = 0\n", "ped_speed_ftps = 0\n",
     "approach_time_s = 0\n", "reveal_margin_s = 0\n", "reveal_margin_slow_s = 0\n",
